@@ -1,0 +1,6 @@
+"""``python -m roundfold``: the command-line interface."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

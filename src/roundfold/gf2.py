@@ -3,7 +3,8 @@
 Vectors live in GF(2)^m encoded as Python ints; coordinate j of a vector of
 width m sits at bit (m - 1 - j), so the integer order coincides with the
 lexicographic order on coordinate strings (coordinate 0 is most significant).
-All subspaces here have m <= ~20, so plain ints beat any array library.
+The width m is a page's edge count (3g + 1 on the standard closed genus-g
+page) and has no fixed bound; plain ints keep each row XOR one operation.
 """
 
 from __future__ import annotations

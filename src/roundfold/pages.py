@@ -477,7 +477,14 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     rank; boundary vertices are sorted by the rank of their target vertex;
     edges are sorted by (low key, high rank).  The twist block is the
     lexicographically smallest canonical gauge-coset representative over all
-    orderings of parallel edges between saddles.
+    orderings of parallel edges between saddles.  It needs no search: degree
+    rules cap a parallel class at two edges, and swapping a pair (e, f)
+    keeps the gauge span S and maps the labeling t to
+    t + (t_e + t_f)(1_e + 1_f).  These swaps commute, so the union of the
+    cosets over all orderings is t + S + span{1_e + 1_f : t_e != t_f}, whose
+    least point is one coset representative over one elimination in the
+    fixed edge order.  A pair with a saddle_b endpoint would add nothing,
+    since 1_e and 1_f already lie in S.
 
     Two valid pages are isomorphic (kind-, rank- and incidence-preserving
     bijection with gauge-equivalent twists) iff their encodings are equal.
@@ -516,30 +523,15 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
         low_txt = f"b{low_i}" if low_r == 0 else str(low_r)
         edge_keys.extend([f"{low_txt}>{high_r}"] * len(groups[k]))
 
-    # twist block: minimize the canonical coset representative over the
-    # orderings of each multi-edge class (only saddle-saddle pairs can be
-    # parallel, and only their bits can survive gauge reduction)
-    variable = [k for k in group_keys if len(groups[k]) > 1]
-    order0 = [e.id for k in group_keys for e in sorted(groups[k], key=lambda e: e.id)]
-    pivots0 = gf2.rref(gauge_generators(graph, order0))
+    # twist block: least point over all orderings of the parallel pairs, in
+    # closed form (see the docstring); groups list their edges by id
+    order0 = [e.id for k in group_keys for e in groups[k]]
     m = len(order0)
-    if m - len(pivots0) == 0:
-        best = 0
-    else:
-        best = None
-        labeling = graph.twist_labeling()
-        perm_choices = [itertools.permutations(sorted(groups[k], key=lambda e: e.id)) for k in variable]
-        for combo in itertools.product(*perm_choices):
-            arranged = {k: list(p) for k, p in zip(variable, combo)}
-            order = [
-                e.id
-                for k in group_keys
-                for e in arranged.get(k, sorted(groups[k], key=lambda e: e.id))
-            ]
-            pivots = gf2.rref(gauge_generators(graph, order))
-            rep = gf2.coset_representative(_labeling_bits(labeling, order), pivots)
-            if best is None or rep < best:
-                best = rep
+    bit = {eid: m - 1 - j for j, eid in enumerate(order0)}
+    pairs = [groups[k] for k in group_keys if len(groups[k]) == 2]
+    swaps = [(1 << bit[e.id]) | (1 << bit[f.id]) for e, f in pairs if e.twist != f.twist]
+    pivots = gf2.rref(gauge_generators(graph, order0) + swaps)
+    best = gf2.coset_representative(_labeling_bits(graph.twist_labeling(), order0), pivots)
     bits = format(best, f"0{m}b") if m else ""
 
     text = f"P1;s={s};K={kinds};B={targets};E={','.join(edge_keys)};T={bits}"

@@ -2,15 +2,20 @@
 
 Nothing here reuses the library's decision procedures: span membership is
 exhaustive subset XOR, fiber counts are re-derived from scratch, surface
-bookkeeping comes from the classification formulas, and the generate-all page
-enumeration builds every labeled graph directly from degree shapes.
+bookkeeping comes from the classification formulas, the generate-all page
+enumeration builds every labeled graph directly from degree shapes, and the
+Burnside class count has its own gauge vectors and GF(2) rank.  The one
+exception is ``min_over_orderings_twist_block``: the search over parallel-edge
+orderings that the encoder ran before its closed form, kept as a reference.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind, validate_page
+from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind, gf2, validate_page
+from roundfold.census import _graph_from_skeleton, _skeletons
+from roundfold.pages import gauge_generators
 
 # (down slots, up slots) per shape; merge/split are the two saddle_p options
 SHAPES = {
@@ -118,3 +123,99 @@ def partition_by(items, same) -> list[list]:
         else:
             classes.append([item])
     return classes
+
+
+def min_over_orderings_twist_block(graph: LabeledReebGraph) -> str:
+    """The ``T=`` block by search: the least canonical gauge-coset
+    representative over every ordering of every parallel-edge class, one
+    elimination per ordering (2^g eliminations on a genus-g page)."""
+    rank_of = {v.id: v.rank for v in graph.vertices}
+    target = {e.low: rank_of[e.high] for e in graph.edges if rank_of[e.low] == 0}
+    bd_index = {b: i for i, b in enumerate(sorted(target, key=lambda b: (target[b], b)))}
+    groups: dict[tuple[int, int, int], list[str]] = {}
+    for e in graph.edges:
+        r = rank_of[e.low]
+        key = (r, bd_index[e.low] if r == 0 else -1, rank_of[e.high])
+        groups.setdefault(key, []).append(e.id)
+    m = len(graph.edges)
+    labeling = graph.twist_labeling()
+    best = None
+    for combo in itertools.product(*(itertools.permutations(sorted(groups[k])) for k in sorted(groups))):
+        order = [eid for perm in combo for eid in perm]
+        t = sum(1 << (m - 1 - j) for j, eid in enumerate(order) if labeling[eid])
+        rep = gf2.coset_representative(t, gf2.rref(gauge_generators(graph, order)))
+        if best is None or rep < best:
+            best = rep
+    return format(best, f"0{m}b") if m else ""
+
+
+def gf2_rank(vectors) -> int:
+    """GF(2) rank of int bitmasks through an XOR basis kept in decreasing
+    order, so its members have distinct leading bits."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def skeleton_vectors(
+    kinds: dict[int, VertexKind], edges: list[tuple[str, str]]
+) -> tuple[int, list[int], list[int]]:
+    """(m, gauge generators, parallel-pair vectors 1_e + 1_f) of a skeleton,
+    built from its edge list alone; coordinate j sits at bit m - 1 - j."""
+    m = len(edges)
+    unit = [1 << (m - 1 - j) for j in range(m)]
+    incident: dict[str, int] = {}
+    for j, (lo, hi) in enumerate(edges):
+        incident[lo] = incident.get(lo, 0) | unit[j]
+        incident[hi] = incident.get(hi, 0) | unit[j]
+    saddle_b = {f"v{r}" for r, k in kinds.items() if k is VertexKind.SADDLE_B}
+    gauge = list(incident.values())
+    gauge += [unit[j] for j, (lo, hi) in enumerate(edges) if {lo, hi} & saddle_b]
+    pairs = [unit[i] | unit[j] for i, j in itertools.combinations(range(m), 2) if edges[i] == edges[j]]
+    return m, gauge, pairs
+
+
+def swap_sensitive(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -> bool:
+    """True if swapping some parallel pair can change the gauge class, i.e.
+    its vector 1_e + 1_f lies outside the gauge span (interlocked cycles)."""
+    _, gauge, pairs = skeleton_vectors(kinds, edges)
+    rank = gf2_rank(gauge)
+    return any(gf2_rank(gauge + [u]) > rank for u in pairs)
+
+
+def burnside_class_count(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -> int:
+    """Twist classes of one skeleton up to gauge and parallel-edge swaps.
+
+    The swaps of the parallel pairs U generate a group (Z/2)^|U| acting on
+    V/S, V the twist labelings and S the gauge span; the product of the swaps
+    in I fixes 2^(m - rank(S + U_I)) classes, and Burnside's lemma averages
+    that over all subsets I.
+    """
+    m, gauge, pairs = skeleton_vectors(kinds, edges)
+    fixed = sum(
+        2 ** (m - gf2_rank(gauge + list(subset)))
+        for r in range(len(pairs) + 1)
+        for subset in itertools.combinations(pairs, r)
+    )
+    count, rest = divmod(fixed, 2 ** len(pairs))
+    assert rest == 0, "Burnside sum not divisible by the group order"
+    return count
+
+
+def valid_skeletons(s: int):
+    """(kinds, edges) of every valid skeleton the enumerator generates with
+    exactly s critical vertices."""
+    for kinds, edges in _skeletons(s):
+        if validate_page(_graph_from_skeleton(kinds, edges, {})).ok:
+            yield kinds, edges
+
+
+def burnside_stratum_count(s: int) -> int:
+    """Page classes with exactly s critical vertices: the Burnside count
+    summed over every valid skeleton."""
+    return sum(burnside_class_count(kinds, edges) for kinds, edges in valid_skeletons(s))

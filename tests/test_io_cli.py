@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +270,47 @@ def test_cli_render(torus_file, tmp_path, capsys):
     assert main(["render", torus_file, "--kind", "reeb", "--format", "dot", "--out", str(out2)]) == 0
     assert out2.read_text().startswith("graph page {")
     assert main(["render", torus_file, "--kind", "circles", "--format", "dot", "--out", str(out)]) == 2
+
+
+def _handle_twisted_closed_page(genus, twisted_handles, edge_in_pair=0):
+    """orientable_closed_page(genus) with one edge of the parallel pair of each
+    handle in ``twisted_handles`` twisted; the handle twist sums are the
+    page's gauge invariants."""
+    page = rf.orientable_closed_page(genus)
+    parallel: dict[tuple[str, str], list[str]] = {}
+    for e in page.edges:
+        parallel.setdefault((e.low, e.high), []).append(e.id)
+    pairs = [ids for ids in parallel.values() if len(ids) == 2]
+    labeling = page.twist_labeling()
+    for h in twisted_handles:
+        labeling[pairs[h][edge_in_pair]] = 1
+    return page.with_twists(labeling)
+
+
+def test_cli_classify_genus_40(tmp_path, capsys):
+    files = {}
+    for name, graph in [
+        ("a", _handle_twisted_closed_page(40, [3, 17])),
+        ("b", _handle_twisted_closed_page(40, [3, 18])),
+        ("c", _handle_twisted_closed_page(40, [3, 17], edge_in_pair=1)),
+    ]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(rf.serialize_page(graph), encoding="utf-8")
+    assert main(["classify", str(files["a"]), str(files["b"]), "--n", "5"]) == 1
+    assert capsys.readouterr().out.strip() == "not A-equivalent"
+    assert main(["classify", str(files["a"]), str(files["c"]), "--n", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "A-equivalent"
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(rf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "roundfold", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: roundfold")
+    assert "classify" in run.stdout
+    run = subprocess.run([sys.executable, "-m", "roundfold"], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert "usage: roundfold" in run.stderr
