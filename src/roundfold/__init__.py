@@ -3,6 +3,7 @@ n-manifolds (n >= 4) into R^(n-1) through labeled Reeb graphs of their page
 Morse functions."""
 
 from .census import (
+    MAX_CLUTCHING,
     MAX_ENUMERATION_S,
     ORACLE_S_LIMIT,
     CensusRow,

@@ -13,7 +13,6 @@ generation by canonical encoding.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import gf2
@@ -42,6 +41,7 @@ from .pages import (
 )
 
 MAX_ENUMERATION_S = 7
+MAX_CLUTCHING = 1000
 ORACLE_S_LIMIT = 5
 
 
@@ -172,17 +172,12 @@ def enumerate_pages(
     """Yield one representative per page isomorphism class with s <= s_max.
 
     Output is deterministic: strata in increasing s, each sorted by canonical
-    encoding, independent of the worker count.
+    encoding.  ``workers`` is accepted for compatibility; any value runs the
+    same single-threaded code.
     """
     if not 1 <= s_max <= MAX_ENUMERATION_S:
         raise RoundFoldError(f"s_max must be between 1 and {MAX_ENUMERATION_S}, got {s_max}")
-    strata = range(1, s_max + 1)
-    if workers <= 1:
-        stratum_lists = map(_stratum, strata)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stratum_lists = list(pool.map(_stratum, strata))
-    for graphs in stratum_lists:
+    for graphs in map(_stratum, range(1, s_max + 1)):
         for g in graphs:
             if not allow_nonorientable and not page_orientable(g):
                 continue
@@ -212,11 +207,11 @@ def _summarize(graph: LabeledReebGraph) -> str:
 def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> CensusTable:
     """One row per equivalence class of round fold maps with the given n and
     s <= s_max; at n = 4 the sphere page splits into clutching classes
-    |k| <= k_max.  Rows are sorted by canonical encoding."""
+    |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding."""
     if n < 4:
         raise RoundFoldError(f"census dimension must be >= 4, got {n}")
-    if k_max < 0:
-        raise RoundFoldError(f"k_max must be >= 0, got {k_max}")
+    if not 0 <= k_max <= MAX_CLUTCHING:
+        raise RoundFoldError(f"k_max must be between 0 and {MAX_CLUTCHING}, got {k_max}")
     rows = []
     for g in enumerate_pages(s_max, workers=workers):
         clutchings = range(0, k_max + 1) if (n == 4 and is_sphere_page(g)) else range(0, 1)

@@ -20,7 +20,6 @@ from .foldmaps import (
     admits_round_fold,
     build_total_space,
     fold_counts,
-    require_valid_descriptor,
 )
 from .jsonio import (
     census_jsonl,
@@ -30,11 +29,7 @@ from .jsonio import (
     serialize_page,
 )
 from .manifolds import describe
-from .pages import (
-    regular_fiber_counts,
-    surface_type,
-    validate_page,
-)
+from .pages import regular_fiber_counts, surface_type
 from .render import render_critical_values, render_reeb
 
 # page-only subcommands still build a descriptor; any dimension >= 5 works
@@ -46,8 +41,7 @@ def _load_page(path: str, validate: bool = True):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    graph = _load_page(args.file, validate=False)
-    report = validate_page(graph)
+    report = _load_page(args.file, validate=False).report
     if report.ok:
         print("valid")
         return 0
@@ -70,9 +64,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     graph = _load_page(args.file)
-    rf = RoundFoldDescriptor(args.n, graph, args.clutching)
-    require_valid_descriptor(rf)
-    d = build_total_space(rf)
+    d = build_total_space(RoundFoldDescriptor(args.n, graph, args.clutching))
     print(describe(d))
     return 0
 
@@ -98,8 +90,6 @@ def _cmd_admits(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     rf0 = RoundFoldDescriptor(args.n, _load_page(args.file0), args.clutching0)
     rf1 = RoundFoldDescriptor(args.n, _load_page(args.file1), args.clutching1)
-    require_valid_descriptor(rf0)
-    require_valid_descriptor(rf1)
     if a_equivalent(rf0, rf1):
         print("A-equivalent")
         return 0

@@ -44,7 +44,6 @@ from .pages import (
     regular_fiber_counts,
     sphere_page,
     surface_type,
-    validate_page,
 )
 
 
@@ -80,7 +79,7 @@ def validate_descriptor(rf: RoundFoldDescriptor) -> ValidationReport:
     two-critical-point sphere page; for n >= 5 the page determines the map,
     and for the disk page the total space would stop being a sphere.
     """
-    bad = list(validate_page(rf.page).violations)
+    bad = list(rf.page.report.violations)
     if not isinstance(rf.n, int) or rf.n < 4:
         bad.append(Violation("dimension", f"descriptor dimension must be an integer >= 4, got {rf.n!r}"))
     if not isinstance(rf.clutching, int):
@@ -190,9 +189,7 @@ def is_directed(rf: RoundFoldDescriptor) -> bool:
 def fold_counts(rf: RoundFoldDescriptor) -> tuple[int, int]:
     """(definite, indefinite) fold sphere counts: (min + max, saddles)."""
     require_valid_descriptor(rf)
-    counts = {k: 0 for k in VertexKind}
-    for v in rf.page.vertices:
-        counts[v.kind] += 1
+    counts = pages._kind_counts(rf.page)
     n0 = counts[VertexKind.MIN] + counts[VertexKind.MAX]
     n1 = counts[VertexKind.SADDLE_P] + counts[VertexKind.SADDLE_B]
     return n0, n1

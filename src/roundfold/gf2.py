@@ -13,10 +13,12 @@ from typing import Iterable
 
 
 def rref(vectors: Iterable[int]) -> dict[int, int]:
-    """Reduced row echelon form of the span of ``vectors``.
+    """Echelon form of the span of ``vectors``, one row per leading bit.
 
     Returns a map ``pivot_bit -> row`` where each row has leading bit
-    ``pivot_bit`` and every other row is zero at that bit.
+    ``pivot_bit``; the rows form a basis of the span.  Rows are not reduced
+    against each other: readers need only the pivot set and a basis whose
+    leading bits are distinct.
     """
     pivots: dict[int, int] = {}
     for v in vectors:
@@ -27,30 +29,22 @@ def rref(vectors: Iterable[int]) -> dict[int, int]:
             else:
                 pivots[p] = v
                 break
-    # clear pivot columns from the other rows
-    for p in sorted(pivots):
-        row = pivots[p]
-        for q in pivots:
-            if q != p and (pivots[q] >> p) & 1:
-                pivots[q] ^= row
     return pivots
 
 
 def coset_representative(v: int, pivots: dict[int, int]) -> int:
     """Unique element of v + span that vanishes on every pivot coordinate.
 
-    With the MSB-first coordinate convention this is also the lexicographic
-    minimum of the coset, so equality of representatives decides coset
-    equality.
+    ``pivots`` is an echelon form from :func:`rref`.  Clearing the pivot bits
+    from the highest down touches only lower bits, so each cleared bit stays
+    clear.  With the MSB-first coordinate convention the result is also the
+    lexicographic minimum of the coset, so equality of representatives
+    decides coset equality.
     """
     for p in sorted(pivots, reverse=True):
         if (v >> p) & 1:
             v ^= pivots[p]
     return v
-
-
-def in_span(v: int, pivots: dict[int, int]) -> bool:
-    return coset_representative(v, pivots) == 0
 
 
 def complement_bits(pivots: dict[int, int], width: int) -> list[int]:

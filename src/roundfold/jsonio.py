@@ -34,7 +34,6 @@ from .pages import (
     VertexKind,
     nonorientable_surface,
     orientable_surface,
-    validate_page,
 )
 
 _KINDS = {k.value for k in VertexKind}
@@ -109,10 +108,8 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
     if problems:
         raise PageFormatError(problems)
     graph = LabeledReebGraph(tuple(vertices), tuple(edges))
-    if validate:
-        report = validate_page(graph)
-        if not report.ok:
-            raise PageFormatError([f"$: {v.message}" for v in report.violations])
+    if validate and not graph.report.ok:
+        raise PageFormatError([f"$: {v.message}" for v in graph.report.violations])
     return graph
 
 

@@ -27,8 +27,10 @@ over GF(2).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import gf2
@@ -87,6 +89,10 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# the report every valid page shares
+_VALID = ValidationReport()
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,12 @@ class LabeledReebGraph:
     def twist_labeling(self) -> dict[str, int]:
         return {e.id: e.twist for e in self.edges}
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The :func:`validate_page` report of this page, computed once per
+        object; every page function checks it before reading the graph."""
+        return validate_page(self)
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -220,14 +232,13 @@ def validate_page(graph: LabeledReebGraph) -> ValidationReport:
     """Check every page invariant; an empty report means the graph is a page."""
     bad: list[Violation] = []
 
-    ids = [v.id for v in graph.vertices]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        bad.append(Violation("duplicate_vertex_id", f"duplicate vertex ids {dupes}", tuple(dupes)))
-    eids = [e.id for e in graph.edges]
-    if len(set(eids)) != len(eids):
-        dupes = sorted({i for i in eids if eids.count(i) > 1})
-        bad.append(Violation("duplicate_edge_id", f"duplicate edge ids {dupes}", tuple(dupes)))
+    for code, what, items in (
+        ("duplicate_vertex_id", "vertex", graph.vertices),
+        ("duplicate_edge_id", "edge", graph.edges),
+    ):
+        dupes = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
+        if dupes:
+            bad.append(Violation(code, f"duplicate {what} ids {dupes}", tuple(dupes)))
     if bad:
         return ValidationReport(tuple(bad))
 
@@ -288,7 +299,7 @@ def validate_page(graph: LabeledReebGraph) -> ValidationReport:
                 Violation("top_not_max", f"the rank-{s} vertex must be a max (outermost fold is definite)", (top.id,))
             )
 
-    return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(bad)) if bad else _VALID
 
 
 def _connected(graph: LabeledReebGraph) -> bool:
@@ -310,9 +321,8 @@ def _connected(graph: LabeledReebGraph) -> bool:
 
 
 def require_valid(graph: LabeledReebGraph) -> None:
-    report = validate_page(graph)
-    if not report.ok:
-        raise InvalidPageError(report)
+    if not graph.report.ok:
+        raise InvalidPageError(graph.report)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +347,6 @@ def boundary_count(graph: LabeledReebGraph) -> int:
     """Number of binding circles, i.e. boundary circles of the page."""
     require_valid(graph)
     return _kind_counts(graph)[VertexKind.BOUNDARY]
-
-
-def is_merge(graph: LabeledReebGraph, vid: str) -> bool:
-    """True if a saddle_p vertex has two edges below and one above."""
-    below, above = _degrees(graph)[vid]
-    return (below, above) == (2, 1)
 
 
 def gauge_generators(graph: LabeledReebGraph, edge_order: Sequence[str]) -> list[int]:
@@ -391,13 +395,7 @@ def twist_equivalent(
     graph: LabeledReebGraph, t0: Mapping[str, int], t1: Mapping[str, int]
 ) -> bool:
     """Decide whether two twist labelings differ by gauge moves."""
-    require_valid(graph)
-    _check_labeling_domain(graph, t0)
-    _check_labeling_domain(graph, t1)
-    order = [e.id for e in graph.edges]
-    diff = _labeling_bits(t0, order) ^ _labeling_bits(t1, order)
-    pivots = gf2.rref(gauge_generators(graph, order))
-    return gf2.in_span(diff, pivots)
+    return twist_class(graph, t0) == twist_class(graph, t1)
 
 
 @dataclass(frozen=True)
@@ -540,8 +538,6 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
 
 def page_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
     """Rank-preserving isomorphism of pages, twists compared up to gauge."""
-    require_valid(g0)
-    require_valid(g1)
     return canonical_page_encoding(g0) == canonical_page_encoding(g1)
 
 

@@ -5,6 +5,7 @@ text with no external assets."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .errors import RoundFoldError
 from .foldmaps import (
@@ -134,12 +135,13 @@ def _reeb_svg(graph: LabeledReebGraph) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     # edges first; parallel edges bow apart
+    totals = Counter((e.low, e.high) for e in graph.edges)
     seen_pairs: dict[tuple[str, str], int] = {}
     for e in sorted(graph.edges, key=lambda e: e.id):
         k = (e.low, e.high)
         slot = seen_pairs.get(k, 0)
         seen_pairs[k] = slot + 1
-        total = sum(1 for x in graph.edges if (x.low, x.high) == k)
+        total = totals[k]
         (x1, y1), (x2, y2) = pos[e.low], pos[e.high]
         dash = ' stroke-dasharray="6,4"' if e.twist else ""
         if total == 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -57,6 +58,9 @@ def test_census_table_argument_errors():
         rf.census_table(3, 2)
     with pytest.raises(rf.RoundFoldError):
         rf.census_table(5, 2, k_max=-1)
+    with pytest.raises(rf.RoundFoldError):
+        rf.census_table(4, 2, k_max=rf.MAX_CLUTCHING + 1)
+    assert len(rf.census_table(4, 2, k_max=rf.MAX_CLUTCHING).rows) == 3 + rf.MAX_CLUTCHING + 1
 
 
 def test_no_two_emitted_pages_isomorphic():
@@ -144,6 +148,33 @@ def test_census_deterministic_across_workers():
     t2 = rf.census_table(5, 4, workers=3)
     assert rf.census_jsonl(t1).encode() == rf.census_jsonl(t2).encode()
     assert rf.census_text(t1) == rf.census_text(t2)
+
+
+# sha256 of the UTF-8 census text; the formats are stable within RF1/P1
+@pytest.mark.parametrize(
+    "n, s_max, jsonl_sha, text_sha",
+    [
+        pytest.param(
+            4,
+            5,
+            "979b4eacf318dabb467dd705ece1f19dfe4ba3449adcfc14796910f6ea943a9f",
+            "8947072a7e9f6394508ae548a77a1f80eb5b54bc3b8cfede56284a05d9d1e83a",
+            id="n4-s5",
+        ),
+        pytest.param(
+            5,
+            6,
+            "6c290a264d81c2e76c504199ba028a372848b5570869ef489902906a05376105",
+            "e63ce3a244606207dcf4593ad6e09d5eae1cc558022368aee878c4227755fb63",
+            id="n5-s6",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_census_golden_bytes(n, s_max, jsonl_sha, text_sha):
+    table = rf.census_table(n, s_max, k_max=3)
+    assert hashlib.sha256(rf.census_jsonl(table).encode("utf-8")).hexdigest() == jsonl_sha
+    assert hashlib.sha256(rf.census_text(table).encode("utf-8")).hexdigest() == text_sha
 
 
 def test_oracle_agrees_with_canonical_isomorphism():

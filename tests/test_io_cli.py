@@ -260,6 +260,9 @@ def test_cli_census(capsys):
     rows = [json.loads(line) for line in lines]
     assert len(rows) == 4
     assert {r["manifold"] for r in rows} >= {"sphere n=5", "handle_sum n=5 a=1 b=0"}
+    assert main(["census", "--n", "4", "--s-max", "2", "--k-max", str(rf.MAX_CLUTCHING + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k_max must be between 0 and 1000" in captured.err
 
 
 def test_cli_render(torus_file, tmp_path, capsys):

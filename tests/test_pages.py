@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from oracles import (
@@ -107,6 +108,20 @@ def test_degree_constraints():
     )
     report = rf.validate_page(g)
     assert any(v.code == "degree" for v in report.violations)
+
+
+def test_duplicate_ids_reported_in_linear_time():
+    g = LabeledReebGraph.of(
+        [(f"v{i % 100}", "max", 1) for i in range(20_000)],
+        [(f"e{i % 100}", "v0", "v1", 0) for i in range(20_000)],
+    )
+    t0 = time.perf_counter()
+    report = rf.validate_page(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert [v.code for v in report.violations] == ["duplicate_vertex_id", "duplicate_edge_id"]
+    vertex_dupes = tuple(sorted(f"v{i}" for i in range(100)))
+    assert report.violations[0].ids == vertex_dupes
+    assert report.violations[0].message == f"duplicate vertex ids {list(vertex_dupes)}"
 
 
 # -- euler characteristic ---------------------------------------------------

@@ -16,6 +16,7 @@ from oracles import (
 )
 
 import roundfold as rf
+from roundfold import gf2
 from roundfold.census import _graph_from_skeleton
 
 
@@ -79,6 +80,16 @@ def test_genus_60_encodes_within_bound():
     odd_handles = sum(1 for t in parallel.values() if len(t) == 2 and sum(t) % 2)
     assert len(block) == len(g.edges) == 181
     assert block.count("1") == odd_handles > 0
+
+
+def test_coset_representative_is_the_coset_minimum():
+    rnd = random.Random(2111)
+    for _ in range(500):
+        width = rnd.randint(1, 8)
+        gens = [rnd.getrandbits(width) for _ in range(rnd.randint(0, 6))]
+        v = rnd.getrandbits(width)
+        least = min(v ^ x for x in gf2.subspace_elements(gens))
+        assert gf2.coset_representative(v, gf2.rref(gens)) == least, (gens, v)
 
 
 @pytest.mark.parametrize("s, classes", [(1, 1), (2, 3), (3, 9), (4, 43), (5, 287), (6, 2480)])
