@@ -4,10 +4,13 @@ Pages are generated top-down by rank.  The rank-s vertex is a max; each lower
 rank consumes and opens dangling downward edge ends according to its kind
 (max opens one; a merge consumes one and opens two; a split consumes two and
 opens one; a min consumes one; a saddle_b consumes one and opens one), and the
-ends left after rank 1 close with boundary vertices.  Disconnected results
-are discarded, the twist cosets of each skeleton are enumerated through the
-non-pivot coordinates of the gauge span, and duplicates are removed during
-generation by canonical encoding.
+ends left after rank 1 close with boundary vertices.  The generator tracks the
+component of every dangling end and abandons a branch as soon as the shape can
+no longer be connected, so a disconnected skeleton is never built.  The twist
+cosets of each skeleton are enumerated through the non-pivot coordinates of
+the gauge span, and duplicates are removed during generation by canonical
+encoding.  Each page is validated and encoded once: twisted copies share the
+skeleton's report, and the encoding stays cached on the page for its row.
 """
 
 from __future__ import annotations
@@ -80,36 +83,42 @@ _SHAPES = (
 def _skeletons(s: int):
     """Yield (kinds by rank, edges) for every connected degree-correct shape
     with exactly s critical vertices; edges are (low, high) vertex-name pairs
-    and boundary vertices are named b0, b1, ...  Twists are not assigned."""
+    and boundary vertices are named b0, b1, ...  Twists are not assigned.
 
-    results: list[tuple[dict[int, VertexKind], list[tuple[str, str]]]] = []
+    Each dangling end carries the label of its component (``comp`` maps the
+    vertex an end hangs from to that label).  Only a split joins components,
+    and it consumes two open ends, so a component whose last open end a min
+    closes can never be joined again: the branch is dead unless nothing else
+    is left to place.  At rank 0 the open ends must carry at most one label;
+    a closed page has none."""
 
-    def close(kinds: dict[int, VertexKind], edges: list[tuple[str, str]], dangling: tuple[str, ...]):
-        full_edges = list(edges)
-        for i, high in enumerate(dangling):
-            full_edges.append((f"b{i}", high))
-        results.append((dict(kinds), full_edges))
-
-    def rec(rank: int, dangling: tuple[str, ...], kinds: dict[int, VertexKind], edges: list[tuple[str, str]]):
+    def rec(
+        rank: int,
+        dangling: tuple[str, ...],
+        comp: dict[str, str],
+        kinds: dict[int, VertexKind],
+        edges: list[tuple[str, str]],
+    ):
         if rank == 0:
-            close(kinds, edges, dangling)
+            if len({comp[h] for h in dangling}) <= 1:
+                yield dict(kinds), edges + [(f"b{i}", high) for i, high in enumerate(dangling)]
             return
         me = f"v{rank}"
         for shape, consume, open_ in _SHAPES:
             kind = VertexKind.SADDLE_P if shape in ("merge", "split") else shape
+            kinds[rank] = kind
             if consume == 0:
-                kinds[rank] = kind
-                rec(rank - 1, dangling + (me,) * open_, kinds, edges)
-                del kinds[rank]
+                yield from rec(rank - 1, dangling + (me,) * open_, {**comp, me: me}, kinds, edges)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
                     rest.remove(high)
-                    kinds[rank] = kind
+                    label = comp[high]
+                    if not open_ and (rank > 1 or rest) and all(comp[h] != label for h in rest):
+                        continue
                     edges.append((me, high))
-                    rec(rank - 1, tuple(rest) + (me,) * open_, kinds, edges)
+                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, {**comp, me: label}, kinds, edges)
                     edges.pop()
-                    del kinds[rank]
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
                 pairs = [(h, h) for h in uniq if dangling.count(h) >= 2]
@@ -118,16 +127,15 @@ def _skeletons(s: int):
                     rest = list(dangling)
                     rest.remove(h1)
                     rest.remove(h2)
-                    kinds[rank] = kind
-                    edges.append((me, h1))
-                    edges.append((me, h2))
-                    rec(rank - 1, tuple(rest) + (me,) * open_, kinds, edges)
-                    edges.pop()
-                    edges.pop()
-                    del kinds[rank]
+                    keep, gone = comp[h1], comp[h2]
+                    joined = {v: keep if label == gone else label for v, label in comp.items()}
+                    joined[me] = keep
+                    edges += [(me, h1), (me, h2)]
+                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, joined, kinds, edges)
+                    del edges[-2:]
+            del kinds[rank]
 
-    rec(s - 1, (f"v{s}",), {s: VertexKind.MAX}, [])
-    return results
+    yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, {s: VertexKind.MAX}, [])
 
 
 def _graph_from_skeleton(
@@ -148,15 +156,18 @@ def _stratum(s: int) -> list[LabeledReebGraph]:
     seen: dict[bytes, LabeledReebGraph] = {}
     for kinds, edges in _skeletons(s):
         skeleton = _graph_from_skeleton(kinds, edges, {})
-        if not validate_page(skeleton).ok:
+        report = validate_page(skeleton)
+        object.__setattr__(skeleton, "report", report)
+        if not report.ok:
             continue
         m = len(edges)
         order = [f"e{j}" for j in range(m)]
         pivots = gf2.rref(gauge_generators(skeleton, order))
-        free_bits = gf2.complement_bits(pivots, m)
-        for picks in itertools.product((0, 1), repeat=len(free_bits)):
-            twists = {m - 1 - bit: val for bit, val in zip(free_bits, picks)}
-            g = skeleton if not twists else _graph_from_skeleton(kinds, edges, twists)
+        free = [order[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
+        for picks in itertools.product((0, 1), repeat=len(free)):
+            labeling = dict.fromkeys(order, 0)
+            labeling.update(zip(free, picks))
+            g = skeleton.with_twists(labeling) if any(picks) else skeleton
             enc = canonical_page_encoding(g)
             if enc not in seen:
                 seen[enc] = g

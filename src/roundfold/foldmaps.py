@@ -68,8 +68,8 @@ class Direction(Enum):
 
 def is_sphere_page(graph: LabeledReebGraph) -> bool:
     """The two-critical-point page on S^2 (min under max, no boundary)."""
-    kinds = sorted(v.kind.value for v in graph.vertices)
-    return kinds == ["max", "min"]
+    c = pages._kind_counts(graph)
+    return len(graph.vertices) == 2 and c[VertexKind.MIN] == c[VertexKind.MAX] == 1
 
 
 def validate_descriptor(rf: RoundFoldDescriptor) -> ValidationReport:

@@ -188,10 +188,15 @@ class LabeledReebGraph:
         return tuple(v for v in self.vertices if v.kind is VertexKind.BOUNDARY)
 
     def with_twists(self, labeling: Mapping[str, int]) -> "LabeledReebGraph":
-        """Copy of this graph with edge twists replaced by ``labeling``."""
+        """Copy of this graph with edge twists replaced by ``labeling``.  The
+        copy of a valid page shares its report, since 0/1 twists never
+        affect validity."""
         _check_labeling_domain(self, labeling)
         es = tuple(Edge(e.id, e.low, e.high, int(labeling[e.id])) for e in self.edges)
-        return LabeledReebGraph(self.vertices, es)
+        copy = LabeledReebGraph(self.vertices, es)
+        if self.report.ok:
+            object.__setattr__(copy, "report", _VALID)
+        return copy
 
     def twist_labeling(self) -> dict[str, int]:
         return {e.id: e.twist for e in self.edges}
@@ -201,6 +206,21 @@ class LabeledReebGraph:
         """The :func:`validate_page` report of this page, computed once per
         object; every page function checks it before reading the graph."""
         return validate_page(self)
+
+    @cached_property
+    def canonical_encoding(self) -> bytes:
+        """The :func:`canonical_page_encoding` bytes of this page, computed
+        once per object."""
+        require_valid(self)
+        return _encode_page(self)
+
+    @cached_property
+    def gauge_pivots(self) -> dict[int, int]:
+        """Echelon form of the gauge span of this page, with the edges in
+        their stored (id) order (see :func:`gauge_generators`), computed once
+        per object."""
+        require_valid(self)
+        return gf2.rref(gauge_generators(self, [e.id for e in self.edges]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +434,7 @@ def twist_class(graph: LabeledReebGraph, labeling: Mapping[str, int] | None = No
     else:
         _check_labeling_domain(graph, labeling)
     order = tuple(e.id for e in graph.edges)
-    pivots = gf2.rref(gauge_generators(graph, order))
-    rep = gf2.coset_representative(_labeling_bits(labeling, order), pivots)
+    rep = gf2.coset_representative(_labeling_bits(labeling, order), graph.gauge_pivots)
     return TwistClass(order, rep)
 
 
@@ -486,8 +505,13 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
 
     Two valid pages are isomorphic (kind-, rank- and incidence-preserving
     bijection with gauge-equivalent twists) iff their encodings are equal.
+    The bytes are computed once per page object and kept on it.
     """
-    require_valid(graph)
+    return graph.canonical_encoding
+
+
+def _encode_page(graph: LabeledReebGraph) -> bytes:
+    """The body of :func:`canonical_page_encoding`, on a valid page."""
     s = graph.s
     crit = graph.critical_by_rank()
     kinds = ",".join(_KIND_TAG[crit[r].kind] for r in range(1, s + 1))

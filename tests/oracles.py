@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind, gf2, validate_page
-from roundfold.census import _graph_from_skeleton, _skeletons
+from roundfold.census import _graph_from_skeleton
 from roundfold.pages import gauge_generators
 
 # (down slots, up slots) per shape; merge/split are the two saddle_p options
@@ -207,10 +207,67 @@ def burnside_class_count(kinds: dict[int, VertexKind], edges: list[tuple[str, st
     return count
 
 
+def all_skeletons(s: int) -> list[tuple[dict[int, VertexKind], list[tuple[str, str]]]]:
+    """(kinds by rank, edges) of every degree-correct shape with exactly s
+    critical vertices, connected or not, in the census generator's order:
+    the rank-s vertex is a max and each lower rank tries max, min, saddle_b,
+    merge and split against the dangling ends above it; the ends left after
+    rank 1 close with boundary vertices b0, b1, ...  Nothing is pruned."""
+    results: list[tuple[dict[int, VertexKind], list[tuple[str, str]]]] = []
+    shapes = (
+        (VertexKind.MAX, 0, 1),
+        (VertexKind.MIN, 1, 0),
+        (VertexKind.SADDLE_B, 1, 1),
+        (VertexKind.SADDLE_P, 1, 2),  # merge
+        (VertexKind.SADDLE_P, 2, 1),  # split
+    )
+
+    def rec(rank: int, dangling: tuple[str, ...], kinds: dict[int, VertexKind], edges: list[tuple[str, str]]):
+        if rank == 0:
+            results.append((dict(kinds), edges + [(f"b{i}", high) for i, high in enumerate(dangling)]))
+            return
+        me = f"v{rank}"
+        for kind, consume, open_ in shapes:
+            if consume == 0:
+                choices = [()]
+            elif consume == 1:
+                choices = [(h,) for h in sorted(set(dangling))]
+            else:  # an unordered pair of ends
+                uniq = sorted(set(dangling))
+                choices = [(h, h) for h in uniq if dangling.count(h) >= 2]
+                choices += list(itertools.combinations(uniq, 2))
+            for highs in choices:
+                rest = list(dangling)
+                for h in highs:
+                    rest.remove(h)
+                kinds[rank] = kind
+                rec(rank - 1, tuple(rest) + (me,) * open_, kinds, edges + [(me, h) for h in highs])
+                del kinds[rank]
+
+    rec(s - 1, (f"v{s}",), {s: VertexKind.MAX}, [])
+    return results
+
+
+def skeleton_connected(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -> bool:
+    """Graph search over the skeleton's vertices and edges."""
+    nodes = {f"v{r}" for r in kinds} | {lo for lo, _ in edges}
+    adjacent: dict[str, set[str]] = {v: set() for v in nodes}
+    for lo, hi in edges:
+        adjacent[lo].add(hi)
+        adjacent[hi].add(lo)
+    start = next(iter(nodes))
+    seen, todo = {start}, [start]
+    while todo:
+        for w in adjacent[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return seen == nodes
+
+
 def valid_skeletons(s: int):
-    """(kinds, edges) of every valid skeleton the enumerator generates with
-    exactly s critical vertices."""
-    for kinds, edges in _skeletons(s):
+    """(kinds, edges) of every valid skeleton with exactly s critical
+    vertices, filtered from the unpruned :func:`all_skeletons`."""
+    for kinds, edges in all_skeletons(s):
         if validate_page(_graph_from_skeleton(kinds, edges, {})).ok:
             yield kinds, edges
 

@@ -6,11 +6,11 @@ import hashlib
 import itertools
 
 import pytest
-from oracles import all_valid_pages, partition_by
+from oracles import all_skeletons, all_valid_pages, partition_by, skeleton_connected
 
 import roundfold as rf
 from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2
-from roundfold.census import brute_force_isomorphic
+from roundfold.census import _skeletons, brute_force_isomorphic
 
 
 def stratum(s):
@@ -25,6 +25,21 @@ def test_stratum_counts():
     assert len(stratum(3)) == 9
     assert len(stratum(4)) == 43
     assert len(stratum(5)) == 287
+
+
+# connected skeletons per stratum; all_skeletons also yields the disconnected
+# ones (1, 4, 18, 115, 904, 8634, 97156)
+SKELETON_COUNTS = {1: 1, 2: 3, 3: 8, 4: 37, 5: 233, 6: 1920, 7: 19630}
+
+
+@pytest.mark.parametrize(
+    "s", [pytest.param(s, marks=[pytest.mark.slow] if s == 7 else []) for s in SKELETON_COUNTS]
+)
+def test_pruned_generator_yields_exactly_the_connected_shapes(s):
+    # the closed sphere skeleton (min under max, no open end) is among them
+    connected = [sk for sk in all_skeletons(s) if skeleton_connected(*sk)]
+    assert len(connected) == SKELETON_COUNTS[s]
+    assert list(_skeletons(s)) == connected
 
 
 def test_s1_is_the_disk():
@@ -167,6 +182,13 @@ def test_census_deterministic_across_workers():
             "6c290a264d81c2e76c504199ba028a372848b5570869ef489902906a05376105",
             "e63ce3a244606207dcf4593ad6e09d5eae1cc558022368aee878c4227755fb63",
             id="n5-s6",
+        ),
+        pytest.param(
+            5,
+            7,
+            "75d8b75e2338e98fda792704160a7d2c1123acaba7afc5c82a7f24c66d5dd8f4",
+            "81827d6691ee6301b7c8213cb060a3be368f221eff9c655608a00cb521b9e1fa",
+            id="n5-s7",
             marks=pytest.mark.slow,
         ),
     ],

@@ -1,25 +1,37 @@
-"""The validation report cached on each page: one validation per page
-object, and the same errors from every public function."""
+"""What each page caches: its validation report, canonical encoding and
+gauge pivots are computed once per page object, the census builds each page
+once, and every public function gives the same errors."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import valid_skeletons
 
 import roundfold as rf
-from roundfold import pages
-from roundfold.census import brute_force_isomorphic
+from roundfold import census, gf2, pages
+from roundfold.census import _graph_from_skeleton, brute_force_isomorphic
 from roundfold.render import render_critical_values, render_reeb
 
 
-def test_page_functions_validate_a_page_once(monkeypatch):
+def count_calls(monkeypatch, name: str, *modules) -> list:
+    """Wrap the function ``name`` on every given module with one shared
+    counter; return the list of first arguments it was called with."""
     calls = []
-    original = pages.validate_page
+    original = getattr(modules[0], name)
 
-    def counting(graph):
-        calls.append(graph)
-        return original(graph)
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
 
-    monkeypatch.setattr(pages, "validate_page", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_page_functions_validate_a_page_once(monkeypatch):
+    calls = count_calls(monkeypatch, "validate_page", pages)
     g = rf.handle_page(3, 0)
     d = rf.RoundFoldDescriptor(5, g)
     assert rf.surface_type(g) == rf.orientable_surface(0, 4)
@@ -34,6 +46,61 @@ def test_page_functions_validate_a_page_once(monkeypatch):
 def test_valid_pages_share_one_report():
     assert rf.disk_page().report is rf.klein_page().report
     assert rf.disk_page().report.violations == ()
+
+
+def test_census_validates_each_skeleton_and_encodes_each_candidate_once(monkeypatch):
+    validations = count_calls(monkeypatch, "validate_page", pages, census)
+    encodings = count_calls(monkeypatch, "_encode_page", pages)
+    assert len(rf.census_table(5, 6).rows) == 2823
+    assert len(validations) == 1 + 3 + 8 + 37 + 233 + 1920  # connected skeletons
+    assert len(encodings) == 2834  # twist candidates
+    assert len(set(map(id, encodings))) == len(encodings)
+
+
+def test_gauge_pivots_computed_once_per_page(monkeypatch):
+    g = rf.klein_page()
+    calls = count_calls(monkeypatch, "rref", gf2)
+    assert rf.surface_type(g) == rf.nonorientable_surface(2)
+    assert not rf.page_orientable(g)
+    assert rf.twist_class(g).representative != 0
+    assert rf.twist_class(g, {e.id: 0 for e in g.edges}).representative == 0
+    assert len(calls) == 1
+
+
+def test_encoding_kept_on_the_page(monkeypatch):
+    g = rf.orientable_closed_page(3)
+    calls = count_calls(monkeypatch, "_encode_page", pages)
+    d = rf.RoundFoldDescriptor(5, g)
+    assert rf.canonical_form(d).endswith(rf.canonical_page_encoding(g))
+    assert rf.page_isomorphic(g, g)
+    assert calls == [g]
+
+
+SKELETON_PAGES = [
+    _graph_from_skeleton(kinds, edges, {}) for s in range(1, 6) for kinds, edges in valid_skeletons(s)
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_twisted_copy_report_matches_validation(data):
+    page = data.draw(st.sampled_from(SKELETON_PAGES))
+    twists = data.draw(st.lists(st.integers(0, 1), min_size=len(page.edges), max_size=len(page.edges)))
+    copy = page.with_twists({e.id: t for e, t in zip(page.edges, twists)})
+    assert copy.report == rf.validate_page(copy)
+
+
+def test_twisted_copy_of_invalid_page_is_revalidated():
+    disconnected = rf.LabeledReebGraph.of(
+        [("b0", "boundary", 0), ("b1", "boundary", 0), ("v1", "max", 1), ("v2", "max", 2)],
+        [("e0", "b0", "v1", 0), ("e1", "b1", "v2", 0)],
+    )
+    copy = disconnected.with_twists({"e0": 1, "e1": 0})
+    assert "disconnected" in {v.code for v in copy.report.violations}
+    assert copy.report == rf.validate_page(copy)
+    for read in (lambda g: g.canonical_encoding, lambda g: g.gauge_pivots):
+        with pytest.raises(rf.InvalidPageError):
+            read(copy)
 
 
 INVALID = rf.LabeledReebGraph.of(
