@@ -11,11 +11,14 @@ cosets of each skeleton are enumerated through the non-pivot coordinates of
 the gauge span, and duplicates are removed during generation by canonical
 encoding.  Each page is validated and encoded once: twisted copies share the
 skeleton's report, and the encoding stays cached on the page for its row.
+``census_table`` can deal the skeletons of each stratum over a process pool
+and merge the rows so that the output bytes do not depend on the pool size.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from . import gf2
@@ -150,11 +153,16 @@ def _graph_from_skeleton(
     return LabeledReebGraph(tuple(vertices), tuple(es))
 
 
-def _stratum(s: int) -> list[LabeledReebGraph]:
-    """One representative per isomorphism class with exactly s critical
-    vertices, sorted by canonical encoding."""
-    seen: dict[bytes, LabeledReebGraph] = {}
-    for kinds, edges in _skeletons(s):
+def _classes(s: int, part: int = 0, parts: int = 1):
+    """Yield (encoding, (skeleton index, candidate index), page) for the first
+    page met of each isomorphism class with exactly s critical vertices,
+    reading only the skeletons whose index in ``_skeletons(s)`` is ``part``
+    modulo ``parts``.  Over all parts, the entry with the least index of a
+    class is the page that part 0 of 1 yields."""
+    seen: set[bytes] = set()
+    for i, (kinds, edges) in enumerate(_skeletons(s)):
+        if i % parts != part:
+            continue
         skeleton = _graph_from_skeleton(kinds, edges, {})
         report = validate_page(skeleton)
         object.__setattr__(skeleton, "report", report)
@@ -164,14 +172,21 @@ def _stratum(s: int) -> list[LabeledReebGraph]:
         order = [f"e{j}" for j in range(m)]
         pivots = gf2.rref(gauge_generators(skeleton, order))
         free = [order[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
-        for picks in itertools.product((0, 1), repeat=len(free)):
+        for j, picks in enumerate(itertools.product((0, 1), repeat=len(free))):
             labeling = dict.fromkeys(order, 0)
             labeling.update(zip(free, picks))
             g = skeleton.with_twists(labeling) if any(picks) else skeleton
             enc = canonical_page_encoding(g)
             if enc not in seen:
-                seen[enc] = g
-    return [seen[k] for k in sorted(seen)]
+                seen.add(enc)
+                yield enc, (i, j), g
+
+
+def _stratum(s: int) -> list[LabeledReebGraph]:
+    """One representative per isomorphism class with exactly s critical
+    vertices, sorted by canonical encoding."""
+    found = {enc: g for enc, _, g in _classes(s)}
+    return [found[k] for k in sorted(found)]
 
 
 def enumerate_pages(
@@ -183,11 +198,11 @@ def enumerate_pages(
     """Yield one representative per page isomorphism class with s <= s_max.
 
     Output is deterministic: strata in increasing s, each sorted by canonical
-    encoding.  ``workers`` is accepted for compatibility; any value runs the
-    same single-threaded code.
+    encoding.  Pages are yielded lazily from this process, so ``workers`` is
+    accepted for compatibility only; :func:`census_table` is the function
+    that spreads the work over processes.
     """
-    if not 1 <= s_max <= MAX_ENUMERATION_S:
-        raise RoundFoldError(f"s_max must be between 1 and {MAX_ENUMERATION_S}, got {s_max}")
+    _check_s_max(s_max)
     for graphs in map(_stratum, range(1, s_max + 1)):
         for g in graphs:
             if not allow_nonorientable and not page_orientable(g):
@@ -195,6 +210,11 @@ def enumerate_pages(
             if not allow_closed and not g.boundary_vertices():
                 continue
             yield g
+
+
+def _check_s_max(s_max: int) -> None:
+    if not 1 <= s_max <= MAX_ENUMERATION_S:
+        raise RoundFoldError(f"s_max must be between 1 and {MAX_ENUMERATION_S}, got {s_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +235,79 @@ def _summarize(graph: LabeledReebGraph) -> str:
     return f"{' '.join(parts)}; {surface_type(graph).describe()}; c=[{fibers}]"
 
 
+def _rows(n: int, g: LabeledReebGraph, k_max: int) -> list[CensusRow]:
+    """The census rows of one page class: one row, or at n = 4 one per
+    clutching 0..k_max of the sphere page."""
+    clutchings = range(0, k_max + 1) if (n == 4 and is_sphere_page(g)) else range(0, 1)
+    rows = []
+    for k in clutchings:
+        rf = RoundFoldDescriptor(n, g, k)
+        directed = page_orientable(g) and is_directed(rf)
+        rows.append(
+            CensusRow(
+                canonical=canonical_form(rf),
+                s=g.s,
+                clutching=k,
+                summary=_summarize(g),
+                manifold=build_total_space(rf),
+                directed=directed,
+            )
+        )
+    return rows
+
+
+def _census_part(n: int, s: int, k_max: int, part: int, parts: int):
+    """One census work unit: [(encoding, index, rows)] for each class that
+    ``_classes(s, part, parts)`` meets.  It returns rows, never pages, so a
+    worker process sends back only small objects."""
+    return [(enc, index, _rows(n, g, k_max)) for enc, index, g in _classes(s, part, parts)]
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> CensusTable:
     """One row per equivalence class of round fold maps with the given n and
     s <= s_max; at n = 4 the sphere page splits into clutching classes
-    |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding."""
+    |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding.
+
+    With ``workers`` W > 1 the skeletons of each stratum are dealt round-robin
+    into min(W, usable CPUs) parts, and each part runs in a process pool; the
+    largest stratum is submitted first.  Of the classes several parts meet,
+    the one met at the least (skeleton index, candidate index) is kept, which
+    is the page a single pass keeps, so the rows are the same bytes for every
+    W.  W = 1 runs the same work unit in this process and starts no process.
+    """
     if n < 4:
         raise RoundFoldError(f"census dimension must be >= 4, got {n}")
     if not 0 <= k_max <= MAX_CLUTCHING:
         raise RoundFoldError(f"k_max must be between 0 and {MAX_CLUTCHING}, got {k_max}")
-    rows = []
-    for g in enumerate_pages(s_max, workers=workers):
-        clutchings = range(0, k_max + 1) if (n == 4 and is_sphere_page(g)) else range(0, 1)
-        for k in clutchings:
-            rf = RoundFoldDescriptor(n, g, k)
-            directed = page_orientable(g) and is_directed(rf)
-            rows.append(
-                CensusRow(
-                    canonical=canonical_form(rf),
-                    s=g.s,
-                    clutching=k,
-                    summary=_summarize(g),
-                    manifold=build_total_space(rf),
-                    directed=directed,
-                )
-            )
-    rows.sort(key=lambda r: r.canonical)
+    _check_s_max(s_max)
+    if workers < 1:
+        raise RoundFoldError(f"workers must be >= 1, got {workers}")
+    parts = min(workers, usable_cpus())
+    tasks = [(n, s, k_max, part, parts) for s in range(s_max, 0, -1) for part in range(parts)]
+    if parts == 1:
+        results = [_census_part(*task) for task in tasks]
+    else:
+        # imported here so that importing roundfold loads no pool machinery;
+        # there are at least as many tasks as parts, so the pool has `parts`
+        # processes
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            futures = [pool.submit(_census_part, *task) for task in tasks]
+            results = [f.result() for f in futures]
+    best: dict[bytes, tuple[tuple[int, int], list[CensusRow]]] = {}
+    for result in results:
+        for enc, index, rows in result:
+            if enc not in best or index < best[enc][0]:
+                best[enc] = (index, rows)
+    rows = sorted((row for _, rs in best.values() for row in rs), key=lambda r: r.canonical)
     return CensusTable(n, s_max, k_max, tuple(rows))
 
 

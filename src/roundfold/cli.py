@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .census import census_table
+from .census import census_table, usable_cpus
 from .classify import a_equivalent
 from .errors import RoundFoldError
 from .foldmaps import (
@@ -158,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, required=True, dest="s_max")
     p.add_argument("--k-max", type=int, default=3, dest="k_max")
     p.add_argument("--format", choices=("table", "jsonl"), default="table")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=usable_cpus(),
+        help="worker processes, at most the usable CPUs (default: the usable CPUs)",
+    )
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("render", help="draw critical circles or the Reeb graph")

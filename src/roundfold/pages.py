@@ -215,6 +215,13 @@ class LabeledReebGraph:
         return _encode_page(self)
 
     @cached_property
+    def surface(self) -> SurfaceType:
+        """The :func:`surface_type` of this page, computed once per object,
+        so its orientability costs one :func:`twist_class`."""
+        require_valid(self)
+        return _classify_surface(self)
+
+    @cached_property
     def gauge_pivots(self) -> dict[int, int]:
         """Echelon form of the gauge span of this page, with the edges in
         their stored (id) order (see :func:`gauge_generators`), computed once
@@ -444,18 +451,20 @@ def page_orientable(graph: LabeledReebGraph) -> bool:
     Requires no saddle_b piece and a gauge-trivial twist labeling
     (equivalently: zero twist sum around every cycle).
     """
-    require_valid(graph)
-    if _kind_counts(graph)[VertexKind.SADDLE_B]:
-        return False
-    return twist_class(graph).representative == 0
+    return graph.surface.orientable
 
 
 def surface_type(graph: LabeledReebGraph) -> SurfaceType:
     """Classify the page surface from Euler characteristic, boundary count
     and orientability."""
+    return graph.surface
+
+
+def _classify_surface(graph: LabeledReebGraph) -> SurfaceType:
+    """The body of :func:`surface_type`, on a valid page."""
     b = boundary_count(graph)
     chi = page_euler(graph)
-    if page_orientable(graph):
+    if not _kind_counts(graph)[VertexKind.SADDLE_B] and twist_class(graph).representative == 0:
         twice_genus = 2 - b - chi
         assert twice_genus >= 0 and twice_genus % 2 == 0, (
             f"inconsistent orientable page: chi={chi} b={b}"

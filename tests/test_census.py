@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import itertools
 
@@ -9,7 +10,7 @@ import pytest
 from oracles import all_skeletons, all_valid_pages, partition_by, skeleton_connected
 
 import roundfold as rf
-from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2
+from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census
 from roundfold.census import _skeletons, brute_force_isomorphic
 
 
@@ -75,6 +76,9 @@ def test_census_table_argument_errors():
         rf.census_table(5, 2, k_max=-1)
     with pytest.raises(rf.RoundFoldError):
         rf.census_table(4, 2, k_max=rf.MAX_CLUTCHING + 1)
+    for workers in (0, -7):
+        with pytest.raises(rf.RoundFoldError, match="workers must be >= 1"):
+            rf.census_table(5, 2, workers=workers)
     assert len(rf.census_table(4, 2, k_max=rf.MAX_CLUTCHING).rows) == 3 + rf.MAX_CLUTCHING + 1
 
 
@@ -166,37 +170,45 @@ def test_census_deterministic_across_workers():
 
 
 # sha256 of the UTF-8 census text; the formats are stable within RF1/P1
+GOLDEN = [
+    (4, 5, "979b4eacf318dabb467dd705ece1f19dfe4ba3449adcfc14796910f6ea943a9f",
+     "8947072a7e9f6394508ae548a77a1f80eb5b54bc3b8cfede56284a05d9d1e83a", "n4-s5", []),
+    (5, 6, "6c290a264d81c2e76c504199ba028a372848b5570869ef489902906a05376105",
+     "e63ce3a244606207dcf4593ad6e09d5eae1cc558022368aee878c4227755fb63", "n5-s6", []),
+    (5, 7, "75d8b75e2338e98fda792704160a7d2c1123acaba7afc5c82a7f24c66d5dd8f4",
+     "81827d6691ee6301b7c8213cb060a3be368f221eff9c655608a00cb521b9e1fa", "n5-s7", [pytest.mark.slow]),
+]
+
+
+# every case runs in this process (workers=1) and in a process pool
 @pytest.mark.parametrize(
-    "n, s_max, jsonl_sha, text_sha",
+    "n, s_max, workers, jsonl_sha, text_sha",
     [
-        pytest.param(
-            4,
-            5,
-            "979b4eacf318dabb467dd705ece1f19dfe4ba3449adcfc14796910f6ea943a9f",
-            "8947072a7e9f6394508ae548a77a1f80eb5b54bc3b8cfede56284a05d9d1e83a",
-            id="n4-s5",
-        ),
-        pytest.param(
-            5,
-            6,
-            "6c290a264d81c2e76c504199ba028a372848b5570869ef489902906a05376105",
-            "e63ce3a244606207dcf4593ad6e09d5eae1cc558022368aee878c4227755fb63",
-            id="n5-s6",
-        ),
-        pytest.param(
-            5,
-            7,
-            "75d8b75e2338e98fda792704160a7d2c1123acaba7afc5c82a7f24c66d5dd8f4",
-            "81827d6691ee6301b7c8213cb060a3be368f221eff9c655608a00cb521b9e1fa",
-            id="n5-s7",
-            marks=pytest.mark.slow,
-        ),
+        pytest.param(n, s_max, workers, jsonl_sha, text_sha,
+                     id=name if workers == 1 else f"{name}-workers{workers}", marks=marks)
+        for n, s_max, jsonl_sha, text_sha, name, marks in GOLDEN
+        for workers in (1, 2)
     ],
 )
-def test_census_golden_bytes(n, s_max, jsonl_sha, text_sha):
-    table = rf.census_table(n, s_max, k_max=3)
+def test_census_golden_bytes(n, s_max, workers, jsonl_sha, text_sha):
+    table = rf.census_table(n, s_max, k_max=3, workers=workers)
     assert hashlib.sha256(rf.census_jsonl(table).encode("utf-8")).hexdigest() == jsonl_sha
     assert hashlib.sha256(rf.census_text(table).encode("utf-8")).hexdigest() == text_sha
+
+
+def test_census_pool_never_exceeds_the_usable_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cpus = census.usable_cpus()
+    table = rf.census_table(5, 3, workers=10**6)
+    assert pools == ([] if cpus == 1 else [cpus])
+    assert table == rf.census_table(5, 3, workers=1)
 
 
 def test_oracle_agrees_with_canonical_isomorphism():

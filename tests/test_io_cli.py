@@ -263,6 +263,10 @@ def test_cli_census(capsys):
     assert main(["census", "--n", "4", "--s-max", "2", "--k-max", str(rf.MAX_CLUTCHING + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "k_max must be between 0 and 1000" in captured.err
+    for workers in ("0", "-7"):
+        assert main(["census", "--n", "5", "--s-max", "2", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"workers must be >= 1, got {workers}" in captured.err
 
 
 def test_cli_render(torus_file, tmp_path, capsys):
@@ -305,9 +309,14 @@ def test_cli_classify_genus_40(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "A-equivalent"
 
 
-def test_python_dash_m_entry_point():
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's roundfold first on the path."""
     src = str(Path(rf.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_dash_m_entry_point():
+    env = _src_env()
     run = subprocess.run(
         [sys.executable, "-m", "roundfold", "--help"], capture_output=True, text=True, env=env, timeout=60
     )
@@ -317,3 +326,24 @@ def test_python_dash_m_entry_point():
     run = subprocess.run([sys.executable, "-m", "roundfold"], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 2
     assert "usage: roundfold" in run.stderr
+
+
+def test_census_default_workers_print_the_same_bytes():
+    argv = [sys.executable, "-m", "roundfold", "census", "--n", "5", "--s-max", "4", "--format", "jsonl"]
+    runs = [
+        subprocess.run(argv + extra, capture_output=True, env=_src_env(), timeout=120)
+        for extra in ([], ["--workers", "1"])
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.splitlines()) == 1 + 3 + 9 + 43
+
+
+def test_import_loads_no_pool_machinery():
+    code = (
+        "import sys, roundfold, roundfold.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert run.returncode == 0
+    assert run.stdout.strip() == "[]"

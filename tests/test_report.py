@@ -67,6 +67,25 @@ def test_gauge_pivots_computed_once_per_page(monkeypatch):
     assert len(calls) == 1
 
 
+def test_surface_type_computed_once_per_page(monkeypatch):
+    calls = count_calls(monkeypatch, "twist_class", pages)
+    g = rf.orientable_closed_page(2)
+    d = rf.RoundFoldDescriptor(5, g)
+    assert rf.surface_type(g) == rf.orientable_surface(2)
+    assert rf.page_orientable(g)
+    assert rf.build_total_space(d) == rf.SurfaceProduct(5, rf.orientable_surface(2))
+    assert not rf.is_directed(d)
+    assert rf.open_book(d).page == rf.orientable_surface(2)
+    assert calls == [g]
+
+
+def test_census_row_classifies_its_surface_once(monkeypatch):
+    calls = count_calls(monkeypatch, "twist_class", pages)
+    rows = rf.census_table(5, 5).rows
+    # a page with a saddle_b piece is non-orientable without a twist class
+    assert len(calls) == sum("saddle_b" not in r.summary for r in rows) == len(set(map(id, calls)))
+
+
 def test_encoding_kept_on_the_page(monkeypatch):
     g = rf.orientable_closed_page(3)
     calls = count_calls(monkeypatch, "_encode_page", pages)
