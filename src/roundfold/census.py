@@ -6,43 +6,35 @@ rank consumes and opens dangling downward edge ends according to its kind
 opens one; a min consumes one; a saddle_b consumes one and opens one), and the
 ends left after rank 1 close with boundary vertices.  The generator tracks the
 component of every dangling end and abandons a branch as soon as the shape can
-no longer be connected, so a disconnected skeleton is never built.  The twist
-cosets of each skeleton are enumerated through the non-pivot coordinates of
-the gauge span, and duplicates are removed during generation by canonical
-encoding.  Each page is validated and encoded once: twisted copies share the
-skeleton's report, and the encoding stays cached on the page for its row.
-``census_table`` can deal the skeletons of each stratum over a process pool
-and merge the rows so that the output bytes do not depend on the pool size.
+no longer be connected.  Each skeleton is validated, and its encoding layout
+(the ``K``/``B``/``E`` blocks, the gauge span and the parallel pairs), fiber
+counts, χ and b are derived once.  Its twist candidates, one per coset of the
+gauge span, then cost one ``T`` block each, and its classes are their
+distinct encodings.  A class's row depends only on its encoding and on
+whether its candidate is twisted, so ``census_table`` can deal the skeletons
+over a process pool and merge the rows by canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass
 
-from . import gf2
-from .classify import canonical_form
+from . import gf2, pages
+from .classify import _form_prefix
 from .errors import OracleLimitError, RoundFoldError
-from .foldmaps import (
-    RoundFoldDescriptor,
-    build_total_space,
-    is_directed,
-    is_sphere_page,
-)
+from .foldmaps import _total_space, is_sphere_page
 from .manifolds import ManifoldDescriptor
 from .pages import (
     Edge,
     LabeledReebGraph,
     Vertex,
     VertexKind,
-    _degrees,
-    canonical_page_encoding,
     gauge_generators,
     page_orientable,
-    regular_fiber_counts,
     require_valid,
-    surface_type,
     validate_page,
 )
 
@@ -153,40 +145,49 @@ def _graph_from_skeleton(
     return LabeledReebGraph(tuple(vertices), tuple(es))
 
 
-def _classes(s: int, part: int = 0, parts: int = 1):
-    """Yield (encoding, (skeleton index, candidate index), page) for the first
-    page met of each isomorphism class with exactly s critical vertices,
-    reading only the skeletons whose index in ``_skeletons(s)`` is ``part``
-    modulo ``parts``.  Over all parts, the entry with the least index of a
-    class is the page that part 0 of 1 yields."""
-    seen: set[bytes] = set()
+def _skeleton_pages(s: int, part: int = 0, parts: int = 1):
+    """Yield, as untwisted pages, the valid skeletons whose index in
+    ``_skeletons(s)`` is ``part`` modulo ``parts``.  Each is validated once,
+    and its report is kept on the page."""
     for i, (kinds, edges) in enumerate(_skeletons(s)):
         if i % parts != part:
             continue
         skeleton = _graph_from_skeleton(kinds, edges, {})
         report = validate_page(skeleton)
         object.__setattr__(skeleton, "report", report)
-        if not report.ok:
-            continue
-        m = len(edges)
-        order = [f"e{j}" for j in range(m)]
-        pivots = gf2.rref(gauge_generators(skeleton, order))
-        free = [order[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
-        for j, picks in enumerate(itertools.product((0, 1), repeat=len(free))):
-            labeling = dict.fromkeys(order, 0)
-            labeling.update(zip(free, picks))
-            g = skeleton.with_twists(labeling) if any(picks) else skeleton
-            enc = canonical_page_encoding(g)
-            if enc not in seen:
-                seen.add(enc)
-                yield enc, (i, j), g
+        if report.ok:
+            yield skeleton
 
 
-def _stratum(s: int) -> list[LabeledReebGraph]:
-    """One representative per isomorphism class with exactly s critical
-    vertices, sorted by canonical encoding."""
-    found = {enc: g for enc, _, g in _classes(s)}
-    return [found[k] for k in sorted(found)]
+def _candidates(kinds, rank_of, edges):
+    """Yield (twists, encoding) for one twist labeling per gauge coset of the
+    valid skeleton with this :func:`pages._page_data`: ``twists`` maps the
+    coordinates that an elimination over e0..e{m-1} leaves free to their
+    picks, in lexicographic order, and every other twist is 0.  The layout
+    is computed once, so a candidate costs one ``T`` block."""
+    m = len(edges)
+    ids = [f"e{j}" for j in range(m)]
+    saddle_b = {v for v, r in rank_of.items() if r and kinds[r] is VertexKind.SADDLE_B}
+    pivots = gf2.rref(pages._gauge_vectors(rank_of, saddle_b, edges, ids))
+    free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
+    layout = pages._encoding_layout(kinds, rank_of, edges)
+    for picks in itertools.product((0, 1), repeat=len(free)):
+        twists = dict(zip(free, picks))
+        yield twists, layout.encode(twists)
+
+
+def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
+    for s in range(1, s_max + 1):
+        found: dict[bytes, tuple[LabeledReebGraph, dict[str, int]]] = {}
+        for skeleton in _skeleton_pages(s):
+            for twists, enc in _candidates(*pages._page_data(skeleton)):
+                found.setdefault(enc, (skeleton, twists))
+        for enc in sorted(found):
+            g, twists = found[enc]
+            if any(twists.values()):
+                g = g.with_twists({**g.twist_labeling(), **twists})
+            if (allow_nonorientable or page_orientable(g)) and (allow_closed or g.boundary_vertices()):
+                yield g
 
 
 def enumerate_pages(
@@ -195,21 +196,18 @@ def enumerate_pages(
     allow_closed: bool = True,
     workers: int = 1,
 ):
-    """Yield one representative per page isomorphism class with s <= s_max.
+    """Iterate over one representative per page isomorphism class, s <= s_max.
 
     Output is deterministic: strata in increasing s, each sorted by canonical
-    encoding.  Pages are yielded lazily from this process, so ``workers`` is
-    accepted for compatibility only; :func:`census_table` is the function
-    that spreads the work over processes.
+    encoding.  Pages are built lazily in this process, one per class yielded.
+    ``workers`` is deprecated and has no effect; :func:`census_table` is the
+    function that spreads the work over processes.
     """
     _check_s_max(s_max)
-    for graphs in map(_stratum, range(1, s_max + 1)):
-        for g in graphs:
-            if not allow_nonorientable and not page_orientable(g):
-                continue
-            if not allow_closed and not g.boundary_vertices():
-                continue
-            yield g
+    if workers != 1:
+        message = "enumerate_pages ignores the deprecated workers; census_table spreads the work"
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+    return _pages(s_max, allow_nonorientable, allow_closed)
 
 
 def _check_s_max(s_max: int) -> None:
@@ -221,46 +219,52 @@ def _check_s_max(s_max: int) -> None:
 # census tables
 # ---------------------------------------------------------------------------
 
-def _summarize(graph: LabeledReebGraph) -> str:
-    deg = _degrees(graph)
-    crit = graph.critical_by_rank()
-    parts = []
-    for r in range(1, graph.s + 1):
-        v = crit[r]
-        name = v.kind.value
-        if v.kind is VertexKind.SADDLE_P:
-            name = "merge" if deg[v.id] == (2, 1) else "split"
-        parts.append(f"{name}@{r}")
-    fibers = ",".join(str(c) for c in regular_fiber_counts(graph))
-    return f"{' '.join(parts)}; {surface_type(graph).describe()}; c=[{fibers}]"
+def _shape(kinds, rank_of, edges) -> tuple[str, str, int, int, bool]:
+    """(kinds text, fiber counts text, χ, b, directed if orientable) of the
+    valid skeleton with this :func:`pages._page_data`, which every class of
+    the skeleton shares."""
+    s = len(kinds)
+    c, below = [0] * (s + 1), [0] * (s + 1)
+    for _, low, high in edges:
+        below[rank_of[high]] += 1
+        for r in range(rank_of[low], rank_of[high]):
+            c[r] += 1
+    names = [
+        f"{('merge' if below[r] == 2 else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
+        for r, kind in sorted(kinds.items())
+    ]
+    chi = sum(1 if kind in (VertexKind.MIN, VertexKind.MAX) else -1 for kind in kinds.values())
+    # is_directed: every critical sphere is inward-directed
+    inward = all(c[r - 1] > c[r] for r in range(1, s + 1))
+    return " ".join(names), ",".join(map(str, c)), chi, len(rank_of) - s, inward
 
 
-def _rows(n: int, g: LabeledReebGraph, k_max: int) -> list[CensusRow]:
-    """The census rows of one page class: one row, or at n = 4 one per
-    clutching 0..k_max of the sphere page."""
-    clutchings = range(0, k_max + 1) if (n == 4 and is_sphere_page(g)) else range(0, 1)
-    rows = []
-    for k in clutchings:
-        rf = RoundFoldDescriptor(n, g, k)
-        directed = page_orientable(g) and is_directed(rf)
-        rows.append(
-            CensusRow(
-                canonical=canonical_form(rf),
-                s=g.s,
-                clutching=k,
-                summary=_summarize(g),
-                manifold=build_total_space(rf),
-                directed=directed,
-            )
-        )
-    return rows
-
-
-def _census_part(n: int, s: int, k_max: int, part: int, parts: int):
-    """One census work unit: [(encoding, index, rows)] for each class that
-    ``_classes(s, part, parts)`` meets.  It returns rows, never pages, so a
+def _census_part(n: int, s: int, k_max: int, part: int, parts: int) -> list[CensusRow]:
+    """One census work unit: the rows of the twist candidates of the
+    skeletons of stratum s whose index is ``part`` modulo ``parts``; the
+    candidates of one class give equal rows.  It returns rows, never pages,
+    and rows with the same surface and clutching share their objects, so a
     worker process sends back only small objects."""
-    return [(enc, index, _rows(n, g, k_max)) for enc, index, g in _classes(s, part, parts)]
+    rows: list[CensusRow] = []
+    spaces: dict[tuple[int, int, bool, int], tuple[str, ManifoldDescriptor, bytes]] = {}
+    for skeleton in _skeleton_pages(s, part, parts):
+        data = pages._page_data(skeleton)
+        kinds, fibers, chi, b, inward = _shape(*data)
+        saddle_b = VertexKind.SADDLE_B in data[0].values()
+        clutchings = range(k_max + 1) if n == 4 and is_sphere_page(skeleton) else (0,)
+        for twists, enc in _candidates(*data):
+            # a candidate lies in the gauge span iff its picks are all 0, and
+            # a page is orientable iff its twists do and it has no saddle_b
+            orientable = not saddle_b and not any(twists.values())
+            for k in clutchings:
+                key = (chi, b, orientable, k)
+                if key not in spaces:
+                    surface = pages._surface_of(chi, b, orientable)
+                    spaces[key] = (surface.describe(), _total_space(n, surface, k), _form_prefix(n, k))
+                text, manifold, prefix = spaces[key]
+                summary = f"{kinds}; {text}; c=[{fibers}]"
+                rows.append(CensusRow(prefix + enc, s, k, summary, manifold, orientable and inward))
+    return rows
 
 
 def usable_cpus() -> int:
@@ -277,10 +281,10 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
 
     With ``workers`` W > 1 the skeletons of each stratum are dealt round-robin
     into min(W, usable CPUs) parts, and each part runs in a process pool; the
-    largest stratum is submitted first.  Of the classes several parts meet,
-    the one met at the least (skeleton index, candidate index) is kept, which
-    is the page a single pass keeps, so the rows are the same bytes for every
-    W.  W = 1 runs the same work unit in this process and starts no process.
+    largest stratum is submitted first.  Every row field is an invariant of
+    its class, so rows are merged by canonical form alone and the output is
+    the same bytes for every W.  W = 1 runs the same work unit in this
+    process and starts no process.
     """
     if n < 4:
         raise RoundFoldError(f"census dimension must be >= 4, got {n}")
@@ -302,13 +306,8 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
         with ProcessPoolExecutor(max_workers=parts) as pool:
             futures = [pool.submit(_census_part, *task) for task in tasks]
             results = [f.result() for f in futures]
-    best: dict[bytes, tuple[tuple[int, int], list[CensusRow]]] = {}
-    for result in results:
-        for enc, index, rows in result:
-            if enc not in best or index < best[enc][0]:
-                best[enc] = (index, rows)
-    rows = sorted((row for _, rs in best.values() for row in rs), key=lambda r: r.canonical)
-    return CensusTable(n, s_max, k_max, tuple(rows))
+    rows = {row.canonical: row for result in results for row in result}
+    return CensusTable(n, s_max, k_max, tuple(rows[k] for k in sorted(rows)))
 
 
 # ---------------------------------------------------------------------------

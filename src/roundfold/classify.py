@@ -54,4 +54,10 @@ def canonical_form(rf: RoundFoldDescriptor) -> bytes:
     major version.
     """
     require_valid_descriptor(rf)
-    return f"RF1;n={rf.n};k={abs(rf.clutching)};".encode("ascii") + canonical_page_encoding(rf.page)
+    return _form_prefix(rf.n, rf.clutching) + canonical_page_encoding(rf.page)
+
+
+def _form_prefix(n: int, clutching: int) -> bytes:
+    """The ``RF1;n=;k=;`` block that :func:`canonical_form` puts before the
+    page encoding."""
+    return f"RF1;n={n};k={abs(clutching)};".encode("ascii")

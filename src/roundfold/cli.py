@@ -7,6 +7,7 @@ Exit codes: 0 success / affirmative answer, 1 negative answer or no witness,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -98,7 +99,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    table = census_table(args.n, args.s_max, k_max=args.k_max, workers=args.workers)
+    workers = usable_cpus() if args.workers is None else args.workers
+    table = census_table(args.n, args.s_max, k_max=args.k_max, workers=workers)
     if args.format == "jsonl":
         sys.stdout.write(census_jsonl(table))
     else:
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=usable_cpus(),
+        default=None,
         help="worker processes, at most the usable CPUs (default: the usable CPUs)",
     )
     p.set_defaults(func=_cmd_census)
@@ -178,9 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use.  Parsing leaves it
+    unchanged: every default is a constant, and ``--workers`` is resolved
+    when the census runs."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -112,18 +112,23 @@ def build_total_space(rf: RoundFoldDescriptor) -> ManifoldDescriptor:
     non-orientable.
     """
     require_valid_descriptor(rf)
-    st = surface_type(rf.page)
+    return _total_space(rf.n, surface_type(rf.page), rf.clutching)
+
+
+def _total_space(n: int, st: SurfaceType, clutching: int) -> ManifoldDescriptor:
+    """The total space of a valid descriptor: it depends on the page only
+    through its surface type."""
     if st.closed:
-        if rf.n == 4 and st == pages.orientable_surface(0):
-            if rf.clutching % 2 == 1:
+        if n == 4 and st == pages.orientable_surface(0):
+            if clutching % 2 == 1:
                 return TwistedS2S2()
             return SurfaceProduct(4, st)
-        return SurfaceProduct(rf.n, st)
+        return SurfaceProduct(n, st)
     if st == pages.orientable_surface(0, 1):
-        return Sphere(rf.n)
+        return Sphere(n)
     handles = 1 - st.euler
     twisted = 0 if st.orientable else 1
-    return HandleSum(rf.n, handles - twisted, twisted)
+    return HandleSum(n, handles - twisted, twisted)
 
 
 def admits_round_fold(d: ManifoldDescriptor) -> RoundFoldDescriptor:

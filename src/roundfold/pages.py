@@ -31,7 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import gf2
 from .errors import InvalidPageError, RoundFoldError
@@ -155,10 +156,8 @@ class LabeledReebGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertices", tuple(sorted(self.vertices, key=lambda v: (v.rank, v.id)))
-        )
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=attrgetter("rank", "id"))))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=attrgetter("id"))))
 
     @classmethod
     def of(
@@ -263,8 +262,9 @@ def validate_page(graph: LabeledReebGraph) -> ValidationReport:
         ("duplicate_vertex_id", "vertex", graph.vertices),
         ("duplicate_edge_id", "edge", graph.edges),
     ):
-        dupes = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
-        if dupes:
+        ids = [x.id for x in items]
+        if len(set(ids)) < len(ids):
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             bad.append(Violation(code, f"duplicate {what} ids {dupes}", tuple(dupes)))
     if bad:
         return ValidationReport(tuple(bad))
@@ -330,21 +330,22 @@ def validate_page(graph: LabeledReebGraph) -> ValidationReport:
 
 
 def _connected(graph: LabeledReebGraph) -> bool:
+    """Graph search from one vertex; the vertex ids are distinct."""
     if not graph.vertices:
         return False
-    parent = {v.id: v.id for v in graph.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    adjacent: dict[str, list[str]] = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
-        if e.low in parent and e.high in parent:
-            parent[find(e.low)] = find(e.high)
-    roots = {find(v.id) for v in graph.vertices}
-    return len(roots) == 1
+        if e.low in adjacent and e.high in adjacent:
+            adjacent[e.low].append(e.high)
+            adjacent[e.high].append(e.low)
+    start = graph.vertices[0].id
+    seen, todo = {start}, [start]
+    while todo:
+        for w in adjacent[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(adjacent)
 
 
 def require_valid(graph: LabeledReebGraph) -> None:
@@ -383,18 +384,33 @@ def gauge_generators(graph: LabeledReebGraph, edge_order: Sequence[str]) -> list
     edge incident to a saddle_b vertex.  Coordinate j of ``edge_order`` sits at
     bit (m - 1 - j).
     """
+    return _gauge_vectors(
+        [v.id for v in graph.vertices],
+        {v.id for v in graph.vertices if v.kind is VertexKind.SADDLE_B},
+        [(e.id, e.low, e.high) for e in graph.edges],
+        edge_order,
+    )
+
+
+def _gauge_vectors(
+    vertex_ids: Iterable[str],
+    saddle_b: Container[str],
+    edges: Iterable[tuple[str, str, str]],
+    edge_order: Sequence[str],
+) -> list[int]:
+    """:func:`gauge_generators` of the page with these vertices, saddle_b
+    vertices and (id, low, high) edges."""
     m = len(edge_order)
     bit = {eid: m - 1 - j for j, eid in enumerate(edge_order)}
-    incident: dict[str, int] = {v.id: 0 for v in graph.vertices}
-    for e in graph.edges:
-        incident[e.low] |= 1 << bit[e.id]
-        incident[e.high] |= 1 << bit[e.id]
-    gens = [incident[v.id] for v in graph.vertices]
-    saddle_b = {v.id for v in graph.vertices if v.kind is VertexKind.SADDLE_B}
-    for e in graph.edges:
-        if e.low in saddle_b or e.high in saddle_b:
-            gens.append(1 << bit[e.id])
-    return gens
+    incident = dict.fromkeys(vertex_ids, 0)
+    units = []
+    for eid, low, high in edges:
+        x = 1 << bit[eid]
+        incident[low] |= x
+        incident[high] |= x
+        if low in saddle_b or high in saddle_b:
+            units.append(x)
+    return [*incident.values(), *units]
 
 
 def _check_labeling_domain(graph: LabeledReebGraph, labeling: Mapping[str, int]) -> None:
@@ -413,7 +429,7 @@ def _labeling_bits(labeling: Mapping[str, int], edge_order: Sequence[str]) -> in
     m = len(edge_order)
     v = 0
     for j, eid in enumerate(edge_order):
-        if labeling[eid]:
+        if labeling.get(eid):
             v |= 1 << (m - 1 - j)
     return v
 
@@ -462,9 +478,14 @@ def surface_type(graph: LabeledReebGraph) -> SurfaceType:
 
 def _classify_surface(graph: LabeledReebGraph) -> SurfaceType:
     """The body of :func:`surface_type`, on a valid page."""
-    b = boundary_count(graph)
-    chi = page_euler(graph)
-    if not _kind_counts(graph)[VertexKind.SADDLE_B] and twist_class(graph).representative == 0:
+    orientable = not _kind_counts(graph)[VertexKind.SADDLE_B] and twist_class(graph).representative == 0
+    return _surface_of(page_euler(graph), boundary_count(graph), orientable)
+
+
+def _surface_of(chi: int, b: int, orientable: bool) -> SurfaceType:
+    """The surface with Euler characteristic ``chi``, ``b`` boundary circles
+    and the given orientability."""
+    if orientable:
         twice_genus = 2 - b - chi
         assert twice_genus >= 0 and twice_genus % 2 == 0, (
             f"inconsistent orientable page: chi={chi} b={b}"
@@ -519,54 +540,81 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     return graph.canonical_encoding
 
 
-def _encode_page(graph: LabeledReebGraph) -> bytes:
-    """The body of :func:`canonical_page_encoding`, on a valid page."""
-    s = graph.s
-    crit = graph.critical_by_rank()
-    kinds = ",".join(_KIND_TAG[crit[r].kind] for r in range(1, s + 1))
+@dataclass(frozen=True)
+class EncodingLayout:
+    """What the canonical encodings of a page and of all its twisted copies
+    share: the ``P1;s=;K=;B=;E=`` text, the encoding edge order, the
+    parallel-pair vectors 1_e + 1_f and an echelon form of the gauge span S
+    in that order.  Only the ``T`` block depends on the twists."""
 
-    rank_of = {v.id: v.rank for v in graph.vertices}
-    up_target: dict[str, int] = {}
-    for e in graph.edges:
-        if rank_of[e.low] == 0:
-            up_target[e.low] = rank_of[e.high]
+    prefix: str
+    order: tuple[str, ...]
+    pairs: tuple[int, ...]
+    gauge: dict[int, int]
+
+    def encode(self, labeling: Mapping[str, int]) -> bytes:
+        """The encoding of the copy with these twists (an edge missing from
+        ``labeling`` has twist 0): the prefix, then the least point of
+        t + S + span{1_e + 1_f : t_e != t_f} (see
+        :func:`canonical_page_encoding`)."""
+        t = _labeling_bits(labeling, self.order)
+        swaps = [pair for pair in self.pairs if t & pair not in (0, pair)]
+        pivots = gf2.rref([*self.gauge.values(), *swaps]) if swaps else self.gauge
+        best = gf2.coset_representative(t, pivots)
+        return f"{self.prefix}T={best:0{len(self.order)}b}".encode("ascii")
+
+
+def _encoding_layout(
+    kinds: Mapping[int, VertexKind],
+    rank_of: Mapping[str, int],
+    edges: Sequence[tuple[str, str, str]],
+) -> EncodingLayout:
+    """The :class:`EncodingLayout` of a valid page, given the kind of its
+    critical vertex of each rank 1..s, the rank of every vertex and the
+    (id, low, high) of every edge."""
+    s = len(kinds)
+    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, s + 1)])
     # boundary vertices sorted by target rank; within a target group they are
     # interchangeable and their edge twists are individually gauge-trivial,
     # so one fixed order suffices
-    bd_sorted = sorted(graph.boundary_vertices(), key=lambda v: (up_target[v.id], v.id))
-    bd_index = {v.id: i for i, v in enumerate(bd_sorted)}
-    targets = ",".join(str(up_target[v.id]) for v in bd_sorted)
+    bd_sorted = sorted((rank_of[high], low) for _, low, high in edges if not rank_of[low])
+    bd_index = {low: i for i, (_, low) in enumerate(bd_sorted)}
+    targets = ",".join([str(target) for target, _ in bd_sorted])
+    # edges sorted by (low key, high rank); the two edges of a parallel
+    # pair have equal keys and end up adjacent
+    keyed = sorted(
+        (rank_of[low], bd_index.get(low, -1), rank_of[high], eid) for eid, low, high in edges
+    )
+    edge_keys = ",".join(
+        [f"b{i}>{high_r}" if i >= 0 else f"{low_r}>{high_r}" for low_r, i, high_r, _ in keyed]
+    )
+    order = tuple([eid for *_, eid in keyed])
+    m = len(order)
+    pairs = tuple(3 << (m - 2 - j) for j in range(m - 1) if keyed[j][:3] == keyed[j + 1][:3])
+    saddle_b = {v for v, r in rank_of.items() if r and kinds[r] is VertexKind.SADDLE_B}
+    return EncodingLayout(
+        prefix=f"P1;s={s};K={tags};B={targets};E={edge_keys};",
+        order=order,
+        pairs=pairs,
+        gauge=gf2.rref(_gauge_vectors(rank_of, saddle_b, edges, order)),
+    )
 
-    def low_key(e: Edge) -> tuple[int, int]:
-        r = rank_of[e.low]
-        return (r, bd_index[e.low] if r == 0 else -1)
 
-    def base_key(e: Edge) -> tuple[int, int, int]:
-        return (*low_key(e), rank_of[e.high])
+def _page_data(
+    graph: LabeledReebGraph,
+) -> tuple[dict[int, VertexKind], dict[str, int], list[tuple[str, str, str]]]:
+    """(kind by critical rank, rank by vertex id, (id, low, high) by edge):
+    the plain data that :func:`_encoding_layout` reads."""
+    return (
+        {v.rank: v.kind for v in graph.vertices if v.kind is not VertexKind.BOUNDARY},
+        {v.id: v.rank for v in graph.vertices},
+        [(e.id, e.low, e.high) for e in graph.edges],
+    )
 
-    groups: dict[tuple, list[Edge]] = {}
-    for e in graph.edges:
-        groups.setdefault(base_key(e), []).append(e)
-    group_keys = sorted(groups)
-    edge_keys: list[str] = []
-    for k in group_keys:
-        low_r, low_i, high_r = k
-        low_txt = f"b{low_i}" if low_r == 0 else str(low_r)
-        edge_keys.extend([f"{low_txt}>{high_r}"] * len(groups[k]))
 
-    # twist block: least point over all orderings of the parallel pairs, in
-    # closed form (see the docstring); groups list their edges by id
-    order0 = [e.id for k in group_keys for e in groups[k]]
-    m = len(order0)
-    bit = {eid: m - 1 - j for j, eid in enumerate(order0)}
-    pairs = [groups[k] for k in group_keys if len(groups[k]) == 2]
-    swaps = [(1 << bit[e.id]) | (1 << bit[f.id]) for e, f in pairs if e.twist != f.twist]
-    pivots = gf2.rref(gauge_generators(graph, order0) + swaps)
-    best = gf2.coset_representative(_labeling_bits(graph.twist_labeling(), order0), pivots)
-    bits = format(best, f"0{m}b") if m else ""
-
-    text = f"P1;s={s};K={kinds};B={targets};E={','.join(edge_keys)};T={bits}"
-    return text.encode("ascii")
+def _encode_page(graph: LabeledReebGraph) -> bytes:
+    """The body of :func:`canonical_page_encoding`, on a valid page."""
+    return _encoding_layout(*_page_data(graph)).encode(graph.twist_labeling())
 
 
 def page_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:

@@ -4,16 +4,35 @@ Nothing here reuses the library's decision procedures: span membership is
 exhaustive subset XOR, fiber counts are re-derived from scratch, surface
 bookkeeping comes from the classification formulas, the generate-all page
 enumeration builds every labeled graph directly from degree shapes, and the
-Burnside class count has its own gauge vectors and GF(2) rank.  The one
-exception is ``min_over_orderings_twist_block``: the search over parallel-edge
-orderings that the encoder ran before its closed form, kept as a reference.
+Burnside class count has its own gauge vectors and GF(2) rank.  The
+exceptions are references kept from earlier versions of the library:
+``min_over_orderings_twist_block``, the search over parallel-edge orderings
+that the encoder ran before its closed form, and ``census_rows``, which
+builds a census row through the public functions of one page, as the census
+did before it worked per skeleton.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind, gf2, validate_page
+from roundfold import (
+    CensusRow,
+    Edge,
+    LabeledReebGraph,
+    RoundFoldDescriptor,
+    Vertex,
+    VertexKind,
+    build_total_space,
+    canonical_form,
+    gf2,
+    is_directed,
+    is_sphere_page,
+    page_orientable,
+    surface_type,
+    validate_page,
+)
 from roundfold.census import _graph_from_skeleton
 from roundfold.pages import gauge_generators
 
@@ -276,3 +295,38 @@ def burnside_stratum_count(s: int) -> int:
     """Page classes with exactly s critical vertices: the Burnside count
     summed over every valid skeleton."""
     return sum(burnside_class_count(kinds, edges) for kinds, edges in valid_skeletons(s))
+
+
+def summarize(graph: LabeledReebGraph) -> str:
+    """The census summary of a page: its kinds by rank (a saddle_p with two
+    edges from below is a merge), its surface and its fiber counts."""
+    below = Counter(e.high for e in graph.edges)
+    parts = []
+    for v in sorted((v for v in graph.vertices if v.kind is not VertexKind.BOUNDARY), key=lambda v: v.rank):
+        name = v.kind.value
+        if v.kind is VertexKind.SADDLE_P:
+            name = "merge" if below[v.id] == 2 else "split"
+        parts.append(f"{name}@{v.rank}")
+    fibers = ",".join(str(c) for c in fiber_counts_by_levels(graph))
+    return f"{' '.join(parts)}; {surface_type(graph).describe()}; c=[{fibers}]"
+
+
+def census_rows(n: int, graph: LabeledReebGraph, k_max: int) -> list[CensusRow]:
+    """The census rows of one page class, built through the public
+    functions: one row, or at n = 4 one per clutching 0..k_max of the
+    sphere page."""
+    clutchings = range(k_max + 1) if n == 4 and is_sphere_page(graph) else range(1)
+    rows = []
+    for k in clutchings:
+        rf = RoundFoldDescriptor(n, graph, k)
+        rows.append(
+            CensusRow(
+                canonical=canonical_form(rf),
+                s=graph.s,
+                clutching=k,
+                summary=summarize(graph),
+                manifold=build_total_space(rf),
+                directed=page_orientable(graph) and is_directed(rf),
+            )
+        )
+    return rows

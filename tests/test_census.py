@@ -5,13 +5,14 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import itertools
+import warnings
 
 import pytest
-from oracles import all_skeletons, all_valid_pages, partition_by, skeleton_connected
+from oracles import all_skeletons, all_valid_pages, census_rows, partition_by, skeleton_connected
 
 import roundfold as rf
-from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census
-from roundfold.census import _skeletons, brute_force_isomorphic
+from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, gf2, pages
+from roundfold.census import _graph_from_skeleton, _skeletons, brute_force_isomorphic
 
 
 def stratum(s):
@@ -28,19 +29,68 @@ def test_stratum_counts():
     assert len(stratum(5)) == 287
 
 
+def up_to_7(values):
+    """pytest params for the strata in ``values``; s = 7 runs under slow."""
+    return [pytest.param(s, marks=[pytest.mark.slow] if s == 7 else []) for s in values]
+
+
 # connected skeletons per stratum; all_skeletons also yields the disconnected
 # ones (1, 4, 18, 115, 904, 8634, 97156)
 SKELETON_COUNTS = {1: 1, 2: 3, 3: 8, 4: 37, 5: 233, 6: 1920, 7: 19630}
 
 
-@pytest.mark.parametrize(
-    "s", [pytest.param(s, marks=[pytest.mark.slow] if s == 7 else []) for s in SKELETON_COUNTS]
-)
+@pytest.mark.parametrize("s", up_to_7(SKELETON_COUNTS))
 def test_pruned_generator_yields_exactly_the_connected_shapes(s):
     # the closed sphere skeleton (min under max, no open end) is among them
     connected = [sk for sk in all_skeletons(s) if skeleton_connected(*sk)]
     assert len(connected) == SKELETON_COUNTS[s]
     assert list(_skeletons(s)) == connected
+
+
+@pytest.mark.parametrize("s", up_to_7(range(1, 8)))
+def test_every_generated_skeleton_is_a_valid_page(s):
+    assert all(rf.validate_page(_graph_from_skeleton(kinds, edges, {})).ok for kinds, edges in _skeletons(s))
+
+
+@pytest.mark.parametrize("s", up_to_7(range(1, 8)))
+def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
+    owner: dict[bytes, int] = {}
+    for i, skeleton in enumerate(census._skeleton_pages(s)):
+        # the candidates are the labelings of the free coordinates of the
+        # public gauge generators over e0..e{m-1}, in order
+        m = len(skeleton.edges)
+        ids = [f"e{j}" for j in range(m)]
+        pivots = gf2.rref(pages.gauge_generators(skeleton, ids))
+        free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
+        candidates = list(census._candidates(*pages._page_data(skeleton)))
+        assert [twists for twists, _ in candidates] == [
+            dict(zip(free, picks)) for picks in itertools.product((0, 1), repeat=len(free))
+        ]
+        for twists, enc in candidates:
+            page = skeleton.with_twists({**skeleton.twist_labeling(), **twists})
+            assert enc == rf.canonical_page_encoding(page)
+            # no class is met in two skeletons
+            assert owner.setdefault(enc, i) == i
+
+
+@pytest.mark.parametrize(
+    "n, s_max", [(5, 6), (4, 5), pytest.param(5, 7, marks=pytest.mark.slow)]
+)
+def test_census_rows_match_the_rows_of_the_public_functions(n, s_max):
+    expected = sorted(
+        (row for g in rf.enumerate_pages(s_max) for row in census_rows(n, g, k_max=3)),
+        key=lambda row: row.canonical,
+    )
+    assert list(rf.census_table(n, s_max, k_max=3).rows) == expected
+
+
+def test_enumerate_pages_workers_is_deprecated():
+    with pytest.warns(DeprecationWarning, match="workers") as record:
+        iterator = rf.enumerate_pages(4, workers=2)
+    assert [w.filename for w in record] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(iterator) == list(rf.enumerate_pages(4, workers=1))
 
 
 def test_s1_is_the_disk():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import roundfold as rf
+from roundfold import cli
 from roundfold.cli import main
 from roundfold.render import render_critical_values, render_reeb
 
@@ -347,3 +348,47 @@ def test_import_loads_no_pool_machinery():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60)
     assert run.returncode == 0
     assert run.stdout.strip() == "[]"
+
+
+def test_main_twice_in_one_process_leaks_nothing(tmp_path, capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    workers_seen = []
+    census_table = cli.census_table
+
+    def recording_census(n, s_max, k_max, workers):
+        workers_seen.append(workers)
+        return census_table(n, s_max, k_max=k_max, workers=1)
+
+    monkeypatch.setattr(cli, "census_table", recording_census)
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(rf.serialize_page(rf.sphere_page()), encoding="utf-8")
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert run(["build", str(sphere), "--n", "4", "--clutching", "1"]) == (0, "twisted_s2s2\n", "")
+    # the clutching of the call before is not the default of this one
+    assert run(["build", str(sphere), "--n", "4"]) == (0, "surface_product n=4 genus=0\n", "")
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    code, out, err = run(["census", "--n", "5", "--s-max", "2", "--workers", "2", "--format", "jsonl"])
+    assert (code, len(out.splitlines()), err) == (0, 4, "")
+    code, out, err = run(["census", "--n", "5", "--s-max", "1"])
+    assert (code, err) == (0, "") and "classes=1" in out
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    assert run(["census", "--n", "5", "--s-max", "1"])[0] == 0
+    # an omitted --workers is resolved when the census runs, not when the
+    # parser was built, and an explicit value does not stick
+    assert workers_seen == [2, 3, 1]
+    with pytest.raises(SystemExit) as info:
+        main(["classify", str(sphere)])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: roundfold classify") and "required: file1, --n" in captured.err
+    assert run(["validate", str(sphere)]) == (0, "valid\n", "")
+    assert run(["census", "--n", "3", "--s-max", "1"]) == (2, "", "census dimension must be >= 4, got 3\n")
+    assert len(builds) == 1

@@ -1,5 +1,6 @@
 """Property tests: the canonical form ignores ids, gauge moves and
-parallel-edge swaps, and page JSON round-trips exactly.  Pages are twisted
+parallel-edge swaps, page JSON round-trips exactly, and the brute-force
+isomorphism oracle agrees with the canonical encoding.  Pages are twisted
 closed pages, twisted skeletons on which a pair swap matters, and census
 pages with s <= 5."""
 
@@ -11,7 +12,7 @@ from oracles import swap_sensitive, valid_skeletons
 
 import roundfold as rf
 from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind
-from roundfold.census import _graph_from_skeleton
+from roundfold.census import _graph_from_skeleton, brute_force_isomorphic
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -107,3 +108,26 @@ def test_canonical_form_ignores_parallel_pair_swaps(graph, data):
 def test_parse_serialize_round_trip(graph, data):
     for g in (graph, relabeled(graph, data)):
         assert rf.parse_page(rf.serialize_page(g)) == g
+
+
+def retwisted(graph: LabeledReebGraph, data: st.DataObject) -> LabeledReebGraph:
+    """The same skeleton under fresh random twists."""
+    twists = data.draw(st.lists(st.integers(0, 1), min_size=len(graph.edges), max_size=len(graph.edges)))
+    return graph.with_twists({e.id: t for e, t in zip(graph.edges, twists)})
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(CENSUS_PAGES), st.data())
+def test_brute_force_oracle_agrees_with_page_isomorphic(graph, data):
+    # a moved copy of the page is isomorphic to it; a retwisted one may be,
+    # and another census page is not
+    other = data.draw(
+        st.sampled_from(
+            [
+                lambda: pairs_swapped(gauge_moved(relabeled(graph, data), data), data),
+                lambda: relabeled(retwisted(graph, data), data),
+                lambda: data.draw(st.sampled_from(CENSUS_PAGES)),
+            ]
+        )
+    )()
+    assert brute_force_isomorphic(graph, other) == rf.page_isomorphic(graph, other)

@@ -1,6 +1,7 @@
 """What each page caches: its validation report, canonical encoding and
-gauge pivots are computed once per page object, the census builds each page
-once, and every public function gives the same errors."""
+gauge pivots are computed once per page object, the census validates and
+lays out each skeleton once, and every public function gives the same
+errors."""
 
 from __future__ import annotations
 
@@ -48,13 +49,17 @@ def test_valid_pages_share_one_report():
     assert rf.disk_page().report.violations == ()
 
 
-def test_census_validates_each_skeleton_and_encodes_each_candidate_once(monkeypatch):
+def test_census_validates_and_lays_out_each_skeleton_once(monkeypatch):
     validations = count_calls(monkeypatch, "validate_page", pages, census)
+    layouts = count_calls(monkeypatch, "_encoding_layout", pages)
     encodings = count_calls(monkeypatch, "_encode_page", pages)
+    classifications = count_calls(monkeypatch, "twist_class", pages)
     assert len(rf.census_table(5, 6).rows) == 2823
-    assert len(validations) == 1 + 3 + 8 + 37 + 233 + 1920  # connected skeletons
-    assert len(encodings) == 2834  # twist candidates
-    assert len(set(map(id, encodings))) == len(encodings)
+    connected_skeletons = 1 + 3 + 8 + 37 + 233 + 1920
+    assert len(validations) == len(layouts) == connected_skeletons
+    # no page is built per candidate, and a row's surface comes from its
+    # skeleton's counts and its twist picks
+    assert encodings == classifications == []
 
 
 def test_gauge_pivots_computed_once_per_page(monkeypatch):
@@ -77,13 +82,6 @@ def test_surface_type_computed_once_per_page(monkeypatch):
     assert not rf.is_directed(d)
     assert rf.open_book(d).page == rf.orientable_surface(2)
     assert calls == [g]
-
-
-def test_census_row_classifies_its_surface_once(monkeypatch):
-    calls = count_calls(monkeypatch, "twist_class", pages)
-    rows = rf.census_table(5, 5).rows
-    # a page with a saddle_b piece is non-orientable without a twist class
-    assert len(calls) == sum("saddle_b" not in r.summary for r in rows) == len(set(map(id, calls)))
 
 
 def test_encoding_kept_on_the_page(monkeypatch):
