@@ -49,17 +49,29 @@ def test_valid_pages_share_one_report():
     assert rf.disk_page().report.violations == ()
 
 
-def test_census_validates_and_lays_out_each_skeleton_once(monkeypatch):
+def test_census_validates_each_skeleton_and_encodes_each_candidate_once(monkeypatch):
     validations = count_calls(monkeypatch, "validate_page", pages, census)
     layouts = count_calls(monkeypatch, "_encoding_layout", pages)
-    encodings = count_calls(monkeypatch, "_encode_page", pages)
-    classifications = count_calls(monkeypatch, "twist_class", pages)
+    encodings = count_calls(monkeypatch, "encode", pages.EncodingLayout)
+    page_encodings = count_calls(monkeypatch, "_encode_page", pages)
     assert len(rf.census_table(5, 6).rows) == 2823
     connected_skeletons = 1 + 3 + 8 + 37 + 233 + 1920
     assert len(validations) == len(layouts) == connected_skeletons
-    # no page is built per candidate, and a row's surface comes from its
-    # skeleton's counts and its twist picks
-    assert encodings == classifications == []
+    # each twist candidate costs one encoding of its twist block on its
+    # skeleton's layout, and no page is built per candidate
+    assert len(encodings) == 2834  # twist candidates
+    assert len(set(map(id, encodings))) == connected_skeletons
+    assert page_encodings == []
+
+
+def test_census_row_classifies_its_surface_once(monkeypatch):
+    classifications = count_calls(monkeypatch, "twist_class", pages)
+    surfaces = count_calls(monkeypatch, "_surface_of", pages)
+    rows = rf.census_table(5, 5).rows
+    # a row's orientability comes from its skeleton's saddle_b count and its
+    # twist picks, and each stratum classifies each of its surfaces once
+    assert classifications == []
+    assert len(surfaces) == len({(r.s, r.summary.split("; ")[-2]) for r in rows})
 
 
 def test_gauge_pivots_computed_once_per_page(monkeypatch):
