@@ -6,13 +6,14 @@ rank consumes and opens dangling downward edge ends according to its kind
 opens one; a min consumes one; a saddle_b consumes one and opens one), and the
 ends left after rank 1 close with boundary vertices.  The generator tracks the
 component of every dangling end and abandons a branch as soon as the shape can
-no longer be connected.  Each skeleton is validated, and its encoding layout
-(the ``K``/``B``/``E`` blocks, the gauge span and the parallel pairs), fiber
-counts, χ and b are derived once.  Its twist candidates, one per coset of the
-gauge span, then cost one ``T`` block each, and its classes are their
-distinct encodings.  A class's row depends only on its encoding and on
-whether its candidate is twisted, so ``census_table`` can deal the skeletons
-over a process pool and merge the rows by canonical form.
+no longer be connected.  Each skeleton is validated as plain data, without
+building a page, and its encoding layout (the ``K``/``B``/``E`` blocks, the
+gauge span and the parallel pairs), fiber counts, χ and b are derived once.
+Its twist candidates, one per coset of the gauge span, then cost one ``T``
+block each, and its classes are their distinct encodings.  A class's row
+depends only on its encoding and on whether its candidate is twisted, so
+``census_table`` can split the generator of each stratum between the parts
+of a process pool and merge the rows by canonical form.
 """
 
 from __future__ import annotations
@@ -21,21 +22,20 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from . import gf2, pages
 from .classify import _form_prefix
 from .errors import OracleLimitError, RoundFoldError
-from .foldmaps import _total_space, is_sphere_page
-from .manifolds import ManifoldDescriptor
+from .foldmaps import _is_sphere, _total_space
+from .manifolds import ManifoldDescriptor, describe
 from .pages import (
     Edge,
     LabeledReebGraph,
-    Vertex,
     VertexKind,
     gauge_generators,
     page_orientable,
     require_valid,
-    validate_page,
 )
 
 MAX_ENUMERATION_S = 7
@@ -75,7 +75,7 @@ _SHAPES = (
 )
 
 
-def _skeletons(s: int):
+def _skeletons(s: int, part: int = 0, parts: int = 1):
     """Yield (kinds by rank, edges) for every connected degree-correct shape
     with exactly s critical vertices; edges are (low, high) vertex-name pairs
     and boundary vertices are named b0, b1, ...  Twists are not assigned.
@@ -85,7 +85,14 @@ def _skeletons(s: int):
     and it consumes two open ends, so a component whose last open end a min
     closes can never be joined again: the branch is dead unless nothing else
     is left to place.  At rank 0 the open ends must carry at most one label;
-    a closed page has none."""
+    a closed page has none.
+
+    The subtrees of the recursion that start at rank min(2, s - 1) are dealt
+    round-robin into ``parts`` parts, and only those of part ``part`` are
+    walked.  So the parts partition the skeletons, each part keeps the
+    generator order, and ``parts`` = 1 yields them all."""
+    split = min(2, s - 1)
+    dealt = itertools.count()
 
     def rec(
         rank: int,
@@ -94,6 +101,8 @@ def _skeletons(s: int):
         kinds: dict[int, VertexKind],
         edges: list[tuple[str, str]],
     ):
+        if rank == split and next(dealt) % parts != part:
+            return
         if rank == 0:
             if len({comp[h] for h in dangling}) <= 1:
                 yield dict(kinds), edges + [(f"b{i}", high) for i, high in enumerate(dangling)]
@@ -133,30 +142,33 @@ def _skeletons(s: int):
     yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, {s: VertexKind.MAX}, [])
 
 
+def _skeleton_data(
+    kinds: dict[int, VertexKind], edges: list[tuple[str, str]]
+) -> tuple[list[tuple[str, VertexKind, int]], list[tuple[str, str, str, int]]]:
+    """The untwisted page of a generated skeleton as plain data: (id, kind,
+    rank) vertices and (id, low, high, twist) edges."""
+    vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
+    vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
+    return vertices, [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(edges)]
+
+
 def _graph_from_skeleton(
     kinds: dict[int, VertexKind], edges: list[tuple[str, str]], twists: dict[int, int]
 ) -> LabeledReebGraph:
-    vertices = [Vertex(f"v{r}", k, r) for r, k in kinds.items()]
-    vertices += [
-        Vertex(name, VertexKind.BOUNDARY, 0)
-        for name in {lo for lo, _ in edges if lo.startswith("b")}
-    ]
-    es = [Edge(f"e{j}", lo, hi, twists.get(j, 0)) for j, (lo, hi) in enumerate(edges)]
-    return LabeledReebGraph(tuple(vertices), tuple(es))
+    vertices, es = _skeleton_data(kinds, edges)
+    return LabeledReebGraph.of(
+        vertices, [(eid, lo, hi, twists.get(j, 0)) for j, (eid, lo, hi, _) in enumerate(es)]
+    )
 
 
-def _skeleton_pages(s: int, part: int = 0, parts: int = 1):
-    """Yield, as untwisted pages, the valid skeletons whose index in
-    ``_skeletons(s)`` is ``part`` modulo ``parts``.  Each is validated once,
-    and its report is kept on the page."""
-    for i, (kinds, edges) in enumerate(_skeletons(s)):
-        if i % parts != part:
-            continue
-        skeleton = _graph_from_skeleton(kinds, edges, {})
-        report = validate_page(skeleton)
-        object.__setattr__(skeleton, "report", report)
-        if report.ok:
-            yield skeleton
+def _valid_skeletons(s: int, part: int = 0, parts: int = 1):
+    """Yield, as :func:`_skeleton_data`, the valid skeletons of
+    ``_skeletons(s, part, parts)``.  Each is validated once, by the checks of
+    :func:`pages.validate_page` run on its plain data; no page is built."""
+    for kinds, edges in _skeletons(s, part, parts):
+        vertices, es = _skeleton_data(kinds, edges)
+        if pages._validate_page_data(vertices, es).ok:
+            yield vertices, es
 
 
 def _candidates(kinds, rank_of, edges):
@@ -166,11 +178,15 @@ def _candidates(kinds, rank_of, edges):
     picks, in lexicographic order, and every other twist is 0.  The layout
     is computed once, so a candidate costs one ``T`` block."""
     m = len(edges)
-    ids = [f"e{j}" for j in range(m)]
-    saddle_b = {v for v, r in rank_of.items() if r and kinds[r] is VertexKind.SADDLE_B}
-    pivots = gf2.rref(pages._gauge_vectors(rank_of, saddle_b, edges, ids))
-    free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
     layout = pages._encoding_layout(kinds, rank_of, edges)
+    free = []
+    # the rank of the gauge span does not depend on the edge order; at full
+    # rank no coordinate is free, and the one candidate is untwisted
+    if len(layout.gauge) < m:
+        ids = [f"e{j}" for j in range(m)]
+        saddle_b = {v for v, r in rank_of.items() if r and kinds[r] is VertexKind.SADDLE_B}
+        pivots = gf2.rref(pages._gauge_vectors(rank_of, saddle_b, edges, ids))
+        free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
     for picks in itertools.product((0, 1), repeat=len(free)):
         twists = dict(zip(free, picks))
         yield twists, layout.encode(twists)
@@ -178,14 +194,15 @@ def _candidates(kinds, rank_of, edges):
 
 def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
     for s in range(1, s_max + 1):
-        found: dict[bytes, tuple[LabeledReebGraph, dict[str, int]]] = {}
-        for skeleton in _skeleton_pages(s):
-            for twists, enc in _candidates(*pages._page_data(skeleton)):
-                found.setdefault(enc, (skeleton, twists))
+        found: dict[bytes, tuple[list, list, dict[str, int]]] = {}
+        for vertices, edges in _valid_skeletons(s):
+            for twists, enc in _candidates(*pages._page_data(vertices, edges)):
+                found.setdefault(enc, (vertices, edges, twists))
         for enc in sorted(found):
-            g, twists = found[enc]
-            if any(twists.values()):
-                g = g.with_twists({**g.twist_labeling(), **twists})
+            vertices, edges, twists = found[enc]
+            g = LabeledReebGraph.of(vertices, [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi, _ in edges])
+            # its skeleton is valid, and 0/1 twists never affect validity
+            object.__setattr__(g, "report", pages._VALID)
             if (allow_nonorientable or page_orientable(g)) and (allow_closed or g.boundary_vertices()):
                 yield g
 
@@ -239,19 +256,25 @@ def _shape(kinds, rank_of, edges) -> tuple[str, str, int, int, bool]:
     return " ".join(names), ",".join(map(str, c)), chi, len(rank_of) - s, inward
 
 
-def _census_part(n: int, s: int, k_max: int, part: int, parts: int) -> list[CensusRow]:
-    """One census work unit: the rows of the twist candidates of the
-    skeletons of stratum s whose index is ``part`` modulo ``parts``; the
-    candidates of one class give equal rows.  It returns rows, never pages,
-    and rows with the same surface and clutching share their objects, so a
-    worker process sends back only small objects."""
-    rows: list[CensusRow] = []
-    spaces: dict[tuple[int, int, bool, int], tuple[str, ManifoldDescriptor, bytes]] = {}
-    for skeleton in _skeleton_pages(s, part, parts):
-        data = pages._page_data(skeleton)
+def _census_part(
+    n: int, s: int, k_max: int, part: int, parts: int, finish: Callable | None = None
+) -> list[tuple[bytes, object]]:
+    """One census work unit: a (canonical form, row) pair for each twist
+    candidate of the valid skeletons that ``_skeletons(s, part, parts)``
+    yields; the candidates of one class give equal pairs.  With a
+    module-level ``finish``, each row is replaced by ``finish(row, text)``,
+    where ``text`` is the :func:`manifolds.describe` of its manifold, computed
+    once per manifold object.  It returns no pages, and rows with the same
+    surface and clutching share their objects, so a worker process sends
+    back only small objects."""
+    out: list[tuple[bytes, object]] = []
+    spaces: dict[tuple[int, int, bool, int], tuple[str, ManifoldDescriptor, str, bytes]] = {}
+    for vertices, edges in _valid_skeletons(s, part, parts):
+        data = pages._page_data(vertices, edges)
         kinds, fibers, chi, b, inward = _shape(*data)
         saddle_b = VertexKind.SADDLE_B in data[0].values()
-        clutchings = range(k_max + 1) if n == 4 and is_sphere_page(skeleton) else (0,)
+        sphere = n == 4 and _is_sphere([kind for _, kind, _ in vertices])
+        clutchings = range(k_max + 1) if sphere else (0,)
         for twists, enc in _candidates(*data):
             # a candidate lies in the gauge span iff its picks are all 0, and
             # a page is orientable iff its twists do and it has no saddle_b
@@ -260,11 +283,13 @@ def _census_part(n: int, s: int, k_max: int, part: int, parts: int) -> list[Cens
                 key = (chi, b, orientable, k)
                 if key not in spaces:
                     surface = pages._surface_of(chi, b, orientable)
-                    spaces[key] = (surface.describe(), _total_space(n, surface, k), _form_prefix(n, k))
-                text, manifold, prefix = spaces[key]
+                    manifold = _total_space(n, surface, k)
+                    spaces[key] = (surface.describe(), manifold, describe(manifold), _form_prefix(n, k))
+                text, manifold, name, prefix = spaces[key]
                 summary = f"{kinds}; {text}; c=[{fibers}]"
-                rows.append(CensusRow(prefix + enc, s, k, summary, manifold, orientable and inward))
-    return rows
+                row = CensusRow(prefix + enc, s, k, summary, manifold, orientable and inward)
+                out.append((row.canonical, row if finish is None else finish(row, name)))
+    return out
 
 
 def usable_cpus() -> int:
@@ -274,18 +299,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> CensusTable:
-    """One row per equivalence class of round fold maps with the given n and
-    s <= s_max; at n = 4 the sphere page splits into clutching classes
-    |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding.
-
-    With ``workers`` W > 1 the skeletons of each stratum are dealt round-robin
-    into min(W, usable CPUs) parts, and each part runs in a process pool; the
-    largest stratum is submitted first.  Every row field is an invariant of
-    its class, so rows are merged by canonical form alone and the output is
-    the same bytes for every W.  W = 1 runs the same work unit in this
-    process and starts no process.
-    """
+def _run_census(n: int, s_max: int, k_max: int, workers: int, finish: Callable | None = None) -> list:
+    """The rows of :func:`census_table`, in its order, each passed through
+    ``finish`` as :func:`_census_part` describes.  ``census --format``
+    passes the formatter of its output lines, so the parts return finished
+    lines."""
     if n < 4:
         raise RoundFoldError(f"census dimension must be >= 4, got {n}")
     if not 0 <= k_max <= MAX_CLUTCHING:
@@ -294,7 +312,7 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
     if workers < 1:
         raise RoundFoldError(f"workers must be >= 1, got {workers}")
     parts = min(workers, usable_cpus())
-    tasks = [(n, s, k_max, part, parts) for s in range(s_max, 0, -1) for part in range(parts)]
+    tasks = [(n, s, k_max, part, parts, finish) for s in range(s_max, 0, -1) for part in range(parts)]
     if parts == 1:
         results = [_census_part(*task) for task in tasks]
     else:
@@ -306,8 +324,25 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
         with ProcessPoolExecutor(max_workers=parts) as pool:
             futures = [pool.submit(_census_part, *task) for task in tasks]
             results = [f.result() for f in futures]
-    rows = {row.canonical: row for result in results for row in result}
-    return CensusTable(n, s_max, k_max, tuple(rows[k] for k in sorted(rows)))
+    merged: dict[bytes, object] = {}
+    for result in results:
+        merged.update(result)
+    return [merged[k] for k in sorted(merged)]
+
+
+def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> CensusTable:
+    """One row per equivalence class of round fold maps with the given n and
+    s <= s_max; at n = 4 the sphere page splits into clutching classes
+    |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding.
+
+    With ``workers`` W > 1 the skeleton generator of each stratum is split
+    into min(W, usable CPUs) parts, and each part runs in a process pool; the
+    largest stratum is submitted first.  Every row field is an invariant of
+    its class, so rows are merged by canonical form alone and the output is
+    the same bytes for every W.  W = 1 runs the same work unit in this
+    process and starts no process.
+    """
+    return CensusTable(n, s_max, k_max, tuple(_run_census(n, s_max, k_max, workers)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from .census import census_table, usable_cpus
+from . import jsonio
+from .census import _run_census, usable_cpus
 from .classify import a_equivalent
-from .errors import RoundFoldError
+from .errors import PageFormatError, RoundFoldError
 from .foldmaps import (
     RoundFoldDescriptor,
     admits_directed,
@@ -22,13 +23,7 @@ from .foldmaps import (
     build_total_space,
     fold_counts,
 )
-from .jsonio import (
-    census_jsonl,
-    census_text,
-    parse_manifold_spec,
-    parse_page,
-    serialize_page,
-)
+from .jsonio import parse_manifold_spec, parse_page, serialize_page
 from .manifolds import describe
 from .pages import regular_fiber_counts, surface_type
 from .render import render_critical_values, render_reeb
@@ -38,7 +33,11 @@ _DEFAULT_N = 5
 
 
 def _load_page(path: str, validate: bool = True):
-    return parse_page(Path(path).read_text(encoding="utf-8"), validate=validate)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PageFormatError([f"$: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from exc
+    return parse_page(text, validate=validate)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -100,11 +99,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     workers = usable_cpus() if args.workers is None else args.workers
-    table = census_table(args.n, args.s_max, k_max=args.k_max, workers=workers)
+    # the census parts format their own lines
     if args.format == "jsonl":
-        sys.stdout.write(census_jsonl(table))
+        lines = _run_census(args.n, args.s_max, args.k_max, workers, jsonio._jsonl_row)
+        sys.stdout.write(jsonio._jsonl_document(lines))
     else:
-        sys.stdout.write(census_text(table))
+        bodies = _run_census(args.n, args.s_max, args.k_max, workers, jsonio._text_row)
+        sys.stdout.write(jsonio._text_document(args.n, args.s_max, args.k_max, bodies))
     return 0
 
 

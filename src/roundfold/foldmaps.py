@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Collection
 
 from . import pages
 from .errors import (
@@ -68,8 +69,12 @@ class Direction(Enum):
 
 def is_sphere_page(graph: LabeledReebGraph) -> bool:
     """The two-critical-point page on S^2 (min under max, no boundary)."""
-    c = pages._kind_counts(graph)
-    return len(graph.vertices) == 2 and c[VertexKind.MIN] == c[VertexKind.MAX] == 1
+    return _is_sphere([v.kind for v in graph.vertices])
+
+
+def _is_sphere(kinds: Collection[VertexKind]) -> bool:
+    """:func:`is_sphere_page` of the page whose vertices have these kinds."""
+    return len(kinds) == 2 and set(kinds) == {VertexKind.MIN, VertexKind.MAX}
 
 
 def validate_descriptor(rf: RoundFoldDescriptor) -> ValidationReport:

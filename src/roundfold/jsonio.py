@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 
-from .census import CensusTable
+from .census import CensusRow, CensusTable
 from .errors import ManifoldSpecError, PageFormatError
 from .manifolds import (
     HandleSum,
@@ -47,6 +47,10 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PageFormatError([f"$: not valid JSON ({exc.msg} at line {exc.lineno})"]) from exc
+    except RecursionError as exc:
+        raise PageFormatError(["$: not valid JSON (nested too deeply)"]) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise PageFormatError([f"$: not valid JSON ({exc})"]) from exc
     if not isinstance(data, dict):
         raise PageFormatError(["$: document must be a JSON object"])
     extra = set(data) - {"vertices", "edges"}
@@ -71,7 +75,7 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
         rank = item.get("rank")
         if not isinstance(vid, str) or not vid:
             problems.append(f"{path}.id: must be a non-empty string")
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             problems.append(f"{path}.kind: must be one of {sorted(_KINDS)}")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             problems.append(f"{path}.rank: must be a non-negative integer")
@@ -140,9 +144,10 @@ def parse_manifold_spec(text: str) -> ManifoldDescriptor:
     if not m:
         raise ManifoldSpecError(f"cannot parse manifold spec {text!r}")
     head = m.group(1)
-    args = dict(
-        (kv.split("=")[0], int(kv.split("=")[1])) for kv in m.group(2).split() if kv
-    )
+    try:
+        args = {kv.split("=")[0]: int(kv.split("=")[1]) for kv in m.group(2).split()}
+    except ValueError as exc:  # a literal past the interpreter's integer digit limit
+        raise ManifoldSpecError(f"bad manifold spec {text!r}: {exc}") from exc
 
     def need(keys: set[str]) -> None:
         if set(args) != keys:
@@ -178,30 +183,43 @@ def parse_manifold_spec(text: str) -> ManifoldDescriptor:
 # ---------------------------------------------------------------------------
 
 def census_jsonl(table: CensusTable) -> str:
-    lines = []
-    for row in table.rows:
-        lines.append(
-            json.dumps(
-                {
-                    "canonical": row.canonical.decode("ascii"),
-                    "s": row.s,
-                    "clutching": row.clutching,
-                    "manifold": describe(row.manifold),
-                    "directed": row.directed,
-                    "summary": row.summary,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl_document([_jsonl_row(row, describe(row.manifold)) for row in table.rows])
 
 
 def census_text(table: CensusTable) -> str:
-    header = f"census n={table.n} s_max={table.s_max} k_max={table.k_max} classes={len(table.rows)}"
+    bodies = [_text_row(row, describe(row.manifold)) for row in table.rows]
+    return _text_document(table.n, table.s_max, table.k_max, bodies)
+
+
+def _jsonl_row(row: CensusRow, manifold: str) -> str:
+    """The JSONL line of a census row whose manifold describes as
+    ``manifold``; a census finisher (see ``census._census_part``)."""
+    return json.dumps(
+        {
+            "canonical": row.canonical.decode("ascii"),
+            "s": row.s,
+            "clutching": row.clutching,
+            "manifold": manifold,
+            "directed": row.directed,
+            "summary": row.summary,
+        },
+        sort_keys=True,
+    )
+
+
+def _jsonl_document(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _text_row(row: CensusRow, manifold: str) -> str:
+    """The census text line of a row, without its index column; a census
+    finisher like :func:`_jsonl_row`."""
+    directed = "directed" if row.directed else "        "
+    return f"s={row.s} k={row.clutching} {directed}  {manifold:<34}  {row.summary}"
+
+
+def _text_document(n: int, s_max: int, k_max: int, bodies: list[str]) -> str:
+    header = f"census n={n} s_max={s_max} k_max={k_max} classes={len(bodies)}"
     lines = [header, "-" * len(header)]
-    for i, row in enumerate(table.rows):
-        directed = "directed" if row.directed else "        "
-        lines.append(
-            f"{i:>4}  s={row.s} k={row.clutching} {directed}  {describe(row.manifold):<34}  {row.summary}"
-        )
+    lines += [f"{i:>4}  {body}" for i, body in enumerate(bodies)]
     return "\n".join(lines) + "\n"

@@ -233,15 +233,33 @@ class LabeledReebGraph:
 # validation
 # ---------------------------------------------------------------------------
 
+def _plain(
+    graph: LabeledReebGraph,
+) -> tuple[list[tuple[str, VertexKind, int]], list[tuple[str, str, str, int]]]:
+    """The page as plain data: (id, kind, rank) vertices and (id, low, high,
+    twist) edges, in stored order."""
+    return (
+        [(v.id, v.kind, v.rank) for v in graph.vertices],
+        [(e.id, e.low, e.high, e.twist) for e in graph.edges],
+    )
+
+
 def _degrees(graph: LabeledReebGraph) -> dict[str, tuple[int, int]]:
     """Per-vertex (edges arriving from below, edges leaving upward)."""
-    below: dict[str, int] = {v.id: 0 for v in graph.vertices}
-    above: dict[str, int] = {v.id: 0 for v in graph.vertices}
-    for e in graph.edges:
-        if e.high in below:
-            below[e.high] += 1
-        if e.low in above:
-            above[e.low] += 1
+    return _degree_table(*_plain(graph))
+
+
+def _degree_table(
+    vertices: Sequence[tuple[str, VertexKind, int]], edges: Iterable[tuple[str, str, str, int]]
+) -> dict[str, tuple[int, int]]:
+    """:func:`_degrees` of the page with these plain vertices and edges."""
+    below = {vid: 0 for vid, _, _ in vertices}
+    above = dict(below)
+    for _, low, high, _ in edges:
+        if high in below:
+            below[high] += 1
+        if low in above:
+            above[low] += 1
     return {vid: (below[vid], above[vid]) for vid in below}
 
 
@@ -256,89 +274,98 @@ _KIND_DEGREES = {
 
 def validate_page(graph: LabeledReebGraph) -> ValidationReport:
     """Check every page invariant; an empty report means the graph is a page."""
+    return _validate_page_data(*_plain(graph))
+
+
+def _validate_page_data(
+    vertices: Sequence[tuple[str, VertexKind, int]],
+    edges: Sequence[tuple[str, str, str, int]],
+) -> ValidationReport:
+    """The :func:`validate_page` report of the page with these (id, kind,
+    rank) vertices and (id, low, high, twist) edges, in this order."""
     bad: list[Violation] = []
 
     for code, what, items in (
-        ("duplicate_vertex_id", "vertex", graph.vertices),
-        ("duplicate_edge_id", "edge", graph.edges),
+        ("duplicate_vertex_id", "vertex", vertices),
+        ("duplicate_edge_id", "edge", edges),
     ):
-        ids = [x.id for x in items]
+        ids = [x[0] for x in items]
         if len(set(ids)) < len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             bad.append(Violation(code, f"duplicate {what} ids {dupes}", tuple(dupes)))
     if bad:
         return ValidationReport(tuple(bad))
 
-    known = {v.id: v for v in graph.vertices}
-    for e in graph.edges:
-        for end in (e.low, e.high):
-            if end not in known:
-                bad.append(Violation("unknown_endpoint", f"edge {e.id} references unknown vertex {end}", (e.id, end)))
-        if e.twist not in (0, 1):
-            bad.append(Violation("bad_twist", f"edge {e.id} twist must be 0 or 1", (e.id,)))
+    rank_of = {vid: rank for vid, _, rank in vertices}
+    for eid, low, high, twist in edges:
+        for end in (low, high):
+            if end not in rank_of:
+                bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {end}", (eid, end)))
+        if twist not in (0, 1):
+            bad.append(Violation("bad_twist", f"edge {eid} twist must be 0 or 1", (eid,)))
     if bad:
         return ValidationReport(tuple(bad))
 
-    criticals = [v for v in graph.vertices if v.kind is not VertexKind.BOUNDARY]
+    criticals = [(vid, kind, rank) for vid, kind, rank in vertices if kind is not VertexKind.BOUNDARY]
     s = len(criticals)
     if s < 1:
         bad.append(Violation("no_critical", "a page has at least one critical vertex", ()))
-    for v in graph.vertices:
-        if v.kind is VertexKind.BOUNDARY and v.rank != 0:
-            bad.append(Violation("boundary_rank", f"boundary vertex {v.id} must have rank 0", (v.id,)))
-    ranks = sorted(v.rank for v in criticals)
-    if s >= 1 and ranks != list(range(1, s + 1)):
+    for vid, kind, rank in vertices:
+        if kind is VertexKind.BOUNDARY and rank != 0:
+            bad.append(Violation("boundary_rank", f"boundary vertex {vid} must have rank 0", (vid,)))
+    ranks = sorted(rank for _, _, rank in criticals)
+    bijective = ranks == list(range(1, s + 1))
+    if s >= 1 and not bijective:
         bad.append(
             Violation(
                 "rank_bijection",
                 f"critical ranks must be exactly 1..{s}, got {ranks}",
-                tuple(v.id for v in criticals),
+                tuple(vid for vid, _, _ in criticals),
             )
         )
 
-    for e in graph.edges:
-        lo, hi = known[e.low], known[e.high]
-        if lo.rank >= hi.rank:
+    for eid, low, high, _ in edges:
+        if rank_of[low] >= rank_of[high]:
             bad.append(
-                Violation("edge_direction", f"edge {e.id} must go strictly upward in rank", (e.id,))
+                Violation("edge_direction", f"edge {eid} must go strictly upward in rank", (eid,))
             )
 
-    deg = _degrees(graph)
-    for v in graph.vertices:
-        if deg[v.id] not in _KIND_DEGREES[v.kind]:
-            want = " or ".join(f"{b} below / {a} above" for b, a in _KIND_DEGREES[v.kind])
-            got = deg[v.id]
+    deg = _degree_table(vertices, edges)
+    for vid, kind, _ in vertices:
+        if deg[vid] not in _KIND_DEGREES[kind]:
+            want = " or ".join(f"{b} below / {a} above" for b, a in _KIND_DEGREES[kind])
+            got = deg[vid]
             bad.append(
                 Violation(
                     "degree",
-                    f"{v.kind.value} vertex {v.id} has {got[0]} below / {got[1]} above, needs {want}",
-                    (v.id,),
+                    f"{kind.value} vertex {vid} has {got[0]} below / {got[1]} above, needs {want}",
+                    (vid,),
                 )
             )
 
-    if not _connected(graph):
+    if not _connected(rank_of, edges):
         bad.append(Violation("disconnected", "page graph must be connected", ()))
 
-    if s >= 1 and ranks == list(range(1, s + 1)):
-        top = next(v for v in criticals if v.rank == s)
-        if top.kind is not VertexKind.MAX:
+    if s >= 1 and bijective:
+        top_id, top_kind, _ = next(v for v in criticals if v[2] == s)
+        if top_kind is not VertexKind.MAX:
             bad.append(
-                Violation("top_not_max", f"the rank-{s} vertex must be a max (outermost fold is definite)", (top.id,))
+                Violation("top_not_max", f"the rank-{s} vertex must be a max (outermost fold is definite)", (top_id,))
             )
 
     return ValidationReport(tuple(bad)) if bad else _VALID
 
 
-def _connected(graph: LabeledReebGraph) -> bool:
-    """Graph search from one vertex; the vertex ids are distinct."""
-    if not graph.vertices:
+def _connected(vertex_ids: Iterable[str], edges: Iterable[tuple[str, str, str, int]]) -> bool:
+    """Graph search from the first of these distinct vertex ids over edges
+    whose ends are all among them."""
+    adjacent: dict[str, list[str]] = {vid: [] for vid in vertex_ids}
+    if not adjacent:
         return False
-    adjacent: dict[str, list[str]] = {v.id: [] for v in graph.vertices}
-    for e in graph.edges:
-        if e.low in adjacent and e.high in adjacent:
-            adjacent[e.low].append(e.high)
-            adjacent[e.high].append(e.low)
-    start = graph.vertices[0].id
+    for _, low, high, _ in edges:
+        adjacent[low].append(high)
+        adjacent[high].append(low)
+    start = next(iter(adjacent))
     seen, todo = {start}, [start]
     while todo:
         for w in adjacent[todo.pop()]:
@@ -601,20 +628,22 @@ def _encoding_layout(
 
 
 def _page_data(
-    graph: LabeledReebGraph,
+    vertices: Sequence[tuple[str, VertexKind, int]],
+    edges: Iterable[tuple[str, str, str, int]],
 ) -> tuple[dict[int, VertexKind], dict[str, int], list[tuple[str, str, str]]]:
-    """(kind by critical rank, rank by vertex id, (id, low, high) by edge):
-    the plain data that :func:`_encoding_layout` reads."""
+    """(kind by critical rank, rank by vertex id, (id, low, high) by edge) of
+    the page with these (id, kind, rank) vertices and (id, low, high, twist)
+    edges: the plain data that :func:`_encoding_layout` reads."""
     return (
-        {v.rank: v.kind for v in graph.vertices if v.kind is not VertexKind.BOUNDARY},
-        {v.id: v.rank for v in graph.vertices},
-        [(e.id, e.low, e.high) for e in graph.edges],
+        {rank: kind for _, kind, rank in vertices if kind is not VertexKind.BOUNDARY},
+        {vid: rank for vid, _, rank in vertices},
+        [edge[:3] for edge in edges],
     )
 
 
 def _encode_page(graph: LabeledReebGraph) -> bytes:
     """The body of :func:`canonical_page_encoding`, on a valid page."""
-    return _encoding_layout(*_page_data(graph)).encode(graph.twist_labeling())
+    return _encoding_layout(*_page_data(*_plain(graph))).encode(graph.twist_labeling())
 
 
 def page_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:

@@ -13,6 +13,7 @@ from oracles import all_skeletons, all_valid_pages, census_rows, partition_by, s
 import roundfold as rf
 from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, gf2, pages
 from roundfold.census import _graph_from_skeleton, _skeletons, brute_force_isomorphic
+from roundfold.cli import main
 
 
 def stratum(s):
@@ -47,6 +48,33 @@ def test_pruned_generator_yields_exactly_the_connected_shapes(s):
     assert list(_skeletons(s)) == connected
 
 
+@pytest.mark.parametrize("s", range(1, 7))
+def test_generator_parts_partition_the_skeletons_in_order(s):
+    everything = list(_skeletons(s))
+    index = {(tuple(kinds.items()), tuple(edges)): i for i, (kinds, edges) in enumerate(everything)}
+    assert len(index) == len(everything)
+    for parts in range(1, 5):
+        positions = [
+            [index[tuple(kinds.items()), tuple(edges)] for kinds, edges in _skeletons(s, part, parts)]
+            for part in range(parts)
+        ]
+        # each part keeps generator order, and together the parts hold every
+        # skeleton exactly once
+        assert all(p == sorted(p) for p in positions)
+        assert sorted(i for p in positions for i in p) == list(range(len(everything)))
+
+
+@pytest.mark.parametrize("parts", [3, 4])
+@pytest.mark.parametrize("n, s_max", [(5, 6), (4, 5)])
+def test_census_parts_merge_to_the_single_part_table(n, s_max, parts):
+    # in this process, so part counts that no pool here would use are covered
+    merged = {}
+    for s in range(1, s_max + 1):
+        for part in range(parts):
+            merged.update(census._census_part(n, s, 3, part, parts))
+    assert tuple(merged[k] for k in sorted(merged)) == rf.census_table(n, s_max, k_max=3).rows
+
+
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_every_generated_skeleton_is_a_valid_page(s):
     assert all(rf.validate_page(_graph_from_skeleton(kinds, edges, {})).ok for kinds, edges in _skeletons(s))
@@ -55,14 +83,15 @@ def test_every_generated_skeleton_is_a_valid_page(s):
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
     owner: dict[bytes, int] = {}
-    for i, skeleton in enumerate(census._skeleton_pages(s)):
+    for i, (vertices, edges) in enumerate(census._valid_skeletons(s)):
+        skeleton = rf.LabeledReebGraph.of(vertices, edges)
         # the candidates are the labelings of the free coordinates of the
         # public gauge generators over e0..e{m-1}, in order
         m = len(skeleton.edges)
         ids = [f"e{j}" for j in range(m)]
         pivots = gf2.rref(pages.gauge_generators(skeleton, ids))
         free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
-        candidates = list(census._candidates(*pages._page_data(skeleton)))
+        candidates = list(census._candidates(*pages._page_data(vertices, edges)))
         assert [twists for twists, _ in candidates] == [
             dict(zip(free, picks)) for picks in itertools.product((0, 1), repeat=len(free))
         ]
@@ -240,10 +269,15 @@ GOLDEN = [
         for workers in (1, 2)
     ],
 )
-def test_census_golden_bytes(n, s_max, workers, jsonl_sha, text_sha):
+def test_census_golden_bytes(capsys, n, s_max, workers, jsonl_sha, text_sha):
     table = rf.census_table(n, s_max, k_max=3, workers=workers)
     assert hashlib.sha256(rf.census_jsonl(table).encode("utf-8")).hexdigest() == jsonl_sha
     assert hashlib.sha256(rf.census_text(table).encode("utf-8")).hexdigest() == text_sha
+    # the command line has its census parts format the lines
+    argv = ["census", "--n", str(n), "--s-max", str(s_max), "--k-max", "3", "--workers", str(workers)]
+    for fmt, sha in (("jsonl", jsonl_sha), ("table", text_sha)):
+        assert main([*argv, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha
 
 
 def test_census_pool_never_exceeds_the_usable_cpus(monkeypatch):

@@ -356,13 +356,13 @@ def test_main_twice_in_one_process_leaks_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
     cli._parser.cache_clear()
     workers_seen = []
-    census_table = cli.census_table
+    run_census = cli._run_census
 
-    def recording_census(n, s_max, k_max, workers):
+    def recording_census(n, s_max, k_max, workers, finish):
         workers_seen.append(workers)
-        return census_table(n, s_max, k_max=k_max, workers=1)
+        return run_census(n, s_max, k_max, 1, finish)
 
-    monkeypatch.setattr(cli, "census_table", recording_census)
+    monkeypatch.setattr(cli, "_run_census", recording_census)
     sphere = tmp_path / "sphere.json"
     sphere.write_text(rf.serialize_page(rf.sphere_page()), encoding="utf-8")
 

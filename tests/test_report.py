@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import valid_skeletons
 
 import roundfold as rf
-from roundfold import census, gf2, pages
+from roundfold import gf2, pages
 from roundfold.census import _graph_from_skeleton, brute_force_isomorphic
 from roundfold.render import render_critical_values, render_reeb
 
@@ -50,18 +50,21 @@ def test_valid_pages_share_one_report():
 
 
 def test_census_validates_each_skeleton_and_encodes_each_candidate_once(monkeypatch):
-    validations = count_calls(monkeypatch, "validate_page", pages, census)
+    validations = count_calls(monkeypatch, "_validate_page_data", pages)
     layouts = count_calls(monkeypatch, "_encoding_layout", pages)
     encodings = count_calls(monkeypatch, "encode", pages.EncodingLayout)
     page_encodings = count_calls(monkeypatch, "_encode_page", pages)
+    built_pages = count_calls(monkeypatch, "__post_init__", pages.LabeledReebGraph)
     assert len(rf.census_table(5, 6).rows) == 2823
     connected_skeletons = 1 + 3 + 8 + 37 + 233 + 1920
+    # each skeleton is validated and laid out once as plain data
     assert len(validations) == len(layouts) == connected_skeletons
     # each twist candidate costs one encoding of its twist block on its
-    # skeleton's layout, and no page is built per candidate
+    # skeleton's layout, and no page is built at all
     assert len(encodings) == 2834  # twist candidates
     assert len(set(map(id, encodings))) == connected_skeletons
     assert page_encodings == []
+    assert built_pages == []
 
 
 def test_census_row_classifies_its_surface_once(monkeypatch):
