@@ -179,7 +179,7 @@ def _candidates(kinds, rank_of, edges):
     is computed once, so a candidate costs one ``T`` block."""
     m = len(edges)
     layout = pages._encoding_layout(kinds, rank_of, edges)
-    free = []
+    free: list[str] = []
     # the rank of the gauge span does not depend on the edge order; at full
     # rank no coordinate is free, and the one candidate is untwisted
     if len(layout.gauge) < m:
