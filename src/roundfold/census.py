@@ -41,6 +41,13 @@ from .pages import (
 MAX_ENUMERATION_S = 7
 MAX_CLUTCHING = 1000
 ORACLE_S_LIMIT = 5
+# A pool process takes this many parts of each stratum, one task each.  A
+# task's rows come back to the parent as one message.  With one part per
+# process a message is about 6 MB at s = 7, and how much of it the parent's
+# heap keeps after freeing it depends on which part arrives first, so the
+# census's peak memory differs by several MB between runs.  Parts of a few
+# hundred kB keep it steady and let the processes even out their loads.
+PARTS_PER_PROCESS = 8
 
 
 @dataclass(frozen=True)
@@ -311,17 +318,18 @@ def _run_census(n: int, s_max: int, k_max: int, workers: int, finish: Callable |
     _check_s_max(s_max)
     if workers < 1:
         raise RoundFoldError(f"workers must be >= 1, got {workers}")
-    parts = min(workers, usable_cpus())
+    processes = min(workers, usable_cpus())
+    parts = 1 if processes == 1 else processes * PARTS_PER_PROCESS
     tasks = [(n, s, k_max, part, parts, finish) for s in range(s_max, 0, -1) for part in range(parts)]
     if parts == 1:
         results = [_census_part(*task) for task in tasks]
     else:
         # imported here so that importing roundfold loads no pool machinery;
-        # there are at least as many tasks as parts, so the pool has `parts`
+        # there are more tasks than processes, so the pool has `processes`
         # processes
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parts) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_census_part, *task) for task in tasks]
             results = [f.result() for f in futures]
     merged: dict[bytes, object] = {}
@@ -335,9 +343,10 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
     s <= s_max; at n = 4 the sphere page splits into clutching classes
     |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding.
 
-    With ``workers`` W > 1 the skeleton generator of each stratum is split
-    into min(W, usable CPUs) parts, and each part runs in a process pool; the
-    largest stratum is submitted first.  Every row field is an invariant of
+    With ``workers`` W > 1 a process pool of P = min(W, usable CPUs)
+    processes runs the census, and the skeleton generator of each stratum is
+    split into P * PARTS_PER_PROCESS parts, one task each; the largest
+    stratum is submitted first.  Every row field is an invariant of
     its class, so rows are merged by canonical form alone and the output is
     the same bytes for every W.  W = 1 runs the same work unit in this
     process and starts no process.

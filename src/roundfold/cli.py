@@ -102,10 +102,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # the census parts format their own lines
     if args.format == "jsonl":
         lines = _run_census(args.n, args.s_max, args.k_max, workers, jsonio._jsonl_row)
-        sys.stdout.write(jsonio._jsonl_document(lines))
+        sys.stdout.writelines(jsonio._jsonl_document(lines))
     else:
         bodies = _run_census(args.n, args.s_max, args.k_max, workers, jsonio._text_row)
-        sys.stdout.write(jsonio._text_document(args.n, args.s_max, args.k_max, bodies))
+        sys.stdout.writelines(jsonio._text_document(args.n, args.s_max, args.k_max, bodies))
     return 0
 
 

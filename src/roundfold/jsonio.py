@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Iterator
 
 from .census import CensusRow, CensusTable
 from .errors import ManifoldSpecError, PageFormatError
@@ -183,12 +184,12 @@ def parse_manifold_spec(text: str) -> ManifoldDescriptor:
 # ---------------------------------------------------------------------------
 
 def census_jsonl(table: CensusTable) -> str:
-    return _jsonl_document([_jsonl_row(row, describe(row.manifold)) for row in table.rows])
+    return "".join(_jsonl_document([_jsonl_row(row, describe(row.manifold)) for row in table.rows]))
 
 
 def census_text(table: CensusTable) -> str:
     bodies = [_text_row(row, describe(row.manifold)) for row in table.rows]
-    return _text_document(table.n, table.s_max, table.k_max, bodies)
+    return "".join(_text_document(table.n, table.s_max, table.k_max, bodies))
 
 
 def _jsonl_row(row: CensusRow, manifold: str) -> str:
@@ -207,8 +208,10 @@ def _jsonl_row(row: CensusRow, manifold: str) -> str:
     )
 
 
-def _jsonl_document(lines: list[str]) -> str:
-    return "".join(f"{line}\n" for line in lines)
+def _jsonl_document(lines: list[str]) -> Iterator[str]:
+    """The lines of the JSONL document, each with its newline; the CLI writes
+    them one by one, so the document is never one string."""
+    return (f"{line}\n" for line in lines)
 
 
 def _text_row(row: CensusRow, manifold: str) -> str:
@@ -218,8 +221,10 @@ def _text_row(row: CensusRow, manifold: str) -> str:
     return f"s={row.s} k={row.clutching} {directed}  {manifold:<34}  {row.summary}"
 
 
-def _text_document(n: int, s_max: int, k_max: int, bodies: list[str]) -> str:
+def _text_document(n: int, s_max: int, k_max: int, bodies: list[str]) -> Iterator[str]:
+    """The lines of the census text table, like :func:`_jsonl_document`."""
     header = f"census n={n} s_max={s_max} k_max={k_max} classes={len(bodies)}"
-    lines = [header, "-" * len(header)]
-    lines += [f"{i:>4}  {body}" for i, body in enumerate(bodies)]
-    return "\n".join(lines) + "\n"
+    yield f"{header}\n"
+    yield "-" * len(header) + "\n"
+    for i, body in enumerate(bodies):
+        yield f"{i:>4}  {body}\n"

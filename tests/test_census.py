@@ -53,7 +53,8 @@ def test_generator_parts_partition_the_skeletons_in_order(s):
     everything = list(_skeletons(s))
     index = {(tuple(kinds.items()), tuple(edges)): i for i, (kinds, edges) in enumerate(everything)}
     assert len(index) == len(everything)
-    for parts in range(1, 5):
+    # 1..4, and the part count of a two-process pool
+    for parts in (*range(1, 5), 2 * census.PARTS_PER_PROCESS):
         positions = [
             [index[tuple(kinds.items()), tuple(edges)] for kinds, edges in _skeletons(s, part, parts)]
             for part in range(parts)
@@ -64,7 +65,7 @@ def test_generator_parts_partition_the_skeletons_in_order(s):
         assert sorted(i for p in positions for i in p) == list(range(len(everything)))
 
 
-@pytest.mark.parametrize("parts", [3, 4])
+@pytest.mark.parametrize("parts", [3, 4, 2 * census.PARTS_PER_PROCESS])
 @pytest.mark.parametrize("n, s_max", [(5, 6), (4, 5)])
 def test_census_parts_merge_to_the_single_part_table(n, s_max, parts):
     # in this process, so part counts that no pool here would use are covered
