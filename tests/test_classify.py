@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -118,3 +120,39 @@ def test_r_equivalent_standard_warns_at_n4():
         assert rf.r_equivalent_standard(
             RoundFoldDescriptor(4, rf.sphere_page(), 1), RoundFoldDescriptor(4, rf.sphere_page(), -1)
         )
+
+
+def golden_pages() -> list[rf.LabeledReebGraph]:
+    """Standard pages beyond the census strata, then one seeded twisted copy
+    of each under fresh, shuffled vertex and edge ids."""
+    base = [rf.orientable_closed_page(g) for g in range(1, 12)]
+    base += [rf.nonorientable_closed_page(k) for k in range(1, 21)]
+    base.append(rf.klein_page())
+    for s in (6, 10, 16, 25, 40, 64, 100, 125, 150):
+        base += [rf.handle_page(s - 1, 0), rf.handle_page(s - 1 - s // 3, s // 3)]
+    rnd = random.Random(10)
+    copies = []
+    for g in base:
+        vnames = [f"x{i}" for i in range(len(g.vertices))]
+        enames = [f"y{i}" for i in range(len(g.edges))]
+        rnd.shuffle(vnames)
+        rnd.shuffle(enames)
+        vmap = {v.id: name for v, name in zip(g.vertices, vnames)}
+        copies.append(
+            rf.LabeledReebGraph.of(
+                [(vmap[v.id], v.kind, v.rank) for v in g.vertices],
+                [(name, vmap[e.low], vmap[e.high], rnd.randint(0, 1)) for e, name in zip(g.edges, enames)],
+            )
+        )
+    return base + copies
+
+
+# sha256 of the canonical forms of golden_pages at n = 5, one per line; the
+# format is stable within RF1/P1
+GOLDEN_FORMS_SHA = "e52ceb2d827dec81d8ccab38fbc96f698cc9f8f9da9f842861ba3a6a720134b5"
+
+
+def test_canonical_forms_of_large_pages_are_pinned():
+    forms = [rf.canonical_form(RoundFoldDescriptor(5, g)) for g in golden_pages()]
+    assert len(forms) == 2 * (11 + 20 + 1 + 2 * 9)
+    assert hashlib.sha256(b"\n".join(forms)).hexdigest() == GOLDEN_FORMS_SHA
