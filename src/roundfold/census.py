@@ -35,7 +35,6 @@ from .pages import (
     VertexKind,
     gauge_generators,
     page_orientable,
-    require_valid,
 )
 
 MAX_ENUMERATION_S = 7
@@ -149,51 +148,33 @@ def _skeletons(s: int, part: int = 0, parts: int = 1):
     yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, {s: VertexKind.MAX}, [])
 
 
-def _skeleton_data(
-    kinds: dict[int, VertexKind], edges: list[tuple[str, str]]
-) -> tuple[list[tuple[str, VertexKind, int]], list[tuple[str, str, str, int]]]:
-    """The untwisted page of a generated skeleton as plain data: (id, kind,
-    rank) vertices and (id, low, high, twist) edges."""
-    vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
-    vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
-    return vertices, [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(edges)]
-
-
-def _graph_from_skeleton(
-    kinds: dict[int, VertexKind], edges: list[tuple[str, str]], twists: dict[int, int]
-) -> LabeledReebGraph:
-    vertices, es = _skeleton_data(kinds, edges)
-    return LabeledReebGraph.of(
-        vertices, [(eid, lo, hi, twists.get(j, 0)) for j, (eid, lo, hi, _) in enumerate(es)]
-    )
-
-
 def _valid_skeletons(s: int, part: int = 0, parts: int = 1):
-    """Yield, as :func:`_skeleton_data`, the valid skeletons of
-    ``_skeletons(s, part, parts)``.  Each is validated once, by the checks of
-    :func:`pages.validate_page` run on its plain data; no page is built."""
+    """Yield the :class:`pages._PageView` of each valid skeleton of
+    ``_skeletons(s, part, parts)``, with vertices v1..vs by rank, boundary
+    vertices b0, b1, ... and edges e0, e1, ... in generator order.  Each is
+    validated once, by the checks of :func:`pages.validate_page` run on its
+    plain data; no page is built."""
     for kinds, edges in _skeletons(s, part, parts):
-        vertices, es = _skeleton_data(kinds, edges)
+        vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
+        vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
+        es = [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(edges)]
         if pages._validate_page_data(vertices, es).ok:
-            yield vertices, es
+            yield pages._PageView(kinds, {vid: r for vid, _, r in vertices}, tuple([e[:3] for e in es]))
 
 
-def _candidates(kinds, rank_of, edges):
+def _candidates(view: pages._PageView):
     """Yield (twists, encoding) for one twist labeling per gauge coset of the
-    valid skeleton with this :func:`pages._page_data`: ``twists`` maps the
-    coordinates that an elimination over e0..e{m-1} leaves free to their
-    picks, in lexicographic order, and every other twist is 0.  The layout
-    is computed once, so a candidate costs one ``T`` block."""
-    m = len(edges)
-    layout = pages._encoding_layout(kinds, rank_of, edges)
+    valid skeleton with this view: ``twists`` maps the coordinates that an
+    elimination over its edges in order leaves free to their picks, in
+    lexicographic order, and every other twist is 0.  The layout is computed
+    once, so a candidate costs one ``T`` block."""
+    m = len(view.edges)
+    layout = view.layout
     free: list[str] = []
     # the rank of the gauge span does not depend on the edge order; at full
     # rank no coordinate is free, and the one candidate is untwisted
     if len(layout.gauge) < m:
-        ids = [f"e{j}" for j in range(m)]
-        saddle_b = {v for v, r in rank_of.items() if r and kinds[r] is VertexKind.SADDLE_B}
-        pivots = gf2.rref(pages._gauge_vectors(rank_of, saddle_b, edges, ids))
-        free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
+        free = [view.edges[m - 1 - bit][0] for bit in gf2.complement_bits(view.gauge_pivots, m)]
     for picks in itertools.product((0, 1), repeat=len(free)):
         twists = dict(zip(free, picks))
         yield twists, layout.encode(twists)
@@ -201,13 +182,16 @@ def _candidates(kinds, rank_of, edges):
 
 def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
     for s in range(1, s_max + 1):
-        found: dict[bytes, tuple[list, list, dict[str, int]]] = {}
-        for vertices, edges in _valid_skeletons(s):
-            for twists, enc in _candidates(*pages._page_data(vertices, edges)):
-                found.setdefault(enc, (vertices, edges, twists))
+        found: dict[bytes, tuple[pages._PageView, dict[str, int]]] = {}
+        for view in _valid_skeletons(s):
+            for twists, enc in _candidates(view):
+                found.setdefault(enc, (view, twists))
         for enc in sorted(found):
-            vertices, edges, twists = found[enc]
-            g = LabeledReebGraph.of(vertices, [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi, _ in edges])
+            view, twists = found[enc]
+            g = LabeledReebGraph.of(
+                [(vid, view.kinds.get(r, VertexKind.BOUNDARY), r) for vid, r in view.rank_of.items()],
+                [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi in view.edges],
+            )
             # its skeleton is valid, and 0/1 twists never affect validity
             object.__setattr__(g, "report", pages._VALID)
             if (allow_nonorientable or page_orientable(g)) and (allow_closed or g.boundary_vertices()):
@@ -243,24 +227,16 @@ def _check_s_max(s_max: int) -> None:
 # census tables
 # ---------------------------------------------------------------------------
 
-def _shape(kinds, rank_of, edges) -> tuple[str, str, int, int, bool]:
-    """(kinds text, fiber counts text, χ, b, directed if orientable) of the
-    valid skeleton with this :func:`pages._page_data`, which every class of
-    the skeleton shares."""
-    s = len(kinds)
-    c, below = [0] * (s + 1), [0] * (s + 1)
-    for _, low, high in edges:
-        below[rank_of[high]] += 1
-        for r in range(rank_of[low], rank_of[high]):
-            c[r] += 1
-    names = [
-        f"{('merge' if below[r] == 2 else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
-        for r, kind in sorted(kinds.items())
-    ]
-    chi = sum(1 if kind in (VertexKind.MIN, VertexKind.MAX) else -1 for kind in kinds.values())
-    # is_directed: every critical sphere is inward-directed
-    inward = all(c[r - 1] > c[r] for r in range(1, s + 1))
-    return " ".join(names), ",".join(map(str, c)), chi, len(rank_of) - s, inward
+def _shape(view: pages._PageView) -> str:
+    """The kinds text of the valid skeleton with this view, which every
+    class of the skeleton shares: a saddle_p is a merge where its critical
+    sphere is inward-directed."""
+    return " ".join(
+        [
+            f"{('merge' if inward else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
+            for (r, kind), inward in zip(sorted(view.kinds.items()), view.inward)
+        ]
+    )
 
 
 def _census_part(
@@ -276,16 +252,17 @@ def _census_part(
     back only small objects."""
     out: list[tuple[bytes, object]] = []
     spaces: dict[tuple[int, int, bool, int], tuple[str, ManifoldDescriptor, str, bytes]] = {}
-    for vertices, edges in _valid_skeletons(s, part, parts):
-        data = pages._page_data(vertices, edges)
-        kinds, fibers, chi, b, inward = _shape(*data)
-        saddle_b = VertexKind.SADDLE_B in data[0].values()
-        sphere = n == 4 and _is_sphere([kind for _, kind, _ in vertices])
+    for view in _valid_skeletons(s, part, parts):
+        kinds, fibers = _shape(view), ",".join(map(str, view.fiber_counts))
+        chi, b = view.chi, view.b
+        # is_directed: every critical sphere is inward-directed
+        inward = all(view.inward)
+        sphere = n == 4 and not b and _is_sphere(view.kinds.values())
         clutchings = range(k_max + 1) if sphere else (0,)
-        for twists, enc in _candidates(*data):
+        for twists, enc in _candidates(view):
             # a candidate lies in the gauge span iff its picks are all 0, and
             # a page is orientable iff its twists do and it has no saddle_b
-            orientable = not saddle_b and not any(twists.values())
+            orientable = not view.saddle_b and not any(twists.values())
             for k in clutchings:
                 key = (chi, b, orientable, k)
                 if key not in spaces:
@@ -362,16 +339,12 @@ def brute_force_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
     """Exhaustive page isomorphism test, independent of the canonical
     encoding: tries every kind/rank-preserving vertex and edge bijection and
     every gauge combination.  Limited to s <= ORACLE_S_LIMIT."""
-    require_valid(g0)
-    require_valid(g1)
-    if g0.s > ORACLE_S_LIMIT or g1.s > ORACLE_S_LIMIT:
+    view0, view1 = g0._view, g1._view
+    if view0.s > ORACLE_S_LIMIT or view1.s > ORACLE_S_LIMIT:
         raise OracleLimitError(f"brute-force oracle supports s <= {ORACLE_S_LIMIT}")
-    if g0.s != g1.s:
+    if view0.kinds != view1.kinds:
         return False
     crit0, crit1 = g0.critical_by_rank(), g1.critical_by_rank()
-    for r in range(1, g0.s + 1):
-        if crit0[r].kind != crit1[r].kind:
-            return False
     bd0 = [v.id for v in g0.boundary_vertices()]
     bd1 = [v.id for v in g1.boundary_vertices()]
     if len(bd0) != len(bd1) or len(g0.edges) != len(g1.edges):

@@ -42,7 +42,6 @@ from .pages import (
     nonorientable_closed_page,
     orientable_closed_page,
     page_orientable,
-    regular_fiber_counts,
     sphere_page,
     surface_type,
 )
@@ -182,11 +181,10 @@ def component_directions(rf: RoundFoldDescriptor) -> list[tuple[int, Direction]]
     require_valid_descriptor(rf)
     if not page_orientable(rf.page):
         raise NonOrientableError("component directions are defined only for orientable total spaces")
-    c = regular_fiber_counts(rf.page)
-    out = []
-    for r in range(1, len(c)):
-        out.append((r, Direction.INWARD if c[r - 1] > c[r] else Direction.OUTWARD))
-    return out
+    return [
+        (r, Direction.INWARD if inward else Direction.OUTWARD)
+        for r, inward in enumerate(rf.page._view.inward, 1)
+    ]
 
 
 def is_directed(rf: RoundFoldDescriptor) -> bool:
@@ -199,10 +197,9 @@ def is_directed(rf: RoundFoldDescriptor) -> bool:
 def fold_counts(rf: RoundFoldDescriptor) -> tuple[int, int]:
     """(definite, indefinite) fold sphere counts: (min + max, saddles)."""
     require_valid_descriptor(rf)
-    counts = pages._kind_counts(rf.page)
-    n0 = counts[VertexKind.MIN] + counts[VertexKind.MAX]
-    n1 = counts[VertexKind.SADDLE_P] + counts[VertexKind.SADDLE_B]
-    return n0, n1
+    # n0 + n1 = s and n0 - n1 = chi
+    view = rf.page._view
+    return (view.s + view.chi) // 2, (view.s - view.chi) // 2
 
 
 def euler_via_folds(rf: RoundFoldDescriptor) -> int:

@@ -102,7 +102,7 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
             problems.append(f"{path}.low: must be a vertex id string")
         if not isinstance(high, str):
             problems.append(f"{path}.high: must be a vertex id string")
-        if twist not in (0, 1) or isinstance(twist, bool):
+        if type(twist) is not int or twist not in (0, 1):
             problems.append(f"{path}.twist: must be 0 or 1")
         extra = set(item) - {"id", "low", "high", "twist"}
         if extra:
@@ -136,6 +136,9 @@ def serialize_page(graph: LabeledReebGraph) -> str:
 # ---------------------------------------------------------------------------
 
 _SPEC_RE = re.compile(r"^\s*(\w+)((?:\s+\w+=-?\d+)*)\s*$")
+# the largest a, b, genus or crosscaps a spec may give: the witness page that
+# ``admits`` builds has one vertex per count
+_MAX_SPEC_COUNT = 10_000
 
 
 def parse_manifold_spec(text: str) -> ManifoldDescriptor:
@@ -156,18 +159,23 @@ def parse_manifold_spec(text: str) -> ManifoldDescriptor:
                 f"{head} takes exactly {sorted(keys)}, got {sorted(args)}"
             )
 
+    def count(key: str) -> int:
+        if args[key] > _MAX_SPEC_COUNT:
+            raise ManifoldSpecError(f"{key} must be at most {_MAX_SPEC_COUNT}, got {args[key]}")
+        return args[key]
+
     try:
         if head == "sphere":
             need({"n"})
             return Sphere(args["n"])
         if head == "handle_sum":
             need({"n", "a", "b"})
-            return HandleSum(args["n"], args["a"], args["b"])
+            return HandleSum(args["n"], count("a"), count("b"))
         if head == "surface_product":
             if set(args) == {"n", "genus"}:
-                return SurfaceProduct(args["n"], orientable_surface(args["genus"]))
+                return SurfaceProduct(args["n"], orientable_surface(count("genus")))
             if set(args) == {"n", "crosscaps"}:
-                return SurfaceProduct(args["n"], nonorientable_surface(args["crosscaps"]))
+                return SurfaceProduct(args["n"], nonorientable_surface(count("crosscaps")))
             raise ManifoldSpecError("surface_product takes n plus genus or crosscaps")
         if head == "twisted_s2s2":
             need(set())

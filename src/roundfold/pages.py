@@ -188,13 +188,13 @@ class LabeledReebGraph:
 
     def with_twists(self, labeling: Mapping[str, int]) -> "LabeledReebGraph":
         """Copy of this graph with edge twists replaced by ``labeling``.  The
-        copy of a valid page shares its report, since 0/1 twists never
-        affect validity."""
+        copy of a valid page shares its report and its view, since 0/1
+        twists never affect validity and the view does not read them."""
         _check_labeling_domain(self, labeling)
         es = tuple(Edge(e.id, e.low, e.high, int(labeling[e.id])) for e in self.edges)
         copy = LabeledReebGraph(self.vertices, es)
         if self.report.ok:
-            object.__setattr__(copy, "report", _VALID)
+            copy.__dict__.update(report=_VALID, _view=self._view)
         return copy
 
     def twist_labeling(self) -> dict[str, int]:
@@ -203,56 +203,46 @@ class LabeledReebGraph:
     @cached_property
     def report(self) -> ValidationReport:
         """The :func:`validate_page` report of this page, computed once per
-        object; every page function checks it before reading the graph."""
+        object."""
         return validate_page(self)
+
+    @cached_property
+    def _view(self) -> _PageView:
+        """The :class:`_PageView` of this page, built once per object; every
+        page function reads it, so on an invalid page each raises
+        :class:`InvalidPageError` with the page's report."""
+        require_valid(self)
+        return _PageView(
+            {v.rank: v.kind for v in self.vertices if v.kind is not VertexKind.BOUNDARY},
+            {v.id: v.rank for v in self.vertices},
+            tuple([(e.id, e.low, e.high) for e in self.edges]),
+        )
 
     @cached_property
     def canonical_encoding(self) -> bytes:
         """The :func:`canonical_page_encoding` bytes of this page, computed
         once per object."""
-        require_valid(self)
         return _encode_page(self)
 
     @cached_property
-    def surface(self) -> SurfaceType:
+    def _surface(self) -> SurfaceType:
         """The :func:`surface_type` of this page, computed once per object,
         so its orientability costs one :func:`twist_class`."""
-        require_valid(self)
-        return _classify_surface(self)
-
-    @cached_property
-    def gauge_pivots(self) -> dict[int, int]:
-        """Echelon form of the gauge span of this page, with the edges in
-        their stored (id) order (see :func:`gauge_generators`), computed once
-        per object."""
-        require_valid(self)
-        return gf2.rref(gauge_generators(self, [e.id for e in self.edges]))
+        view = self._view
+        orientable = not view.saddle_b and twist_class(self).representative == 0
+        return _surface_of(view.chi, view.b, orientable)
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-def _plain(
-    graph: LabeledReebGraph,
-) -> tuple[list[tuple[str, VertexKind, int]], list[tuple[str, str, str, int]]]:
-    """The page as plain data: (id, kind, rank) vertices and (id, low, high,
-    twist) edges, in stored order."""
-    return (
-        [(v.id, v.kind, v.rank) for v in graph.vertices],
-        [(e.id, e.low, e.high, e.twist) for e in graph.edges],
-    )
-
-
-def _degrees(graph: LabeledReebGraph) -> dict[str, tuple[int, int]]:
-    """Per-vertex (edges arriving from below, edges leaving upward)."""
-    return _degree_table(*_plain(graph))
-
-
 def _degree_table(
     vertices: Sequence[tuple[str, VertexKind, int]], edges: Iterable[tuple[str, str, str, int]]
 ) -> dict[str, tuple[int, int]]:
-    """:func:`_degrees` of the page with these plain vertices and edges."""
+    """Per-vertex (edges arriving from below, edges leaving upward) of the
+    page with these (id, kind, rank) vertices and (id, low, high, twist)
+    edges."""
     below = {vid: 0 for vid, _, _ in vertices}
     above = dict(below)
     for _, low, high, _ in edges:
@@ -274,7 +264,9 @@ _KIND_DEGREES = {
 
 def validate_page(graph: LabeledReebGraph) -> ValidationReport:
     """Check every page invariant; an empty report means the graph is a page."""
-    return _validate_page_data(*_plain(graph))
+    return _validate_page_data(
+        [(v.id, v.kind, v.rank) for v in graph.vertices], [(e.id, e.low, e.high, e.twist) for e in graph.edges]
+    )
 
 
 def _validate_page_data(
@@ -380,43 +372,92 @@ def require_valid(graph: LabeledReebGraph) -> None:
         raise InvalidPageError(graph.report)
 
 
+@dataclass(frozen=True)
+class _PageView:
+    """A valid page without its twists: the kind of its critical vertex of
+    each rank 1..s, the rank of every vertex and the (id, low, high) of every
+    edge, in the page's edge order.  Each invariant that does not depend on
+    the twists is computed on first use and kept; a page reads it through
+    ``LabeledReebGraph._view``, and the census builds one per skeleton."""
+
+    kinds: dict[int, VertexKind]
+    rank_of: dict[str, int]
+    edges: tuple[tuple[str, str, str], ...]
+
+    @property
+    def s(self) -> int:
+        return len(self.kinds)
+
+    @property
+    def b(self) -> int:
+        """Number of boundary circles."""
+        return len(self.rank_of) - len(self.kinds)
+
+    @cached_property
+    def chi(self) -> int:
+        """Euler characteristic, by fiberwise Morse counting."""
+        return sum(1 if kind in (VertexKind.MIN, VertexKind.MAX) else -1 for kind in self.kinds.values())
+
+    @cached_property
+    def saddle_b(self) -> frozenset[str]:
+        """Ids of the saddle_b vertices."""
+        return frozenset(v for v, r in self.rank_of.items() if r and self.kinds[r] is VertexKind.SADDLE_B)
+
+    @cached_property
+    def fiber_counts(self) -> tuple[int, ...]:
+        """Circle counts c_0..c_s of the regular fiber (see
+        :func:`regular_fiber_counts`)."""
+        c = [0] * (len(self.kinds) + 1)
+        for _, low, high in self.edges:
+            for r in range(self.rank_of[low], self.rank_of[high]):
+                c[r] += 1
+        return tuple(c)
+
+    @cached_property
+    def inward(self) -> tuple[bool, ...]:
+        """For each rank 1..s, whether the regular fiber has more circles
+        just below it than just above: c_(r-1) - c_r is the number of edges
+        arriving from below less those leaving upward, so a saddle_p there
+        is a merge, and the critical sphere of rank r is inward-directed."""
+        c = self.fiber_counts
+        return tuple([c[r - 1] > c[r] for r in range(1, len(c))])
+
+    @cached_property
+    def layout(self) -> EncodingLayout:
+        return _encoding_layout(self)
+
+    @cached_property
+    def gauge_pivots(self) -> dict[int, int]:
+        """Echelon form of the gauge span with the edges in this view's
+        order (see :func:`gauge_generators`)."""
+        order = [eid for eid, _, _ in self.edges]
+        return gf2.rref(_gauge_vectors(self.rank_of, self.saddle_b, self.edges, order))
+
+
 # ---------------------------------------------------------------------------
 # surface invariants
 # ---------------------------------------------------------------------------
 
-def _kind_counts(graph: LabeledReebGraph) -> dict[VertexKind, int]:
-    counts = {k: 0 for k in VertexKind}
-    for v in graph.vertices:
-        counts[v.kind] += 1
-    return counts
-
-
 def page_euler(graph: LabeledReebGraph) -> int:
     """Euler characteristic of the page, by fiberwise Morse counting."""
-    require_valid(graph)
-    c = _kind_counts(graph)
-    return c[VertexKind.MIN] + c[VertexKind.MAX] - c[VertexKind.SADDLE_P] - c[VertexKind.SADDLE_B]
+    return graph._view.chi
 
 
 def boundary_count(graph: LabeledReebGraph) -> int:
     """Number of binding circles, i.e. boundary circles of the page."""
-    require_valid(graph)
-    return _kind_counts(graph)[VertexKind.BOUNDARY]
+    return graph._view.b
 
 
 def gauge_generators(graph: LabeledReebGraph, edge_order: Sequence[str]) -> list[int]:
-    """Generating move vectors of the twist gauge group, as bitmasks.
+    """Generating move vectors of the twist gauge group of a valid page, as
+    bitmasks.
 
     One vector per vertex (toggle all incident edges) plus one unit vector per
     edge incident to a saddle_b vertex.  Coordinate j of ``edge_order`` sits at
     bit (m - 1 - j).
     """
-    return _gauge_vectors(
-        [v.id for v in graph.vertices],
-        {v.id for v in graph.vertices if v.kind is VertexKind.SADDLE_B},
-        [(e.id, e.low, e.high) for e in graph.edges],
-        edge_order,
-    )
+    view = graph._view
+    return _gauge_vectors(view.rank_of, view.saddle_b, view.edges, edge_order)
 
 
 def _gauge_vectors(
@@ -478,13 +519,13 @@ class TwistClass:
 
 
 def twist_class(graph: LabeledReebGraph, labeling: Mapping[str, int] | None = None) -> TwistClass:
-    require_valid(graph)
+    view = graph._view
     if labeling is None:
         labeling = graph.twist_labeling()
     else:
         _check_labeling_domain(graph, labeling)
     order = tuple(e.id for e in graph.edges)
-    rep = gf2.coset_representative(_labeling_bits(labeling, order), graph.gauge_pivots)
+    rep = gf2.coset_representative(_labeling_bits(labeling, order), view.gauge_pivots)
     return TwistClass(order, rep)
 
 
@@ -494,19 +535,13 @@ def page_orientable(graph: LabeledReebGraph) -> bool:
     Requires no saddle_b piece and a gauge-trivial twist labeling
     (equivalently: zero twist sum around every cycle).
     """
-    return graph.surface.orientable
+    return graph._surface.orientable
 
 
 def surface_type(graph: LabeledReebGraph) -> SurfaceType:
     """Classify the page surface from Euler characteristic, boundary count
     and orientability."""
-    return graph.surface
-
-
-def _classify_surface(graph: LabeledReebGraph) -> SurfaceType:
-    """The body of :func:`surface_type`, on a valid page."""
-    orientable = not _kind_counts(graph)[VertexKind.SADDLE_B] and twist_class(graph).representative == 0
-    return _surface_of(page_euler(graph), boundary_count(graph), orientable)
+    return graph._surface
 
 
 def _surface_of(chi: int, b: int, orientable: bool) -> SurfaceType:
@@ -529,14 +564,7 @@ def regular_fiber_counts(graph: LabeledReebGraph) -> list[int]:
     c_r counts the edges whose span of levels covers the open interval
     (r, r+1); c_0 equals the boundary count and c_s is 0.
     """
-    require_valid(graph)
-    ranks = {v.id: v.rank for v in graph.vertices}
-    s = graph.s
-    counts = [0] * (s + 1)
-    for e in graph.edges:
-        for r in range(ranks[e.low], ranks[e.high]):
-            counts[r] += 1
-    return counts
+    return list(graph._view.fiber_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +619,10 @@ class EncodingLayout:
         return f"{self.prefix}T={best:0{len(self.order)}b}".encode("ascii")
 
 
-def _encoding_layout(
-    kinds: Mapping[int, VertexKind],
-    rank_of: Mapping[str, int],
-    edges: Sequence[tuple[str, str, str]],
-) -> EncodingLayout:
-    """The :class:`EncodingLayout` of a valid page, given the kind of its
-    critical vertex of each rank 1..s, the rank of every vertex and the
-    (id, low, high) of every edge."""
-    s = len(kinds)
-    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, s + 1)])
+def _encoding_layout(view: _PageView) -> EncodingLayout:
+    """The :class:`EncodingLayout` of the valid page with this view."""
+    kinds, rank_of, edges = view.kinds, view.rank_of, view.edges
+    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, len(kinds) + 1)])
     # boundary vertices sorted by target rank; within a target group they are
     # interchangeable and their edge twists are individually gauge-trivial,
     # so one fixed order suffices
@@ -618,32 +640,17 @@ def _encoding_layout(
     order = tuple([eid for *_, eid in keyed])
     m = len(order)
     pairs = tuple(3 << (m - 2 - j) for j in range(m - 1) if keyed[j][:3] == keyed[j + 1][:3])
-    saddle_b = {v for v, r in rank_of.items() if r and kinds[r] is VertexKind.SADDLE_B}
     return EncodingLayout(
-        prefix=f"P1;s={s};K={tags};B={targets};E={edge_keys};",
+        prefix=f"P1;s={len(kinds)};K={tags};B={targets};E={edge_keys};",
         order=order,
         pairs=pairs,
-        gauge=gf2.rref(_gauge_vectors(rank_of, saddle_b, edges, order)),
-    )
-
-
-def _page_data(
-    vertices: Sequence[tuple[str, VertexKind, int]],
-    edges: Iterable[tuple[str, str, str, int]],
-) -> tuple[dict[int, VertexKind], dict[str, int], list[tuple[str, str, str]]]:
-    """(kind by critical rank, rank by vertex id, (id, low, high) by edge) of
-    the page with these (id, kind, rank) vertices and (id, low, high, twist)
-    edges: the plain data that :func:`_encoding_layout` reads."""
-    return (
-        {rank: kind for _, kind, rank in vertices if kind is not VertexKind.BOUNDARY},
-        {vid: rank for vid, _, rank in vertices},
-        [edge[:3] for edge in edges],
+        gauge=gf2.rref(_gauge_vectors(rank_of, view.saddle_b, edges, order)),
     )
 
 
 def _encode_page(graph: LabeledReebGraph) -> bytes:
-    """The body of :func:`canonical_page_encoding`, on a valid page."""
-    return _encoding_layout(*_page_data(*_plain(graph))).encode(graph.twist_labeling())
+    """The body of :func:`canonical_page_encoding`."""
+    return graph._view.layout.encode(graph.twist_labeling())
 
 
 def page_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:

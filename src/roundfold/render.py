@@ -19,7 +19,6 @@ from .pages import (
     VertexKind,
     page_orientable,
     regular_fiber_counts,
-    require_valid,
 )
 
 _R_STEP = 48  # px between consecutive critical circles
@@ -90,11 +89,11 @@ _DOT_SHAPES = {
 def render_reeb(graph: LabeledReebGraph, format: str = "svg") -> str:
     """Rank-layered drawing of the page graph; twist-1 edges dashed and each
     vertex kind drawn with its own glyph."""
-    require_valid(graph)
+    s = graph._view.s
     if format == "dot":
         return _reeb_dot(graph)
     if format == "svg":
-        return _reeb_svg(graph)
+        return _reeb_svg(graph, s)
     raise RoundFoldError(f"unsupported reeb format {format!r}")
 
 
@@ -116,8 +115,7 @@ def _reeb_dot(graph: LabeledReebGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reeb_svg(graph: LabeledReebGraph) -> str:
-    s = graph.s
+def _reeb_svg(graph: LabeledReebGraph, s: int) -> str:
     by_rank: dict[int, list[str]] = {}
     for v in graph.vertices:
         by_rank.setdefault(v.rank, []).append(v.id)

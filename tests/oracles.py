@@ -33,7 +33,6 @@ from roundfold import (
     surface_type,
     validate_page,
 )
-from roundfold.census import _graph_from_skeleton
 from roundfold.pages import gauge_generators
 
 # (down slots, up slots) per shape; merge/split are the two saddle_p options
@@ -283,11 +282,24 @@ def skeleton_connected(kinds: dict[int, VertexKind], edges: list[tuple[str, str]
     return seen == nodes
 
 
+def graph_from_skeleton(
+    kinds: dict[int, VertexKind], edges: list[tuple[str, str]], twists: dict[int, int]
+) -> LabeledReebGraph:
+    """The page of a generated skeleton: critical vertices v1..vs of the
+    given kinds, boundary vertices named as in ``edges``, and edge j named
+    ej with twist ``twists.get(j, 0)``."""
+    vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
+    vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
+    return LabeledReebGraph.of(
+        vertices, [(f"e{j}", low, high, twists.get(j, 0)) for j, (low, high) in enumerate(edges)]
+    )
+
+
 def valid_skeletons(s: int):
     """(kinds, edges) of every valid skeleton with exactly s critical
     vertices, filtered from the unpruned :func:`all_skeletons`."""
     for kinds, edges in all_skeletons(s):
-        if validate_page(_graph_from_skeleton(kinds, edges, {})).ok:
+        if validate_page(graph_from_skeleton(kinds, edges, {})).ok:
             yield kinds, edges
 
 

@@ -98,12 +98,14 @@ def test_criterion_4_directed_characterization():
     # family is characterized by admitting a directed witness and by the
     # realized-manifold sets coinciding.
     t0 = time.time()
-    from roundfold.pages import VertexKind, _degrees
+    from roundfold.pages import VertexKind, _degree_table
 
     directed_builds: set[str] = set()
     family_builds: set[str] = set()
     for g in rf.enumerate_pages(5):
-        deg = _degrees(g)
+        deg = _degree_table(
+            [(v.id, v.kind, v.rank) for v in g.vertices], [(e.id, e.low, e.high, e.twist) for e in g.edges]
+        )
         shape = all(
             v.kind in (VertexKind.BOUNDARY, VertexKind.MAX)
             or (v.kind is VertexKind.SADDLE_P and deg[v.id] == (2, 1))

@@ -1,0 +1,59 @@
+"""The public names of the package and of its page module, pinned so that a
+change which adds or drops one fails here first."""
+
+from __future__ import annotations
+
+import inspect
+
+import roundfold
+from roundfold import pages
+
+
+def public_names(module) -> list[str]:
+    """Names without a leading underscore that the module binds to objects
+    of this package: functions, classes and constants, not submodules and
+    not what it imports from elsewhere."""
+    return sorted(
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and not inspect.ismodule(obj)
+        and getattr(obj, "__module__", "roundfold").startswith("roundfold")
+    )
+
+
+def test_package_public_names():
+    assert public_names(roundfold) == [
+        "CensusRow", "CensusTable", "Direction", "Edge", "FreeGroup", "HandleSum",
+        "InvalidDescriptorError", "InvalidPageError", "LabeledReebGraph", "MAX_CLUTCHING",
+        "MAX_ENUMERATION_S", "ManifoldSpecError", "NonOrientableError", "ORACLE_S_LIMIT",
+        "OpenBookDescriptor", "OpenBookUnsupportedError", "OracleLimitError", "PageFormatError",
+        "RoundFoldDescriptor", "RoundFoldError", "Sphere", "SurfaceGroup", "SurfaceProduct",
+        "SurfaceType", "Trivial", "TwistClass", "TwistedS2S2", "ValidationReport", "Vertex",
+        "VertexKind", "Violation", "a_equivalent", "admits_directed", "admits_round_fold",
+        "annulus_page", "boundary_count", "brute_force_isomorphic", "build_total_space",
+        "canonical_form", "canonical_page_encoding", "census_jsonl", "census_table",
+        "census_text", "component_directions", "describe", "directed_page", "disk_page",
+        "enumerate_pages", "equivalent", "euler_characteristic", "euler_via_folds",
+        "fold_counts", "fundamental_group", "handle_page", "height_critical_counts",
+        "is_directed", "is_orientable_manifold", "is_sphere_page", "klein_page", "moebius_page",
+        "nonorientable_closed_page", "nonorientable_surface", "normalize", "open_book",
+        "orientable_closed_page", "orientable_surface", "page_euler", "page_isomorphic",
+        "page_orientable", "parse_manifold_spec", "parse_page", "r_equivalent_standard",
+        "regular_fiber_counts", "render_critical_values", "render_reeb", "serialize_page",
+        "sphere_page", "standard_page", "surface_type", "twist_class", "twist_equivalent",
+        "validate_descriptor", "validate_page",
+    ]
+
+
+def test_page_module_public_names():
+    assert public_names(pages) == [
+        "Edge", "EncodingLayout", "InvalidPageError", "LabeledReebGraph", "RoundFoldError",
+        "SurfaceType", "TwistClass", "ValidationReport", "Vertex", "VertexKind", "Violation",
+        "annulus_page", "boundary_count", "canonical_page_encoding", "directed_page",
+        "disk_page", "gauge_generators", "handle_page", "klein_page", "moebius_page",
+        "nonorientable_closed_page", "nonorientable_surface", "orientable_closed_page",
+        "orientable_surface", "page_euler", "page_isomorphic", "page_orientable",
+        "regular_fiber_counts", "require_valid", "sphere_page", "standard_page", "surface_type",
+        "twist_class", "twist_equivalent", "validate_page",
+    ]

@@ -8,11 +8,18 @@ import itertools
 import warnings
 
 import pytest
-from oracles import all_skeletons, all_valid_pages, census_rows, partition_by, skeleton_connected
+from oracles import (
+    all_skeletons,
+    all_valid_pages,
+    census_rows,
+    graph_from_skeleton,
+    partition_by,
+    skeleton_connected,
+)
 
 import roundfold as rf
 from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, gf2, pages
-from roundfold.census import _graph_from_skeleton, _skeletons, brute_force_isomorphic
+from roundfold.census import _skeletons, brute_force_isomorphic
 from roundfold.cli import main
 
 
@@ -78,21 +85,24 @@ def test_census_parts_merge_to_the_single_part_table(n, s_max, parts):
 
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_every_generated_skeleton_is_a_valid_page(s):
-    assert all(rf.validate_page(_graph_from_skeleton(kinds, edges, {})).ok for kinds, edges in _skeletons(s))
+    assert all(rf.validate_page(graph_from_skeleton(kinds, edges, {})).ok for kinds, edges in _skeletons(s))
 
 
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
     owner: dict[bytes, int] = {}
-    for i, (vertices, edges) in enumerate(census._valid_skeletons(s)):
-        skeleton = rf.LabeledReebGraph.of(vertices, edges)
+    for i, view in enumerate(census._valid_skeletons(s)):
+        skeleton = rf.LabeledReebGraph.of(
+            [(vid, view.kinds[r] if r else "boundary", r) for vid, r in view.rank_of.items()],
+            [(*edge, 0) for edge in view.edges],
+        )
         # the candidates are the labelings of the free coordinates of the
         # public gauge generators over e0..e{m-1}, in order
         m = len(skeleton.edges)
         ids = [f"e{j}" for j in range(m)]
         pivots = gf2.rref(pages.gauge_generators(skeleton, ids))
         free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
-        candidates = list(census._candidates(*pages._page_data(vertices, edges)))
+        candidates = list(census._candidates(view))
         assert [twists for twists, _ in candidates] == [
             dict(zip(free, picks)) for picks in itertools.product((0, 1), repeat=len(free))
         ]

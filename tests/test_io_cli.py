@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,41 @@ def test_parse_validate_flag():
     }
     g = rf.parse_page(json.dumps(doc), validate=False)
     assert not rf.validate_page(g).ok
+
+
+def test_parse_rejects_a_float_twist(tmp_path):
+    for twist in (0.0, 1.0):
+        doc = {
+            "vertices": [{"id": "v1", "kind": "min", "rank": 1}, {"id": "v2", "kind": "max", "rank": 2}],
+            "edges": [{"id": "e0", "low": "v1", "high": "v2", "twist": twist}],
+        }
+        with pytest.raises(rf.PageFormatError) as exc:
+            rf.parse_page(json.dumps(doc), validate=False)
+        assert exc.value.problems == ("$.edges[0].twist: must be 0 or 1",)
+        page = tmp_path / "page.json"
+        page.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(page)]) == 2
+
+
+def test_manifold_spec_counts_are_bounded(capsys):
+    # the witness page of admits has one vertex per count
+    specs = [
+        "handle_sum n=5 a={} b=0",
+        "handle_sum n=5 a=0 b={}",
+        "surface_product n=5 genus={}",
+        "surface_product n=5 crosscaps={}",
+    ]
+    for spec in specs:
+        rf.parse_manifold_spec(spec.format(10_000))
+        with pytest.raises(rf.ManifoldSpecError, match="at most 10000"):
+            rf.parse_manifold_spec(spec.format(10_001))
+    # the dimension is not a count
+    assert rf.parse_manifold_spec("sphere n=100000") == rf.Sphere(100_000)
+    t0 = time.perf_counter()
+    assert main(["admits", "--manifold", "handle_sum n=5 a=999999999 b=0"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "a must be at most 10000, got 999999999\n"
 
 
 def test_manifold_spec_errors():

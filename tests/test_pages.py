@@ -442,10 +442,12 @@ def test_standard_page_dispatch():
 def test_directed_shape_equivalence():
     # a page is all max/merge/boundary iff it has one max, s-1 merges,
     # s boundary circles, genus zero, orientable
-    from roundfold.pages import _degrees
+    from roundfold.pages import _degree_table
 
     for g in rf.enumerate_pages(5):
-        deg = _degrees(g)
+        deg = _degree_table(
+            [(v.id, v.kind, v.rank) for v in g.vertices], [(e.id, e.low, e.high, e.twist) for e in g.edges]
+        )
         shape = all(
             v.kind in (VertexKind.BOUNDARY, VertexKind.MAX)
             or (v.kind is VertexKind.SADDLE_P and deg[v.id] == (2, 1))

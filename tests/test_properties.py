@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import swap_sensitive, valid_skeletons
+from oracles import graph_from_skeleton, swap_sensitive, valid_skeletons
 
 import roundfold as rf
 from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind
-from roundfold.census import _graph_from_skeleton, brute_force_isomorphic
+from roundfold.census import brute_force_isomorphic
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -21,7 +21,7 @@ CENSUS_PAGES = list(rf.enumerate_pages(5))
 # skeletons where some pair swap changes the gauge class; a closed page's
 # pairs never do
 SWAP_SENSITIVE_SKELETONS = [
-    _graph_from_skeleton(kinds, edges, {})
+    graph_from_skeleton(kinds, edges, {})
     for s in range(1, 6)
     for kinds, edges in valid_skeletons(s)
     if swap_sensitive(kinds, edges)

@@ -1,18 +1,19 @@
-"""What each page caches: its validation report, canonical encoding and
-gauge pivots are computed once per page object, the census validates and
-lays out each skeleton once, and every public function gives the same
-errors."""
+"""What each page caches: its validation report, its validated view (with
+the gauge pivots), its canonical encoding and its surface type are computed
+once per page object; the census validates and lays out each skeleton once
+through the same view; and every public function gives the same errors on
+an invalid page."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import valid_skeletons
+from oracles import graph_from_skeleton, valid_skeletons
 
 import roundfold as rf
 from roundfold import gf2, pages
-from roundfold.census import _graph_from_skeleton, brute_force_isomorphic
+from roundfold.census import brute_force_isomorphic
 from roundfold.render import render_critical_values, render_reeb
 
 
@@ -109,7 +110,7 @@ def test_encoding_kept_on_the_page(monkeypatch):
 
 
 SKELETON_PAGES = [
-    _graph_from_skeleton(kinds, edges, {}) for s in range(1, 6) for kinds, edges in valid_skeletons(s)
+    graph_from_skeleton(kinds, edges, {}) for s in range(1, 6) for kinds, edges in valid_skeletons(s)
 ]
 
 
@@ -130,7 +131,7 @@ def test_twisted_copy_of_invalid_page_is_revalidated():
     copy = disconnected.with_twists({"e0": 1, "e1": 0})
     assert "disconnected" in {v.code for v in copy.report.violations}
     assert copy.report == rf.validate_page(copy)
-    for read in (lambda g: g.canonical_encoding, lambda g: g.gauge_pivots):
+    for read in (lambda g: g.canonical_encoding, lambda g: g._view):
         with pytest.raises(rf.InvalidPageError):
             read(copy)
 

@@ -10,6 +10,7 @@ import time
 import pytest
 from oracles import (
     burnside_stratum_count,
+    graph_from_skeleton,
     min_over_orderings_twist_block,
     swap_sensitive,
     valid_skeletons,
@@ -17,7 +18,6 @@ from oracles import (
 
 import roundfold as rf
 from roundfold import gf2
-from roundfold.census import _graph_from_skeleton
 
 
 def twist_block(graph: rf.LabeledReebGraph) -> str:
@@ -37,7 +37,7 @@ def assert_search_agrees(s: int, sensitive_only: bool) -> int:
         if sensitive_only and not swap_sensitive(kinds, edges):
             continue
         for twists in itertools.product((0, 1), repeat=len(edges)):
-            g = _graph_from_skeleton(kinds, edges, dict(enumerate(twists)))
+            g = graph_from_skeleton(kinds, edges, dict(enumerate(twists)))
             assert twist_block(g) == min_over_orderings_twist_block(g), g
             checked += 1
     return checked
