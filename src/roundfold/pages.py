@@ -391,25 +391,27 @@ class _PageView:
     @property
     def b(self) -> int:
         """Number of boundary circles."""
-        return len(self.rank_of) - len(self.kinds)
+        return len(self.rank_of) - self.s
 
     @cached_property
     def chi(self) -> int:
         """Euler characteristic, by fiberwise Morse counting."""
-        return sum(1 if kind in (VertexKind.MIN, VertexKind.MAX) else -1 for kind in self.kinds.values())
+        definite = (VertexKind.MIN, VertexKind.MAX)
+        return sum(1 if kind in definite else -1 for kind in self.kinds.values())
 
     @cached_property
     def saddle_b(self) -> frozenset[str]:
         """Ids of the saddle_b vertices."""
-        return frozenset(v for v, r in self.rank_of.items() if r and self.kinds[r] is VertexKind.SADDLE_B)
+        kinds, saddle_b = self.kinds, VertexKind.SADDLE_B
+        return frozenset(v for v, r in self.rank_of.items() if r and kinds[r] is saddle_b)
 
     @cached_property
     def fiber_counts(self) -> tuple[int, ...]:
         """Circle counts c_0..c_s of the regular fiber (see
         :func:`regular_fiber_counts`)."""
-        c = [0] * (len(self.kinds) + 1)
+        c, rank_of = [0] * (self.s + 1), self.rank_of
         for _, low, high in self.edges:
-            for r in range(self.rank_of[low], self.rank_of[high]):
+            for r in range(rank_of[low], rank_of[high]):
                 c[r] += 1
         return tuple(c)
 
@@ -622,7 +624,7 @@ class EncodingLayout:
 def _encoding_layout(view: _PageView) -> EncodingLayout:
     """The :class:`EncodingLayout` of the valid page with this view."""
     kinds, rank_of, edges = view.kinds, view.rank_of, view.edges
-    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, len(kinds) + 1)])
+    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, view.s + 1)])
     # boundary vertices sorted by target rank; within a target group they are
     # interchangeable and their edge twists are individually gauge-trivial,
     # so one fixed order suffices
@@ -641,7 +643,7 @@ def _encoding_layout(view: _PageView) -> EncodingLayout:
     m = len(order)
     pairs = tuple(3 << (m - 2 - j) for j in range(m - 1) if keyed[j][:3] == keyed[j + 1][:3])
     return EncodingLayout(
-        prefix=f"P1;s={len(kinds)};K={tags};B={targets};E={edge_keys};",
+        prefix=f"P1;s={view.s};K={tags};B={targets};E={edge_keys};",
         order=order,
         pairs=pairs,
         gauge=gf2.rref(_gauge_vectors(rank_of, view.saddle_b, edges, order)),
