@@ -1,19 +1,24 @@
 """Exhaustive enumeration of pages and round fold maps at desk scale.
 
-Pages are generated top-down by rank.  The rank-s vertex is a max; each lower
-rank consumes and opens dangling downward edge ends according to its kind
-(max opens one; a merge consumes one and opens two; a split consumes two and
-opens one; a min consumes one; a saddle_b consumes one and opens one), and the
-ends left after rank 1 close with boundary vertices.  The generator tracks the
-component of every dangling end and abandons a branch as soon as the shape can
-no longer be connected.  Each skeleton is validated as plain data, without
-building a page, and its encoding layout (the ``K``/``B``/``E`` blocks, the
-gauge span and the parallel pairs), fiber counts, χ and b are derived once.
-Its twist candidates, one per coset of the gauge span, then cost one ``T``
-block each, and its classes are their distinct encodings.  A class's row
-depends only on its encoding and on whether its candidate is twisted, so
-``census_table`` can split the generator of each stratum between the parts
-of a process pool and merge the rows by canonical form.
+Pages are generated top-down by rank, one kind sequence at a time.  A kind
+sequence gives the kind of each rank 1..s, and the walk that lists the
+sequences with a connected skeleton tracks only how many dangling ends and
+components hang above each rank.  For a fixed sequence the rank-s vertex is
+a max; each lower rank consumes and opens dangling downward edge ends
+according to its kind (max opens one; a merge consumes one and opens two; a
+split consumes two and opens one; a min consumes one; a saddle_b consumes
+one and opens one), and the ends left after rank 1 close with boundary
+vertices.  The generator tracks the component of every dangling end and
+abandons a branch as soon as the shape can no longer be connected.  Each
+skeleton is validated as plain data, without building a page, and its
+encoding layout (the ``K``/``B``/``E`` blocks, the gauge span and the
+parallel pairs), fiber counts, χ and b are derived once.  Its twist
+candidates, one per coset of the gauge span, then cost one ``T`` block each,
+and its classes are their distinct encodings.  A class's row depends only on
+its encoding and on whether its candidate is twisted.  The canonical forms
+of one stratum sort by kind sequence first, so ``census_table`` runs parts
+of adjacent sequences, in a process pool or in turn, and writes each part's
+sorted rows as soon as the parts before it are done.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from . import gf2, pages
 from .classify import _form_prefix
@@ -40,13 +47,15 @@ from .pages import (
 MAX_ENUMERATION_S = 7
 MAX_CLUTCHING = 1000
 ORACLE_S_LIMIT = 5
-# A pool process takes this many parts of each stratum, one task each.  A
-# task's rows come back to the parent as one message.  With one part per
-# process a message is about 6 MB at s = 7, and how much of it the parent's
-# heap keeps after freeing it depends on which part arrives first, so the
-# census's peak memory differs by several MB between runs.  Parts of a few
-# hundred kB keep it steady and let the processes even out their loads.
-PARTS_PER_PROCESS = 8
+# A census part is a run of kind sequences of one stratum, adjacent in
+# canonical order, with skeleton walks of this total size (see
+# ``_kind_sequences``) unless it is one sequence: about 50 ms of work, so a
+# part's rows, which come back as one message, are a few hundred kB.  A pool
+# holds this many tasks per process that the census has submitted and not
+# yet written, so a large part delays the parts after it without idling the
+# other processes, and finished rows never pile up.
+_PART_SIZE = 2000
+_TASKS_IN_FLIGHT_PER_PROCESS = 4
 
 
 @dataclass(frozen=True)
@@ -71,54 +80,102 @@ class CensusTable:
 # page enumeration
 # ---------------------------------------------------------------------------
 
-# (kind, ends consumed, ends opened); merge/split are saddle_p shapes
-_SHAPES = (
-    (VertexKind.MAX, 0, 1),
-    (VertexKind.MIN, 1, 0),
-    (VertexKind.SADDLE_B, 1, 1),
-    ("merge", 1, 2),
-    ("split", 2, 1),
-)
+# (ends consumed, ends opened) of each way a vertex of a kind takes the
+# dangling ends below it; a saddle_p is a merge or a split
+_SHAPES = {
+    VertexKind.MAX: ((0, 1),),
+    VertexKind.MIN: ((1, 0),),
+    VertexKind.SADDLE_B: ((1, 1),),
+    VertexKind.SADDLE_P: ((1, 2), (2, 1)),
+}
 
 
-def _skeletons(s: int, part: int = 0, parts: int = 1):
-    """Yield (kinds by rank, edges) for every connected degree-correct shape
-    with exactly s critical vertices; edges are (low, high) vertex-name pairs
-    and boundary vertices are named b0, b1, ...  Twists are not assigned.
+def _moves(kind: VertexKind, rank: int, d: int, c: int) -> list[tuple[int, int, int]]:
+    """The (open ends, components) a vertex of this kind at this rank may
+    leave behind it when ``d`` open ends of ``c`` components hang above it,
+    each with the number of ends, or pairs of ends, it may take that way.
+    Every component has an open end, so ``d > c`` iff some component has two;
+    a min may close the last end of a component only if it is the last end
+    of all, at rank 1."""
+    if kind is VertexKind.MAX:
+        return [(d + 1, c + 1, 1)]
+    if kind is VertexKind.SADDLE_B:
+        return [(d, c, d)]
+    if kind is VertexKind.MIN:
+        return [(d - 1, c, d)] if d > c else [(0, 0, 1)] if rank == 1 and d == 1 else []
+    # a merge, or a split joining two components or closing a loop in one
+    pairs = d * (d - 1) // 2
+    return [(d + 1, c, d)] + [(d - 1, c - 1, pairs)] * (c >= 2) + [(d - 1, c, pairs)] * (d > c)
+
+
+def _kind_sequences(s: int) -> list[tuple[dict[int, VertexKind], int]]:
+    """The kinds by rank, from rank s down to 1, of every sequence that has a
+    connected skeleton with s critical vertices, in the order of their ``K``
+    texts, each with the size of its skeleton walk.  Only how many ends and
+    components hang above a rank decides which kinds it can take, so the
+    walk tracks those pairs, each with its number of ways to be reached.
+    The size is the number of ways to reach a connected end, with the ends
+    of one vertex counted apart, so it is at least the number of skeletons
+    of the sequence, and it follows the time of their walk."""
+    found: list[tuple[dict[int, VertexKind], int]] = []
+
+    def rec(rank: int, ways: dict[tuple[int, int], int], kinds: dict[int, VertexKind]) -> None:
+        if rank == 0:
+            size = sum(n for (_, c), n in ways.items() if c <= 1)
+            if size:
+                found.append((kinds, size))
+            return
+        for kind in _SHAPES:
+            after: dict[tuple[int, int], int] = {}
+            for (d, c), n in ways.items():
+                for d_after, c_after, choices in _moves(kind, rank, d, c):
+                    after[d_after, c_after] = after.get((d_after, c_after), 0) + n * choices
+            if after:
+                rec(rank - 1, after, {**kinds, rank: kind})
+
+    rec(s - 1, {(1, 1): 1}, {s: VertexKind.MAX})
+    found.sort(key=lambda sequence: [pages._KIND_TAG[sequence[0][r]] for r in range(1, s + 1)])
+    return found
+
+
+def _parts(s: int) -> list[list[dict[int, VertexKind]]]:
+    """The kind sequences of stratum s in runs of adjacent sequences whose
+    walks have a total size of at most _PART_SIZE, or of one sequence."""
+    parts: list[list[dict[int, VertexKind]]] = [[]]
+    size = 0
+    for kinds, n in _kind_sequences(s):
+        if parts[-1] and size + n > _PART_SIZE:
+            parts.append([])
+            size = 0
+        parts[-1].append(kinds)
+        size += n
+    return parts
+
+
+def _skeletons(s: int, kinds: dict[int, VertexKind]):
+    """Yield (kinds, edges) for every connected degree-correct shape with
+    these kinds of ranks s..1, ``kinds`` itself each time; edges are (low,
+    high) vertex-name pairs and boundary vertices are named b0, b1, ...
+    Twists are not assigned.  The order is that of a walk over every kind
+    sequence with the kinds of each rank taken in ``_SHAPES`` order, less
+    the skeletons of other sequences.
 
     Each dangling end carries the label of its component (``comp`` maps the
     vertex an end hangs from to that label).  Only a split joins components,
     and it consumes two open ends, so a component whose last open end a min
     closes can never be joined again: the branch is dead unless nothing else
     is left to place.  At rank 0 the open ends must carry at most one label;
-    a closed page has none.
+    a closed page has none."""
 
-    The subtrees of the recursion that start at rank min(2, s - 1) are dealt
-    round-robin into ``parts`` parts, and only those of part ``part`` are
-    walked.  So the parts partition the skeletons, each part keeps the
-    generator order, and ``parts`` = 1 yields them all."""
-    split = min(2, s - 1)
-    dealt = itertools.count()
-
-    def rec(
-        rank: int,
-        dangling: tuple[str, ...],
-        comp: dict[str, str],
-        kinds: dict[int, VertexKind],
-        edges: list[tuple[str, str]],
-    ):
-        if rank == split and next(dealt) % parts != part:
-            return
+    def rec(rank: int, dangling: tuple[str, ...], comp: dict[str, str], edges: list[tuple[str, str]]):
         if rank == 0:
             if len({comp[h] for h in dangling}) <= 1:
-                yield dict(kinds), edges + [(f"b{i}", high) for i, high in enumerate(dangling)]
+                yield kinds, edges + [(f"b{i}", high) for i, high in enumerate(dangling)]
             return
         me = f"v{rank}"
-        for shape, consume, open_ in _SHAPES:
-            kind = VertexKind.SADDLE_P if shape in ("merge", "split") else shape
-            kinds[rank] = kind
+        for consume, open_ in _SHAPES[kinds[rank]]:
             if consume == 0:
-                yield from rec(rank - 1, dangling + (me,) * open_, {**comp, me: me}, kinds, edges)
+                yield from rec(rank - 1, dangling + (me,) * open_, {**comp, me: me}, edges)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
@@ -127,7 +184,7 @@ def _skeletons(s: int, part: int = 0, parts: int = 1):
                     if not open_ and (rank > 1 or rest) and all(comp[h] != label for h in rest):
                         continue
                     edges.append((me, high))
-                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, {**comp, me: label}, kinds, edges)
+                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, {**comp, me: label}, edges)
                     edges.pop()
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
@@ -141,20 +198,19 @@ def _skeletons(s: int, part: int = 0, parts: int = 1):
                     joined = {v: keep if label == gone else label for v, label in comp.items()}
                     joined[me] = keep
                     edges += [(me, h1), (me, h2)]
-                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, joined, kinds, edges)
+                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, joined, edges)
                     del edges[-2:]
-            del kinds[rank]
 
-    yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, {s: VertexKind.MAX}, [])
+    yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, [])
 
 
-def _valid_skeletons(s: int, part: int = 0, parts: int = 1):
+def _valid_skeletons(s: int, kinds: dict[int, VertexKind]):
     """Yield the :class:`pages._PageView` of each valid skeleton of
-    ``_skeletons(s, part, parts)``, with vertices v1..vs by rank, boundary
+    ``_skeletons(s, kinds)``, with vertices v1..vs by rank, boundary
     vertices b0, b1, ... and edges e0, e1, ... in generator order.  Each is
     validated once, by the checks of :func:`pages.validate_page` run on its
     plain data; no page is built."""
-    for kinds, edges in _skeletons(s, part, parts):
+    for kinds, edges in _skeletons(s, kinds):
         vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
         vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
         es = [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(edges)]
@@ -181,21 +237,25 @@ def _candidates(view: pages._PageView):
 
 
 def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
+    # the encodings of one kind sequence share their text up to the ``K``
+    # block, and every ``K`` text of a stratum has the same length, so
+    # sorting each sequence's classes sorts the stratum
     for s in range(1, s_max + 1):
-        found: dict[bytes, tuple[pages._PageView, dict[str, int]]] = {}
-        for view in _valid_skeletons(s):
-            for twists, enc in _candidates(view):
-                found.setdefault(enc, (view, twists))
-        for enc in sorted(found):
-            view, twists = found[enc]
-            g = LabeledReebGraph.of(
-                [(vid, view.kinds.get(r, VertexKind.BOUNDARY), r) for vid, r in view.rank_of.items()],
-                [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi in view.edges],
-            )
-            # its skeleton is valid, and 0/1 twists never affect validity
-            object.__setattr__(g, "report", pages._VALID)
-            if (allow_nonorientable or page_orientable(g)) and (allow_closed or g.boundary_vertices()):
-                yield g
+        for kinds, _ in _kind_sequences(s):
+            found: dict[bytes, tuple[pages._PageView, dict[str, int]]] = {}
+            for view in _valid_skeletons(s, kinds):
+                for twists, enc in _candidates(view):
+                    found.setdefault(enc, (view, twists))
+            for enc in sorted(found):
+                view, twists = found[enc]
+                g = LabeledReebGraph.of(
+                    [(vid, view.kinds.get(r, VertexKind.BOUNDARY), r) for vid, r in view.rank_of.items()],
+                    [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi in view.edges],
+                )
+                # its skeleton is valid, and 0/1 twists never affect validity
+                object.__setattr__(g, "report", pages._VALID)
+                if (allow_nonorientable or page_orientable(g)) and (allow_closed or g.boundary_vertices()):
+                    yield g
 
 
 def enumerate_pages(
@@ -240,20 +300,29 @@ def _shape(view: pages._PageView) -> str:
 
 
 def _census_part(
-    n: int, s: int, k_max: int, part: int, parts: int, finish: Callable | None = None
-) -> list[tuple[bytes, object]]:
-    """One census work unit: a (canonical form, row) pair for each twist
-    candidate of the valid skeletons that ``_skeletons(s, part, parts)``
-    yields; the candidates of one class give equal pairs.  With a
-    module-level ``finish``, each row is replaced by ``finish(row, text)``,
-    where ``text`` is the :func:`manifolds.describe` of its manifold, computed
-    once per manifold object.  It returns no pages, and rows with the same
-    surface and clutching share their objects, so a worker process sends
-    back only small objects."""
-    out: list[tuple[bytes, object]] = []
-    spaces: dict[tuple[int, int, bool, int], tuple[str, ManifoldDescriptor, str, bytes]] = {}
-    for view in _valid_skeletons(s, part, parts):
-        kinds, fibers = _shape(view), ",".join(map(str, view.fiber_counts))
+    n: int,
+    s: int,
+    k_max: int,
+    sequences: list[dict[int, VertexKind]],
+    finish: Callable | None = None,
+    spaces: dict | None = None,
+) -> tuple[list, list[tuple[bytes, object]]]:
+    """One census work unit: the rows of the classes of the valid skeletons
+    of these kind sequences of stratum s, as (rows with clutching 0, sorted
+    by canonical form; (canonical form, row) pairs of the others, unsorted).
+    No class is met in two skeletons, so the parts of a census share no
+    class.  With a module-level ``finish``, each row is replaced by
+    ``finish(row, text)``, where ``text`` is the :func:`manifolds.describe`
+    of its manifold, computed once per manifold object.  It returns no pages,
+    and rows with the same surface and clutching share their objects, so a
+    worker process sends back only small objects.  ``spaces`` keeps the
+    manifolds of (χ, b, orientable, clutching) for the stratum's parts that
+    share it."""
+    found: tuple[dict[bytes, object], dict[bytes, object]] = ({}, {})
+    if spaces is None:
+        spaces = {}
+    for view in (view for kinds in sequences for view in _valid_skeletons(s, kinds)):
+        shape, fibers = _shape(view), ",".join(map(str, view.fiber_counts))
         chi, b = view.chi, view.b
         # is_directed: every critical sphere is inward-directed
         inward = all(view.inward)
@@ -270,10 +339,13 @@ def _census_part(
                     manifold = _total_space(n, surface, k)
                     spaces[key] = (surface.describe(), manifold, describe(manifold), _form_prefix(n, k))
                 text, manifold, name, prefix = spaces[key]
-                summary = f"{kinds}; {text}; c=[{fibers}]"
-                row = CensusRow(prefix + enc, s, k, summary, manifold, orientable and inward)
-                out.append((row.canonical, row if finish is None else finish(row, name)))
-    return out
+                rows = found[k > 0]
+                canonical = prefix + enc
+                if canonical not in rows:
+                    row = CensusRow(canonical, s, k, f"{shape}; {text}; c=[{fibers}]", manifold, orientable and inward)
+                    rows[canonical] = row if finish is None else finish(row, name)
+    rows, later = found
+    return [rows[c] for c in sorted(rows)], list(later.items())
 
 
 def usable_cpus() -> int:
@@ -283,11 +355,14 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_census(n: int, s_max: int, k_max: int, workers: int, finish: Callable | None = None) -> list:
+def _run_census(
+    n: int, s_max: int, k_max: int, workers: int, finish: Callable | None = None
+) -> Iterator:
     """The rows of :func:`census_table`, in its order, each passed through
-    ``finish`` as :func:`_census_part` describes.  ``census --format``
-    passes the formatter of its output lines, so the parts return finished
-    lines."""
+    ``finish`` as :func:`_census_part` describes, as an iterator that yields
+    each part's rows as soon as the parts before it are done.  ``census
+    --format`` passes the formatter of its output lines, so the parts return
+    finished lines.  The arguments are checked before this returns."""
     if n < 4:
         raise RoundFoldError(f"census dimension must be >= 4, got {n}")
     if not 0 <= k_max <= MAX_CLUTCHING:
@@ -295,24 +370,47 @@ def _run_census(n: int, s_max: int, k_max: int, workers: int, finish: Callable |
     _check_s_max(s_max)
     if workers < 1:
         raise RoundFoldError(f"workers must be >= 1, got {workers}")
-    processes = min(workers, usable_cpus())
-    parts = 1 if processes == 1 else processes * PARTS_PER_PROCESS
-    tasks = [(n, s, k_max, part, parts, finish) for s in range(s_max, 0, -1) for part in range(parts)]
-    if parts == 1:
-        results = [_census_part(*task) for task in tasks]
-    else:
-        # imported here so that importing roundfold loads no pool machinery;
-        # there are more tasks than processes, so the pool has `processes`
-        # processes
-        from concurrent.futures import ProcessPoolExecutor
+    # a canonical form reads RF1;n=;k=;P1;s=;K=... and every K text of a
+    # stratum has the same length, so with one-digit s the rows with
+    # clutching 0 sort by s, then by kind sequence: a part of adjacent
+    # sequences is one slice of them
+    tasks = [(n, s, k_max, part, finish) for s in range(1, s_max + 1) for part in _parts(s)]
+    return _stream(tasks, min(workers, usable_cpus()))
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [pool.submit(_census_part, *task) for task in tasks]
-            results = [f.result() for f in futures]
-    merged: dict[bytes, object] = {}
-    for result in results:
-        merged.update(result)
-    return [merged[k] for k in sorted(merged)]
+
+def _stream(tasks: list[tuple], processes: int) -> Iterator:
+    # rows with clutching k >= 1 (n = 4 sphere pages only) sort after every
+    # row with k = 0, so they are held back until the end
+    later: list[tuple[bytes, object]] = []
+    for rows, held in _results(tasks, processes):
+        yield from rows
+        later += held
+    later.sort(key=itemgetter(0))
+    yield from (row for _, row in later)
+
+
+def _results(tasks: list[tuple], processes: int) -> Iterator:
+    """The :func:`_census_part` results of these tasks, in order, each
+    computed when its turn nears: in this process, or in a pool of this many
+    processes with at most _TASKS_IN_FLIGHT_PER_PROCESS tasks per process
+    submitted and not yet taken, so a large part delays its successors'
+    results but never lets them pile up."""
+    if processes == 1:
+        # the parts of one stratum share their manifolds
+        spaces: dict[int, dict] = {}
+        yield from (_census_part(*task, spaces.setdefault(task[1], {})) for task in tasks)
+        return
+    # imported here so that importing roundfold loads no pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        pending: deque = deque()
+        for task in tasks:
+            pending.append(pool.submit(_census_part, *task))
+            if len(pending) == processes * _TASKS_IN_FLIGHT_PER_PROCESS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> CensusTable:
@@ -320,12 +418,12 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
     s <= s_max; at n = 4 the sphere page splits into clutching classes
     |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding.
 
-    With ``workers`` W > 1 a process pool of P = min(W, usable CPUs)
-    processes runs the census, and the skeleton generator of each stratum is
-    split into P * PARTS_PER_PROCESS parts, one task each; the largest
-    stratum is submitted first.  Every row field is an invariant of
-    its class, so rows are merged by canonical form alone and the output is
-    the same bytes for every W.  W = 1 runs the same work unit in this
+    The census runs in parts, each a run of adjacent kind sequences of one
+    stratum, in canonical order.  A part sorts its own rows, and no
+    class spans two parts, so the rows are the parts' rows in order, with the
+    n = 4 rows with clutching k >= 1 moved to the end.  With ``workers`` W > 1
+    a process pool of P = min(W, usable CPUs) processes runs the parts; the
+    output is the same for every W.  W = 1 runs the same parts in this
     process and starts no process.
     """
     return CensusTable(n, s_max, k_max, tuple(_run_census(n, s_max, k_max, workers)))

@@ -99,12 +99,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     workers = usable_cpus() if args.workers is None else args.workers
-    # the census parts format their own lines
+    # the census parts format their own lines, and JSONL lines are written as
+    # the parts finish; the table header counts the lines first
     if args.format == "jsonl":
         lines = _run_census(args.n, args.s_max, args.k_max, workers, jsonio._jsonl_row)
         sys.stdout.writelines(jsonio._jsonl_document(lines))
     else:
-        bodies = _run_census(args.n, args.s_max, args.k_max, workers, jsonio._text_row)
+        bodies = list(_run_census(args.n, args.s_max, args.k_max, workers, jsonio._text_row))
         sys.stdout.writelines(jsonio._text_document(args.n, args.s_max, args.k_max, bodies))
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .census import CensusRow, CensusTable
 from .errors import ManifoldSpecError, PageFormatError
@@ -37,7 +37,7 @@ from .pages import (
     orientable_surface,
 )
 
-_KINDS = {k.value for k in VertexKind}
+_KINDS = {k.value: k for k in VertexKind}
 
 
 def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
@@ -84,7 +84,7 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
         if extra:
             problems.append(f"{path}: unexpected keys {sorted(extra)}")
         if not problems:
-            vertices.append(Vertex(vid, VertexKind(kind), rank))
+            vertices.append(Vertex(vid, _KINDS[kind], rank))
 
     edges: list[Edge] = []
     for i, item in enumerate(data["edges"]):
@@ -216,9 +216,10 @@ def _jsonl_row(row: CensusRow, manifold: str) -> str:
     )
 
 
-def _jsonl_document(lines: list[str]) -> Iterator[str]:
+def _jsonl_document(lines: Iterable[str]) -> Iterator[str]:
     """The lines of the JSONL document, each with its newline; the CLI writes
-    them one by one, so the document is never one string."""
+    them one by one as the census yields them, so the document is never one
+    string."""
     return (f"{line}\n" for line in lines)
 
 

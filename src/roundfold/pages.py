@@ -293,7 +293,7 @@ def _validate_page_data(
         for end in (low, high):
             if end not in rank_of:
                 bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {end}", (eid, end)))
-        if twist not in (0, 1):
+        if type(twist) is not int or twist not in (0, 1):
             bad.append(Violation("bad_twist", f"edge {eid} twist must be 0 or 1", (eid,)))
     if bad:
         return ValidationReport(tuple(bad))
@@ -372,68 +372,65 @@ def require_valid(graph: LabeledReebGraph) -> None:
         raise InvalidPageError(graph.report)
 
 
-@dataclass(frozen=True)
 class _PageView:
     """A valid page without its twists: the kind of its critical vertex of
     each rank 1..s, the rank of every vertex and the (id, low, high) of every
-    edge, in the page's edge order.  Each invariant that does not depend on
-    the twists is computed on first use and kept; a page reads it through
-    ``LabeledReebGraph._view``, and the census builds one per skeleton."""
+    edge, in the page's edge order.  The invariants that do not depend on the
+    twists are computed when the view is built, except the encoding layout
+    and the gauge echelon form, which are computed on first use and kept; a
+    page reads it through ``LabeledReebGraph._view``, and the census builds
+    one per skeleton.  Nothing changes a view once it is built.
 
-    kinds: dict[int, VertexKind]
-    rank_of: dict[str, int]
-    edges: tuple[tuple[str, str, str], ...]
+    ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
+    by fiberwise Morse counting, ``saddle_b`` the ids of the saddle_b
+    vertices, and ``fiber_counts`` the circle counts c_0..c_s of the regular
+    fiber (see :func:`regular_fiber_counts`): c_r counts the edges with
+    low rank <= r < high rank.  ``inward`` tells, for each rank 1..s, whether
+    the regular fiber has more circles just below it than just above:
+    c_(r-1) - c_r is the number of edges arriving from below less those
+    leaving upward, so a saddle_p there is a merge, and the critical sphere
+    of rank r is inward-directed."""
+
+    __slots__ = (
+        "kinds", "rank_of", "edges", "s", "b", "chi", "saddle_b", "fiber_counts", "inward", "_layout", "_pivots"
+    )
+
+    def __init__(
+        self, kinds: dict[int, VertexKind], rank_of: dict[str, int], edges: tuple[tuple[str, str, str], ...]
+    ):
+        self.kinds, self.rank_of, self.edges = kinds, rank_of, edges
+        s = self.s = len(kinds)
+        self.b = len(rank_of) - s
+        kind_list = list(kinds.values())
+        self.chi = 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - s
+        saddle_b = VertexKind.SADDLE_B
+        self.saddle_b = frozenset(
+            [v for v, r in rank_of.items() if r and kinds[r] is saddle_b] if saddle_b in kind_list else ()
+        )
+        # +1 where an edge starts, -1 where it ends; the running sums are c
+        step = [0] * (s + 1)
+        for _, low, high in edges:
+            step[rank_of[low]] += 1
+            step[rank_of[high]] -= 1
+        c = self.fiber_counts = tuple(itertools.accumulate(step))
+        self.inward = tuple([c[r - 1] > c[r] for r in range(1, s + 1)])
+        self._layout: EncodingLayout | None = None
+        self._pivots: dict[int, int] | None = None
 
     @property
-    def s(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def b(self) -> int:
-        """Number of boundary circles."""
-        return len(self.rank_of) - self.s
-
-    @cached_property
-    def chi(self) -> int:
-        """Euler characteristic, by fiberwise Morse counting."""
-        definite = (VertexKind.MIN, VertexKind.MAX)
-        return sum(1 if kind in definite else -1 for kind in self.kinds.values())
-
-    @cached_property
-    def saddle_b(self) -> frozenset[str]:
-        """Ids of the saddle_b vertices."""
-        kinds, saddle_b = self.kinds, VertexKind.SADDLE_B
-        return frozenset(v for v, r in self.rank_of.items() if r and kinds[r] is saddle_b)
-
-    @cached_property
-    def fiber_counts(self) -> tuple[int, ...]:
-        """Circle counts c_0..c_s of the regular fiber (see
-        :func:`regular_fiber_counts`)."""
-        c, rank_of = [0] * (self.s + 1), self.rank_of
-        for _, low, high in self.edges:
-            for r in range(rank_of[low], rank_of[high]):
-                c[r] += 1
-        return tuple(c)
-
-    @cached_property
-    def inward(self) -> tuple[bool, ...]:
-        """For each rank 1..s, whether the regular fiber has more circles
-        just below it than just above: c_(r-1) - c_r is the number of edges
-        arriving from below less those leaving upward, so a saddle_p there
-        is a merge, and the critical sphere of rank r is inward-directed."""
-        c = self.fiber_counts
-        return tuple([c[r - 1] > c[r] for r in range(1, len(c))])
-
-    @cached_property
     def layout(self) -> EncodingLayout:
-        return _encoding_layout(self)
+        if self._layout is None:
+            self._layout = _encoding_layout(self)
+        return self._layout
 
-    @cached_property
+    @property
     def gauge_pivots(self) -> dict[int, int]:
         """Echelon form of the gauge span with the edges in this view's
         order (see :func:`gauge_generators`)."""
-        order = [eid for eid, _, _ in self.edges]
-        return gf2.rref(_gauge_vectors(self.rank_of, self.saddle_b, self.edges, order))
+        if self._pivots is None:
+            order = [eid for eid, _, _ in self.edges]
+            self._pivots = gf2.rref(_gauge_vectors(self.rank_of, self.saddle_b, self.edges, order))
+        return self._pivots
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +475,7 @@ def _gauge_vectors(
         x = 1 << bit[eid]
         incident[low] |= x
         incident[high] |= x
-        if low in saddle_b or high in saddle_b:
+        if saddle_b and (low in saddle_b or high in saddle_b):
             units.append(x)
     return [*incident.values(), *units]
 
@@ -628,20 +625,18 @@ def _encoding_layout(view: _PageView) -> EncodingLayout:
     # boundary vertices sorted by target rank; within a target group they are
     # interchangeable and their edge twists are individually gauge-trivial,
     # so one fixed order suffices
-    bd_sorted = sorted((rank_of[high], low) for _, low, high in edges if not rank_of[low])
+    bd_sorted = sorted([(rank_of[high], low) for _, low, high in edges if not rank_of[low]])
     bd_index = {low: i for i, (_, low) in enumerate(bd_sorted)}
     targets = ",".join([str(target) for target, _ in bd_sorted])
     # edges sorted by (low key, high rank); the two edges of a parallel
     # pair have equal keys and end up adjacent
-    keyed = sorted(
-        (rank_of[low], bd_index.get(low, -1), rank_of[high], eid) for eid, low, high in edges
-    )
+    keyed = sorted([(rank_of[low], bd_index.get(low, -1), rank_of[high], eid) for eid, low, high in edges])
     edge_keys = ",".join(
         [f"b{i}>{high_r}" if i >= 0 else f"{low_r}>{high_r}" for low_r, i, high_r, _ in keyed]
     )
     order = tuple([eid for *_, eid in keyed])
     m = len(order)
-    pairs = tuple(3 << (m - 2 - j) for j in range(m - 1) if keyed[j][:3] == keyed[j + 1][:3])
+    pairs = tuple([3 << (m - 2 - j) for j in range(m - 1) if keyed[j][:3] == keyed[j + 1][:3]])
     return EncodingLayout(
         prefix=f"P1;s={view.s};K={tags};B={targets};E={edge_keys};",
         order=order,

@@ -227,10 +227,11 @@ def burnside_class_count(kinds: dict[int, VertexKind], edges: list[tuple[str, st
 
 def all_skeletons(s: int) -> list[tuple[dict[int, VertexKind], list[tuple[str, str]]]]:
     """(kinds by rank, edges) of every degree-correct shape with exactly s
-    critical vertices, connected or not, in the census generator's order:
-    the rank-s vertex is a max and each lower rank tries max, min, saddle_b,
-    merge and split against the dangling ends above it; the ends left after
-    rank 1 close with boundary vertices b0, b1, ...  Nothing is pruned."""
+    critical vertices, connected or not: the rank-s vertex is a max and each
+    lower rank tries max, min, saddle_b, merge and split against the dangling
+    ends above it; the ends left after rank 1 close with boundary vertices
+    b0, b1, ...  Nothing is pruned.  Within one kind sequence this is the
+    census generator's order."""
     results: list[tuple[dict[int, VertexKind], list[tuple[str, str]]]] = []
     shapes = (
         (VertexKind.MAX, 0, 1),

@@ -19,7 +19,7 @@ from oracles import (
 
 import roundfold as rf
 from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, gf2, pages
-from roundfold.census import _skeletons, brute_force_isomorphic
+from roundfold.census import _kind_sequences, _skeletons, brute_force_isomorphic
 from roundfold.cli import main
 
 
@@ -45,53 +45,116 @@ def up_to_7(values):
 # connected skeletons per stratum; all_skeletons also yields the disconnected
 # ones (1, 4, 18, 115, 904, 8634, 97156)
 SKELETON_COUNTS = {1: 1, 2: 3, 3: 8, 4: 37, 5: 233, 6: 1920, 7: 19630}
+# kind sequences of those skeletons
+SEQUENCE_COUNTS = {1: 1, 2: 3, 3: 7, 4: 21, 5: 66, 6: 218, 7: 738}
+
+
+def k_text(kinds):
+    """The ``K`` block of the canonical encoding of a page with these kinds."""
+    return ",".join(pages._KIND_TAG[kinds[r]] for r in range(1, len(kinds) + 1))
+
+
+def connected_skeletons(s):
+    return [sk for sk in all_skeletons(s) if skeleton_connected(*sk)]
+
+
+def sequences(s):
+    return [kinds for kinds, _ in _kind_sequences(s)]
+
+
+def generated_skeletons(s):
+    return [sk for kinds in sequences(s) for sk in _skeletons(s, kinds)]
 
 
 @pytest.mark.parametrize("s", up_to_7(SKELETON_COUNTS))
 def test_pruned_generator_yields_exactly_the_connected_shapes(s):
-    # the closed sphere skeleton (min under max, no open end) is among them
-    connected = [sk for sk in all_skeletons(s) if skeleton_connected(*sk)]
+    # the closed sphere skeleton (min under max, no open end) is among them;
+    # the stable sort keeps the unpruned generator's order within a sequence
+    connected = connected_skeletons(s)
     assert len(connected) == SKELETON_COUNTS[s]
-    assert list(_skeletons(s)) == connected
+    assert generated_skeletons(s) == sorted(connected, key=lambda sk: k_text(sk[0]))
+
+
+@pytest.mark.parametrize("s", up_to_7(SEQUENCE_COUNTS))
+def test_kind_sequences_are_the_realized_ones_in_k_order(s):
+    listed = sequences(s)
+    texts = [k_text(kinds) for kinds in listed]
+    assert len(listed) == SEQUENCE_COUNTS[s]
+    # strictly increasing, so each sequence is listed once
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    assert set(texts) == {k_text(kinds) for kinds, _ in connected_skeletons(s)}
+    # ranks from s down to 1, the order in which skeleton vertices are listed
+    assert all(list(kinds) == list(range(s, 0, -1)) for kinds in listed)
 
 
 @pytest.mark.parametrize("s", range(1, 7))
 def test_generator_parts_partition_the_skeletons_in_order(s):
-    everything = list(_skeletons(s))
-    index = {(tuple(kinds.items()), tuple(edges)): i for i, (kinds, edges) in enumerate(everything)}
-    assert len(index) == len(everything)
-    # 1..4, and the part count of a two-process pool
-    for parts in (*range(1, 5), 2 * census.PARTS_PER_PROCESS):
-        positions = [
-            [index[tuple(kinds.items()), tuple(edges)] for kinds, edges in _skeletons(s, part, parts)]
-            for part in range(parts)
-        ]
-        # each part keeps generator order, and together the parts hold every
-        # skeleton exactly once
-        assert all(p == sorted(p) for p in positions)
-        assert sorted(i for p in positions for i in p) == list(range(len(everything)))
+    # the parts are the kind sequences: each yields the connected skeletons
+    # of its sequence in the unpruned generator's order, and together they
+    # hold every connected skeleton exactly once; a sequence's walk size is
+    # at least its number of skeletons
+    connected = connected_skeletons(s)
+    parts = [(list(_skeletons(s, kinds)), size) for kinds, size in _kind_sequences(s)]
+    for kinds, (part, size) in zip(sequences(s), parts):
+        assert part == [sk for sk in connected if sk[0] == kinds]
+        assert len(part) <= size
+    assert sum(len(part) for part, _ in parts) == len(connected)
 
 
-@pytest.mark.parametrize("parts", [3, 4, 2 * census.PARTS_PER_PROCESS])
+@pytest.mark.parametrize("parts", [1, 3, 4, 16])
 @pytest.mark.parametrize("n, s_max", [(5, 6), (4, 5)])
 def test_census_parts_merge_to_the_single_part_table(n, s_max, parts):
-    # in this process, so part counts that no pool here would use are covered
-    merged = {}
+    # in this process, with parts of this many adjacent sequences; 16 holds
+    # whole strata up to s = 3
+    rows, later = [], []
     for s in range(1, s_max + 1):
-        for part in range(parts):
-            merged.update(census._census_part(n, s, 3, part, parts))
-    assert tuple(merged[k] for k in sorted(merged)) == rf.census_table(n, s_max, k_max=3).rows
+        listed = sequences(s)
+        for i in range(0, len(listed), parts):
+            part_rows, held = census._census_part(n, s, 3, listed[i : i + parts])
+            assert [row.canonical for row in part_rows] == sorted(row.canonical for row in part_rows)
+            assert all(row.clutching == 0 for row in part_rows)
+            assert all(row.clutching > 0 and key == row.canonical for key, row in held)
+            rows += part_rows
+            later += held
+    # the parts' rows in order are sorted, and the clutched rows go last
+    assert [row.canonical for row in rows] == sorted(row.canonical for row in rows)
+    later.sort(key=lambda pair: pair[0])
+    assert tuple(rows + [row for _, row in later]) == rf.census_table(n, s_max, k_max=3).rows
+
+
+def test_census_yields_rows_before_starting_later_parts(monkeypatch):
+    expected = rf.census_table(5, 6).rows
+    walked = []
+    skeletons = census._skeletons
+    monkeypatch.setattr(census, "_skeletons", lambda s, kinds: walked.append(s) or skeletons(s, kinds))
+    rows = census._run_census(5, 6, 3, 1)
+    assert walked == []
+    assert next(rows) == expected[0]
+    assert 6 not in walked
+    assert (expected[0], *rows) == expected
+    assert walked.count(6) == SEQUENCE_COUNTS[6]
+
+
+def test_clutched_rows_follow_every_unclutched_row():
+    rows = rf.census_table(4, 5, k_max=3).rows
+    clutchings = [row.clutching for row in rows]
+    first = clutchings.index(1)
+    assert set(clutchings[:first]) == {0} and 0 not in clutchings[first:]
+    # the sphere page at s = 2 is the only one with clutched rows
+    assert [(row.s, row.clutching) for row in rows[first:]] == [(2, k) for k in (1, 2, 3)]
+    assert [row.canonical for row in rows] == sorted(row.canonical for row in rows)
 
 
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_every_generated_skeleton_is_a_valid_page(s):
-    assert all(rf.validate_page(graph_from_skeleton(kinds, edges, {})).ok for kinds, edges in _skeletons(s))
+    assert all(rf.validate_page(graph_from_skeleton(kinds, edges, {})).ok for kinds, edges in generated_skeletons(s))
 
 
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
     owner: dict[bytes, int] = {}
-    for i, view in enumerate(census._valid_skeletons(s)):
+    views = (view for kinds in sequences(s) for view in census._valid_skeletons(s, kinds))
+    for i, view in enumerate(views):
         skeleton = rf.LabeledReebGraph.of(
             [(vid, view.kinds[r] if r else "boundary", r) for vid, r in view.rank_of.items()],
             [(*edge, 0) for edge in view.edges],

@@ -104,6 +104,22 @@ def test_parse_rejects_a_float_twist(tmp_path):
         assert main(["validate", str(page)]) == 2
 
 
+@pytest.mark.parametrize("twist", [1.0, True, 0.0, False])
+def test_a_library_page_with_a_non_int_twist_is_invalid(twist):
+    # serialize_page would write 1.0 or true, which parse_page rejects
+    g = rf.LabeledReebGraph.of([("v1", "min", 1), ("v2", "max", 2)], [("e0", "v1", "v2", twist)])
+    assert [(v.code, v.ids) for v in g.report.violations] == [("bad_twist", ("e0",))]
+    with pytest.raises(rf.InvalidPageError):
+        rf.canonical_page_encoding(g)
+
+
+@pytest.mark.parametrize("twist", [0, 1])
+def test_a_library_page_round_trips_through_its_json(twist):
+    g = rf.LabeledReebGraph.of([("v1", "min", 1), ("v2", "max", 2)], [("e0", "v1", "v2", twist)])
+    assert g.report.ok
+    assert rf.parse_page(rf.serialize_page(g)) == g
+
+
 def test_manifold_spec_counts_are_bounded(capsys):
     # the witness page of admits has one vertex per count
     specs = [
@@ -363,6 +379,39 @@ def test_python_dash_m_entry_point():
     run = subprocess.run([sys.executable, "-m", "roundfold"], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 2
     assert "usage: roundfold" in run.stderr
+
+
+# Runs the command given as JSON and prints the exit code and the peak RSS in
+# KiB that wait4 reports for it and the processes it waited for.  A child
+# starts with the peak RSS of the process it was forked from, so the command
+# is started from this small process, not from the test process.
+_PEAK_RSS = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(json.loads(sys.argv[1]), stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv: list[str]) -> float:
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, json.dumps(argv)], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    code, kib = map(int, run.stdout.split())
+    assert (run.returncode, code) == (0, 0), run.stderr
+    return kib / 1024
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_census_memory_does_not_grow_with_its_output():
+    # the census writes each part's lines as the parts before it are done,
+    # so the s <= 7 census (26,964 lines, about 9 MB) holds only the lines in
+    # flight; buffering the output took about 20 MB more than s <= 1
+    argv = [sys.executable, "-m", "roundfold", "census", "--n", "5", "--format", "jsonl", "--workers", "2"]
+    small = _peak_rss_mb([*argv, "--s-max", "1"])
+    large = _peak_rss_mb([*argv, "--s-max", "7"])
+    assert large - small <= 10, (small, large)
 
 
 def test_census_default_workers_print_the_same_bytes():
