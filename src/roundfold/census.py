@@ -14,11 +14,13 @@ skeleton is validated as plain data, without building a page, and its
 encoding layout (the ``K``/``B``/``E`` blocks, the gauge span and the
 parallel pairs), fiber counts, χ and b are derived once.  Its twist
 candidates, one per coset of the gauge span, then cost one ``T`` block each,
-and its classes are their distinct encodings.  A class's row depends only on
-its encoding and on whether its candidate is twisted.  The canonical forms
-of one stratum sort by kind sequence first, so ``census_table`` runs parts
-of adjacent sequences, in a process pool or in turn, and writes each part's
-sorted rows as soon as the parts before it are done.
+and the classes of a sequence are their distinct encodings, sorted
+(``_classes``).  ``enumerate_pages`` builds a page of each class.  A class's
+row depends only on its encoding, its clutching and on whether its
+candidate is twisted.  The canonical forms of one stratum sort by kind
+sequence first, so ``census_table`` runs parts of adjacent sequences, in a
+process pool or in turn, and writes each part's rows as soon as the parts
+before it are done.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import gf2, pages
 from .classify import _form_prefix
 from .errors import OracleLimitError, RoundFoldError
-from .foldmaps import _is_sphere, _total_space
+from .foldmaps import _total_space
 from .manifolds import ManifoldDescriptor, describe
 from .pages import (
     Edge,
@@ -56,6 +57,9 @@ ORACLE_S_LIMIT = 5
 # other processes, and finished rows never pile up.
 _PART_SIZE = 2000
 _TASKS_IN_FLIGHT_PER_PROCESS = 4
+# the kinds of the sphere page, a min under a max, whose class splits by
+# clutching at n = 4
+_SPHERE = {2: VertexKind.MAX, 1: VertexKind.MIN}
 
 
 @dataclass(frozen=True)
@@ -236,18 +240,26 @@ def _candidates(view: pages._PageView):
         yield twists, layout.encode(twists)
 
 
+def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable = lambda view: view) -> list[tuple]:
+    """(encoding, keep(view), twists) of the first candidate of each class of
+    the valid skeletons of this kind sequence, sorted by encoding, with
+    ``keep`` called once per skeleton, so that its view need not outlive the
+    walk.  The encodings of one sequence share their text up to the ``K``
+    block, and every ``K`` text of a stratum has the same length, so the
+    sorted classes of the sequences in ``K`` order are the sorted classes of
+    the stratum."""
+    found: dict[bytes, tuple] = {}
+    for view in _valid_skeletons(s, kinds):
+        kept = keep(view)
+        for twists, enc in _candidates(view):
+            found.setdefault(enc, (kept, twists))
+    return [(enc, *found[enc]) for enc in sorted(found)]
+
+
 def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
-    # the encodings of one kind sequence share their text up to the ``K``
-    # block, and every ``K`` text of a stratum has the same length, so
-    # sorting each sequence's classes sorts the stratum
     for s in range(1, s_max + 1):
         for kinds, _ in _kind_sequences(s):
-            found: dict[bytes, tuple[pages._PageView, dict[str, int]]] = {}
-            for view in _valid_skeletons(s, kinds):
-                for twists, enc in _candidates(view):
-                    found.setdefault(enc, (view, twists))
-            for enc in sorted(found):
-                view, twists = found[enc]
+            for _, view, twists in _classes(s, kinds):
                 g = LabeledReebGraph.of(
                     [(vid, view.kinds.get(r, VertexKind.BOUNDARY), r) for vid, r in view.rank_of.items()],
                     [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi in view.edges],
@@ -271,81 +283,77 @@ def enumerate_pages(
     ``workers`` is deprecated and has no effect; :func:`census_table` is the
     function that spreads the work over processes.
     """
-    _check_s_max(s_max)
+    _check_int("s_max", s_max, 1, MAX_ENUMERATION_S)
     if workers != 1:
         message = "enumerate_pages ignores the deprecated workers; census_table spreads the work"
         warnings.warn(message, DeprecationWarning, stacklevel=2)
     return _pages(s_max, allow_nonorientable, allow_closed)
 
 
-def _check_s_max(s_max: int) -> None:
-    if not 1 <= s_max <= MAX_ENUMERATION_S:
-        raise RoundFoldError(f"s_max must be between 1 and {MAX_ENUMERATION_S}, got {s_max}")
+def _check_int(name: str, value: int, low: int, high: int | None = None) -> None:
+    """Raise RoundFoldError unless ``value`` is an int, not a bool, from
+    ``low`` to ``high``, or at least ``low`` if ``high`` is None."""
+    if type(value) is not int:
+        raise RoundFoldError(f"{name} must be an int, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"between {low} and {high}"
+        raise RoundFoldError(f"{name} must be {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # census tables
 # ---------------------------------------------------------------------------
 
-def _shape(view: pages._PageView) -> str:
-    """The kinds text of the valid skeleton with this view, which every
-    class of the skeleton shares: a saddle_p is a merge where its critical
-    sphere is inward-directed."""
-    return " ".join(
+def _row_fields(view: pages._PageView) -> tuple[str, str, int, int, bool, bool]:
+    """What the rows of the classes of the valid skeleton with this view
+    share: its kinds text, where a saddle_p is a merge if its critical sphere
+    is inward-directed; its fiber counts text; χ; b; whether it has a
+    saddle_b; and whether every critical sphere is inward-directed, as
+    :func:`foldmaps.is_directed` asks."""
+    shape = " ".join(
         [
             f"{('merge' if inward else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
             for (r, kind), inward in zip(sorted(view.kinds.items()), view.inward)
         ]
     )
+    fibers = ",".join(map(str, view.fiber_counts))
+    return shape, fibers, view.chi, view.b, bool(view.saddle_b), all(view.inward)
 
 
 def _census_part(
     n: int,
     s: int,
-    k_max: int,
+    clutchings: Sequence[int],
     sequences: list[dict[int, VertexKind]],
     finish: Callable | None = None,
-    spaces: dict | None = None,
-) -> tuple[list, list[tuple[bytes, object]]]:
-    """One census work unit: the rows of the classes of the valid skeletons
-    of these kind sequences of stratum s, as (rows with clutching 0, sorted
-    by canonical form; (canonical form, row) pairs of the others, unsorted).
-    No class is met in two skeletons, so the parts of a census share no
-    class.  With a module-level ``finish``, each row is replaced by
-    ``finish(row, text)``, where ``text`` is the :func:`manifolds.describe`
-    of its manifold, computed once per manifold object.  It returns no pages,
-    and rows with the same surface and clutching share their objects, so a
-    worker process sends back only small objects.  ``spaces`` keeps the
-    manifolds of (χ, b, orientable, clutching) for the stratum's parts that
-    share it."""
-    found: tuple[dict[bytes, object], dict[bytes, object]] = ({}, {})
-    if spaces is None:
-        spaces = {}
-    for view in (view for kinds in sequences for view in _valid_skeletons(s, kinds)):
-        shape, fibers = _shape(view), ",".join(map(str, view.fiber_counts))
-        chi, b = view.chi, view.b
-        # is_directed: every critical sphere is inward-directed
-        inward = all(view.inward)
-        sphere = n == 4 and not b and _is_sphere(view.kinds.values())
-        clutchings = range(k_max + 1) if sphere else (0,)
-        for twists, enc in _candidates(view):
+) -> list:
+    """One census work unit: the rows with these clutchings of the classes of
+    these kind sequences of stratum s.  The rows are in canonical order if
+    the sequences are adjacent in ``K`` order and the clutchings are in the
+    order of their ``_form_prefix`` bytes.  No class is met in two
+    skeletons, so the parts of a census share no row.  With a module-level
+    ``finish``, each row is replaced by ``finish(row, text)``, where ``text``
+    is the :func:`manifolds.describe` of its manifold, computed once per
+    manifold object.  It returns no pages, and rows with the same surface and
+    clutching share their objects, so a worker process sends back only small
+    objects."""
+    classes = [c for kinds in sequences for c in _classes(s, kinds, _row_fields)]
+    rows = []
+    for k in clutchings:
+        prefix, spaces = _form_prefix(n, k), {}
+        for enc, (shape, fibers, chi, b, saddle_b, inward), twists in classes:
             # a candidate lies in the gauge span iff its picks are all 0, and
             # a page is orientable iff its twists do and it has no saddle_b
-            orientable = not view.saddle_b and not any(twists.values())
-            for k in clutchings:
-                key = (chi, b, orientable, k)
-                if key not in spaces:
-                    surface = pages._surface_of(chi, b, orientable)
-                    manifold = _total_space(n, surface, k)
-                    spaces[key] = (surface.describe(), manifold, describe(manifold), _form_prefix(n, k))
-                text, manifold, name, prefix = spaces[key]
-                rows = found[k > 0]
-                canonical = prefix + enc
-                if canonical not in rows:
-                    row = CensusRow(canonical, s, k, f"{shape}; {text}; c=[{fibers}]", manifold, orientable and inward)
-                    rows[canonical] = row if finish is None else finish(row, name)
-    rows, later = found
-    return [rows[c] for c in sorted(rows)], list(later.items())
+            orientable = not saddle_b and not any(twists.values())
+            key = (chi, b, orientable)
+            if key not in spaces:
+                surface = pages._surface_of(*key)
+                manifold = _total_space(n, surface, k)
+                spaces[key] = (surface.describe(), manifold, describe(manifold))
+            text, manifold, name = spaces[key]
+            row = CensusRow(prefix + enc, s, k, f"{shape}; {text}; c=[{fibers}]", manifold, orientable and inward)
+            rows.append(row if finish is None else finish(row, name))
+    return rows
 
 
 def usable_cpus() -> int:
@@ -363,30 +371,21 @@ def _run_census(
     each part's rows as soon as the parts before it are done.  ``census
     --format`` passes the formatter of its output lines, so the parts return
     finished lines.  The arguments are checked before this returns."""
-    if n < 4:
-        raise RoundFoldError(f"census dimension must be >= 4, got {n}")
-    if not 0 <= k_max <= MAX_CLUTCHING:
-        raise RoundFoldError(f"k_max must be between 0 and {MAX_CLUTCHING}, got {k_max}")
-    _check_s_max(s_max)
-    if workers < 1:
-        raise RoundFoldError(f"workers must be >= 1, got {workers}")
+    _check_int("census dimension", n, 4)
+    _check_int("k_max", k_max, 0, MAX_CLUTCHING)
+    _check_int("s_max", s_max, 1, MAX_ENUMERATION_S)
+    _check_int("workers", workers, 1)
     # a canonical form reads RF1;n=;k=;P1;s=;K=... and every K text of a
     # stratum has the same length, so with one-digit s the rows with
     # clutching 0 sort by s, then by kind sequence: a part of adjacent
     # sequences is one slice of them
-    tasks = [(n, s, k_max, part, finish) for s in range(1, s_max + 1) for part in _parts(s)]
-    return _stream(tasks, min(workers, usable_cpus()))
-
-
-def _stream(tasks: list[tuple], processes: int) -> Iterator:
-    # rows with clutching k >= 1 (n = 4 sphere pages only) sort after every
-    # row with k = 0, so they are held back until the end
-    later: list[tuple[bytes, object]] = []
-    for rows, held in _results(tasks, processes):
-        yield from rows
-        later += held
-    later.sort(key=itemgetter(0))
-    yield from (row for _, row in later)
+    tasks = [(n, s, (0,), part, finish) for s in range(1, s_max + 1) for part in _parts(s)]
+    if n == 4 and s_max >= 2:
+        # the sphere page's rows with clutching k >= 1 sort after every row
+        # with k = 0: one last part, whose one class costs little per k
+        clutchings = sorted(range(1, k_max + 1), key=lambda k: _form_prefix(n, k))
+        tasks.append((n, 2, clutchings, [_SPHERE], finish))
+    return itertools.chain.from_iterable(_results(tasks, min(workers, usable_cpus())))
 
 
 def _results(tasks: list[tuple], processes: int) -> Iterator:
@@ -396,9 +395,7 @@ def _results(tasks: list[tuple], processes: int) -> Iterator:
     submitted and not yet taken, so a large part delays its successors'
     results but never lets them pile up."""
     if processes == 1:
-        # the parts of one stratum share their manifolds
-        spaces: dict[int, dict] = {}
-        yield from (_census_part(*task, spaces.setdefault(task[1], {})) for task in tasks)
+        yield from itertools.starmap(_census_part, tasks)
         return
     # imported here so that importing roundfold loads no pool machinery
     from concurrent.futures import ProcessPoolExecutor
@@ -419,12 +416,12 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
     |k| <= k_max <= MAX_CLUTCHING.  Rows are sorted by canonical encoding.
 
     The census runs in parts, each a run of adjacent kind sequences of one
-    stratum, in canonical order.  A part sorts its own rows, and no
-    class spans two parts, so the rows are the parts' rows in order, with the
-    n = 4 rows with clutching k >= 1 moved to the end.  With ``workers`` W > 1
-    a process pool of P = min(W, usable CPUs) processes runs the parts; the
-    output is the same for every W.  W = 1 runs the same parts in this
-    process and starts no process.
+    stratum, in canonical order, and at n = 4 one last part for the sphere
+    page's rows with k >= 1.  A part returns its rows sorted, and no class
+    spans two parts, so the rows are the parts' rows in order.  With
+    ``workers`` W > 1 a process pool of P = min(W, usable CPUs) processes
+    runs the parts; the output is the same for every W.  W = 1 runs the same
+    parts in this process and starts no process.
     """
     return CensusTable(n, s_max, k_max, tuple(_run_census(n, s_max, k_max, workers)))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection
 
 from . import pages
 from .errors import (
@@ -68,11 +67,7 @@ class Direction(Enum):
 
 def is_sphere_page(graph: LabeledReebGraph) -> bool:
     """The two-critical-point page on S^2 (min under max, no boundary)."""
-    return _is_sphere([v.kind for v in graph.vertices])
-
-
-def _is_sphere(kinds: Collection[VertexKind]) -> bool:
-    """:func:`is_sphere_page` of the page whose vertices have these kinds."""
+    kinds = [v.kind for v in graph.vertices]
     return len(kinds) == 2 and set(kinds) == {VertexKind.MIN, VertexKind.MAX}
 
 

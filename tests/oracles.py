@@ -3,13 +3,14 @@
 Nothing here reuses the library's decision procedures: span membership is
 exhaustive subset XOR, fiber counts are re-derived from scratch, surface
 bookkeeping comes from the classification formulas, the generate-all page
-enumeration builds every labeled graph directly from degree shapes, and the
-Burnside class count has its own gauge vectors and GF(2) rank.  The
-exceptions are references kept from earlier versions of the library:
-``min_over_orderings_twist_block``, the search over parallel-edge orderings
-that the encoder ran before its closed form, and ``census_rows``, which
-builds a census row through the public functions of one page, as the census
-did before it worked per skeleton.
+enumeration builds every labeled graph directly from degree shapes, the
+matrix enumerator lists skeletons as edge-multiplicity matrices filled rank
+by rank, and the Burnside class count has its own gauge vectors and GF(2)
+rank.  The exceptions are references kept from earlier versions of the
+library: ``min_over_orderings_twist_block``, the search over parallel-edge
+orderings that the encoder ran before its closed form, and ``census_rows``,
+which builds a census row through the public functions of one page, as the
+census did before it worked per skeleton.
 """
 
 from __future__ import annotations
@@ -281,6 +282,66 @@ def skeleton_connected(kinds: dict[int, VertexKind], edges: list[tuple[str, str]
             seen.add(w)
             todo.append(w)
     return seen == nodes
+
+
+# (edges below, edges above) that a vertex of each kind may have
+DEGREES = {
+    VertexKind.MAX: ((1, 0),),
+    VertexKind.MIN: ((0, 1),),
+    VertexKind.SADDLE_B: ((1, 1),),
+    VertexKind.SADDLE_P: ((2, 1), (1, 2)),
+}
+
+
+def matrix_skeletons(s: int) -> dict[tuple[VertexKind, ...], list[tuple[tuple[int, int], ...]]]:
+    """The connected skeletons with s critical vertices, by their kinds of
+    ranks 1..s.  Ranks pin the critical vertices and each boundary vertex
+    has one edge, so a skeleton up to isomorphism is its multiset of (low
+    rank, high rank) edges, boundary lows at rank 0: an upper-triangular
+    edge-multiplicity matrix.  For every kind sequence with a max at rank s
+    and every degree choice of its saddle_p vertices, the matrix is filled
+    column by column, breadth first: column j takes as many lows as vertex
+    j has edges below, from rank 0 at will and from ranks 1..j-1 while they
+    have edges above left.  A matrix is kept when every edge above is taken
+    and ranks 1..s are connected.  Each is a tuple of (low, high) pairs
+    sorted by (high, low)."""
+    found: dict[tuple[VertexKind, ...], list[tuple[tuple[int, int], ...]]] = {}
+    for lower in itertools.product(DEGREES, repeat=s - 1):
+        kinds = (*lower, VertexKind.MAX)
+        for degrees in itertools.product(*(DEGREES[kind] for kind in kinds)):
+            # edges below the ranks after each column, to bound what is left open
+            later = [sum(below for below, _ in degrees[j:]) for j in range(1, s + 1)]
+            states: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = [((), ())]
+            for j, (below, above) in enumerate(degrees, start=1):
+                grown = []
+                for left, edges in states:
+                    for lows in itertools.combinations_with_replacement(range(j), below):
+                        after = list(left) + [above]
+                        for low in lows:
+                            if low:
+                                after[low - 1] -= 1
+                        if min(after) >= 0 and sum(after) <= later[j - 1]:
+                            grown.append((tuple(after), edges + tuple((low, j) for low in lows)))
+                states = grown
+            matrices = [edges for left, edges in states if not any(left) and ranks_connected(s, edges)]
+            if matrices:
+                found.setdefault(kinds, []).extend(matrices)
+    return found
+
+
+def ranks_connected(s: int, edges) -> bool:
+    """Whether the edges between ranks 1..s join them all, by union-find."""
+    root = list(range(s + 1))
+
+    def find(r: int) -> int:
+        while root[r] != r:
+            r = root[r]
+        return r
+
+    for low, high in edges:
+        if low:
+            root[find(low)] = find(high)
+    return len({find(r) for r in range(1, s + 1)}) == 1
 
 
 def graph_from_skeleton(

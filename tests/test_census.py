@@ -13,6 +13,7 @@ from oracles import (
     all_valid_pages,
     census_rows,
     graph_from_skeleton,
+    matrix_skeletons,
     partition_by,
     skeleton_connected,
 )
@@ -87,6 +88,24 @@ def test_kind_sequences_are_the_realized_ones_in_k_order(s):
     assert all(list(kinds) == list(range(s, 0, -1)) for kinds in listed)
 
 
+@pytest.mark.parametrize("s", up_to_7(SKELETON_COUNTS))
+def test_matrix_enumerator_finds_each_walked_skeleton_once(s):
+    # the matrix enumerator shares no code with the census walk: per kind
+    # sequence, the walk yields each of its edge-multiplicity matrices once
+    def rank(vertex):
+        return int(vertex[1:]) if vertex[0] == "v" else 0
+
+    walked = {
+        tuple(kinds[r] for r in range(1, s + 1)): sorted(
+            tuple(sorted(((rank(lo), rank(hi)) for lo, hi in edges), key=lambda e: (e[1], e[0])))
+            for _, edges in _skeletons(s, kinds)
+        )
+        for kinds in sequences(s)
+    }
+    assert {kinds: sorted(matrices) for kinds, matrices in matrix_skeletons(s).items()} == walked
+    assert sum(map(len, walked.values())) == SKELETON_COUNTS[s]
+
+
 @pytest.mark.parametrize("s", range(1, 7))
 def test_generator_parts_partition_the_skeletons_in_order(s):
     # the parts are the kind sequences: each yields the connected skeletons
@@ -105,21 +124,20 @@ def test_generator_parts_partition_the_skeletons_in_order(s):
 @pytest.mark.parametrize("n, s_max", [(5, 6), (4, 5)])
 def test_census_parts_merge_to_the_single_part_table(n, s_max, parts):
     # in this process, with parts of this many adjacent sequences; 16 holds
-    # whole strata up to s = 3
-    rows, later = [], []
+    # whole strata up to s = 3; at n = 4 the sphere page's clutched rows are
+    # one last part, in the order of their RF1;n=4;k=; prefixes
+    rows = []
     for s in range(1, s_max + 1):
         listed = sequences(s)
         for i in range(0, len(listed), parts):
-            part_rows, held = census._census_part(n, s, 3, listed[i : i + parts])
+            part_rows = census._census_part(n, s, (0,), listed[i : i + parts])
             assert [row.canonical for row in part_rows] == sorted(row.canonical for row in part_rows)
-            assert all(row.clutching == 0 for row in part_rows)
-            assert all(row.clutching > 0 and key == row.canonical for key, row in held)
             rows += part_rows
-            later += held
-    # the parts' rows in order are sorted, and the clutched rows go last
+    if n == 4:
+        rows += census._census_part(n, 2, [1, 2, 3], [census._SPHERE])
+    # the parts' rows in order are sorted
     assert [row.canonical for row in rows] == sorted(row.canonical for row in rows)
-    later.sort(key=lambda pair: pair[0])
-    assert tuple(rows + [row for _, row in later]) == rf.census_table(n, s_max, k_max=3).rows
+    assert tuple(rows) == rf.census_table(n, s_max, k_max=3).rows
 
 
 def test_census_yields_rows_before_starting_later_parts(monkeypatch):
@@ -143,6 +161,27 @@ def test_clutched_rows_follow_every_unclutched_row():
     # the sphere page at s = 2 is the only one with clutched rows
     assert [(row.s, row.clutching) for row in rows[first:]] == [(2, k) for k in (1, 2, 3)]
     assert [row.canonical for row in rows] == sorted(row.canonical for row in rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_clutched_rows_keep_their_order_and_bytes(workers):
+    # rows sort by their RF1;n=4;k=; prefix as bytes, so k = 10..12 come
+    # before k = 1; the values were measured before the clutched rows became
+    # one census part
+    rows = rf.census_table(4, 3, k_max=12, workers=workers).rows
+    assert [row.clutching for row in rows if row.clutching] == [10, 11, 12, *range(1, 10)]
+    table = rf.census_table(4, 3, k_max=rf.MAX_CLUTCHING, workers=workers)
+    assert len(table.rows) == 1013
+    jsonl, text = rf.census_jsonl(table), rf.census_text(table)
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == "c011c19b439eaddce6abd1b9193fbc6c028ab66dfc786f51b68f8b294c8531d6"
+    assert hashlib.sha256(text.encode()).hexdigest() == "aefc938e16d83227e291679db2eecd527a567d42cfe2b9d12a8be81f5af17c43"
+
+
+def test_enumerated_pages_keep_their_bytes():
+    listed = list(rf.enumerate_pages(6))
+    assert len(listed) == 2823
+    text = "".join(rf.serialize_page(g) for g in listed)
+    assert hashlib.sha256(text.encode()).hexdigest() == "c9b365215cd9a9c04f2c19c1df9a814058f738d979485a144ee5cf6ab14086e2"
 
 
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
@@ -220,6 +259,10 @@ def test_enumeration_s_max_bounds():
         list(rf.enumerate_pages(0))
     with pytest.raises(rf.RoundFoldError):
         list(rf.enumerate_pages(rf.MAX_ENUMERATION_S + 1))
+    # an int-valued float or a bool is not an int
+    for s_max in (2.0, True):
+        with pytest.raises(rf.RoundFoldError, match="s_max must be an int"):
+            rf.enumerate_pages(s_max)
 
 
 def test_census_table_argument_errors():
@@ -233,6 +276,19 @@ def test_census_table_argument_errors():
         with pytest.raises(rf.RoundFoldError, match="workers must be >= 1"):
             rf.census_table(5, 2, workers=workers)
     assert len(rf.census_table(4, 2, k_max=rf.MAX_CLUTCHING).rows) == 3 + rf.MAX_CLUTCHING + 1
+    # a non-int argument, a bool included, is an error, not a TypeError or a
+    # value read as an int
+    for args, kwargs, name in [
+        ((5, 2.5), {}, "s_max"),
+        ((5, True), {}, "s_max"),
+        ((4.0, 2), {}, "census dimension"),
+        ((5, 3), {"k_max": 2.0}, "k_max"),
+        ((5, 3), {"k_max": False}, "k_max"),
+        ((5, 3), {"workers": 1.5}, "workers"),
+        ((5, 3), {"workers": True}, "workers"),
+    ]:
+        with pytest.raises(rf.RoundFoldError, match=f"{name} must be an int, got"):
+            rf.census_table(*args, **kwargs)
 
 
 def test_no_two_emitted_pages_isomorphic():
