@@ -85,12 +85,12 @@ class CensusTable:
 # ---------------------------------------------------------------------------
 
 # (ends consumed, ends opened) of each way a vertex of a kind takes the
-# dangling ends below it; a saddle_p is a merge or a split
+# dangling ends below it: its (edges above, edges below) in the validator's
+# degree table; a saddle_p is a merge or a split
 _SHAPES = {
-    VertexKind.MAX: ((0, 1),),
-    VertexKind.MIN: ((1, 0),),
-    VertexKind.SADDLE_B: ((1, 1),),
-    VertexKind.SADDLE_P: ((1, 2), (2, 1)),
+    kind: tuple([(above, below) for below, above in degrees])
+    for kind, degrees in pages._KIND_DEGREES.items()
+    if kind is not VertexKind.BOUNDARY
 }
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .census import CensusRow, CensusTable
 from .errors import ManifoldSpecError, PageFormatError
@@ -148,10 +148,13 @@ def parse_manifold_spec(text: str) -> ManifoldDescriptor:
     if not m:
         raise ManifoldSpecError(f"cannot parse manifold spec {text!r}")
     head = m.group(1)
+    pairs = [kv.split("=") for kv in m.group(2).split()]
     try:
-        args = {kv.split("=")[0]: int(kv.split("=")[1]) for kv in m.group(2).split()}
+        args = {key: int(value) for key, value in pairs}
     except ValueError as exc:  # a literal past the interpreter's integer digit limit
         raise ManifoldSpecError(f"bad manifold spec {text!r}: {exc}") from exc
+    if len(args) < len(pairs):
+        raise ManifoldSpecError(f"manifold spec {text!r} repeats a key")
 
     def need(keys: set[str]) -> None:
         if set(args) != keys:
@@ -192,7 +195,7 @@ def parse_manifold_spec(text: str) -> ManifoldDescriptor:
 # ---------------------------------------------------------------------------
 
 def census_jsonl(table: CensusTable) -> str:
-    return "".join(_jsonl_document([_jsonl_row(row, describe(row.manifold)) for row in table.rows]))
+    return "".join([f"{_jsonl_row(row, describe(row.manifold))}\n" for row in table.rows])
 
 
 def census_text(table: CensusTable) -> str:
@@ -216,13 +219,6 @@ def _jsonl_row(row: CensusRow, manifold: str) -> str:
     )
 
 
-def _jsonl_document(lines: Iterable[str]) -> Iterator[str]:
-    """The lines of the JSONL document, each with its newline; the CLI writes
-    them one by one as the census yields them, so the document is never one
-    string."""
-    return (f"{line}\n" for line in lines)
-
-
 def _text_row(row: CensusRow, manifold: str) -> str:
     """The census text line of a row, without its index column; a census
     finisher like :func:`_jsonl_row`."""
@@ -231,7 +227,7 @@ def _text_row(row: CensusRow, manifold: str) -> str:
 
 
 def _text_document(n: int, s_max: int, k_max: int, bodies: list[str]) -> Iterator[str]:
-    """The lines of the census text table, like :func:`_jsonl_document`."""
+    """The lines of the census text table, each with its newline."""
     header = f"census n={n} s_max={s_max} k_max={k_max} classes={len(bodies)}"
     yield f"{header}\n"
     yield "-" * len(header) + "\n"

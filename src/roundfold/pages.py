@@ -377,9 +377,9 @@ class _PageView:
     each rank 1..s, the rank of every vertex and the (id, low, high) of every
     edge, in the page's edge order.  The invariants that do not depend on the
     twists are computed when the view is built, except the encoding layout
-    and the gauge echelon form, which are computed on first use and kept; a
-    page reads it through ``LabeledReebGraph._view``, and the census builds
-    one per skeleton.  Nothing changes a view once it is built.
+    and the gauge echelon form, which are cached properties; a page reads it
+    through ``LabeledReebGraph._view``, and the census builds one per
+    skeleton.  Nothing changes a view once it is built.
 
     ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
     by fiberwise Morse counting, ``saddle_b`` the ids of the saddle_b
@@ -390,10 +390,6 @@ class _PageView:
     c_(r-1) - c_r is the number of edges arriving from below less those
     leaving upward, so a saddle_p there is a merge, and the critical sphere
     of rank r is inward-directed."""
-
-    __slots__ = (
-        "kinds", "rank_of", "edges", "s", "b", "chi", "saddle_b", "fiber_counts", "inward", "_layout", "_pivots"
-    )
 
     def __init__(
         self, kinds: dict[int, VertexKind], rank_of: dict[str, int], edges: tuple[tuple[str, str, str], ...]
@@ -414,23 +410,17 @@ class _PageView:
             step[rank_of[high]] -= 1
         c = self.fiber_counts = tuple(itertools.accumulate(step))
         self.inward = tuple([c[r - 1] > c[r] for r in range(1, s + 1)])
-        self._layout: EncodingLayout | None = None
-        self._pivots: dict[int, int] | None = None
 
-    @property
+    @cached_property
     def layout(self) -> EncodingLayout:
-        if self._layout is None:
-            self._layout = _encoding_layout(self)
-        return self._layout
+        return _encoding_layout(self)
 
-    @property
+    @cached_property
     def gauge_pivots(self) -> dict[int, int]:
         """Echelon form of the gauge span with the edges in this view's
         order (see :func:`gauge_generators`)."""
-        if self._pivots is None:
-            order = [eid for eid, _, _ in self.edges]
-            self._pivots = gf2.rref(_gauge_vectors(self.rank_of, self.saddle_b, self.edges, order))
-        return self._pivots
+        order = [eid for eid, _, _ in self.edges]
+        return gf2.rref(_gauge_vectors(self.rank_of, self.saddle_b, self.edges, order))
 
 
 # ---------------------------------------------------------------------------
@@ -776,22 +766,15 @@ def nonorientable_closed_page(crosscaps: int) -> LabeledReebGraph:
 def klein_page() -> LabeledReebGraph:
     """Torus-shaped graph with one twisted parallel edge: the Klein bottle."""
     g = orientable_closed_page(1)
-    labeling = g.twist_labeling()
-    parallel = sorted(eid for eid in labeling if _is_parallel_edge(g, eid))
-    labeling[parallel[1]] = 1
-    return g.with_twists(labeling)
-
-
-def _is_parallel_edge(graph: LabeledReebGraph, eid: str) -> bool:
-    e = next(x for x in graph.edges if x.id == eid)
-    return any(x.id != eid and (x.low, x.high) == (e.low, e.high) for x in graph.edges)
+    # e1 and e2 are the torus page's parallel pair, from v2 up to v3
+    return g.with_twists({**g.twist_labeling(), "e2": 1})
 
 
 _BUILDERS = {
-    "disk": lambda: disk_page(),
-    "sphere": lambda: sphere_page(),
-    "annulus": lambda: annulus_page(),
-    "moebius": lambda: moebius_page(),
+    "disk": disk_page,
+    "sphere": sphere_page,
+    "annulus": annulus_page,
+    "moebius": moebius_page,
     "directed": directed_page,
     "orientable_closed": orientable_closed_page,
     "nonorientable_closed": nonorientable_closed_page,

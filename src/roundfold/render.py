@@ -38,11 +38,7 @@ def render_critical_values(rf: RoundFoldDescriptor, format: str = "svg") -> str:
     )
     size = 2 * (_R_STEP * s + _R_STEP)
     cx = cy = size // 2
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts: list[str] = []
     for r in range(1, s + 1):
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="{r * _R_STEP}" fill="none" stroke="black"/>'
@@ -73,8 +69,13 @@ def render_critical_values(rf: RoundFoldDescriptor, format: str = "svg") -> str:
                 f'<line x1="{tip_x:.1f}" y1="{tip_y:.1f}" x2="{bx:.1f}" y2="{by:.1f}" '
                 f'stroke="black" stroke-width="2"/>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(size, size, parts)
+
+
+def _svg(width: int, height: int, body: list[str]) -> str:
+    """The SVG document of this size with a white background under ``body``."""
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    return "\n".join([head, f'<rect width="{width}" height="{height}" fill="white"/>', *body, "</svg>"]) + "\n"
 
 
 _DOT_SHAPES = {
@@ -90,24 +91,26 @@ def render_reeb(graph: LabeledReebGraph, format: str = "svg") -> str:
     """Rank-layered drawing of the page graph; twist-1 edges dashed and each
     vertex kind drawn with its own glyph."""
     s = graph._view.s
-    if format == "dot":
-        return _reeb_dot(graph)
-    if format == "svg":
-        return _reeb_svg(graph, s)
-    raise RoundFoldError(f"unsupported reeb format {format!r}")
-
-
-def _reeb_dot(graph: LabeledReebGraph) -> str:
-    lines = ["graph page {", "  rankdir=BT;"]
+    # the vertex ids of each rank, in the graph's (rank, id) order
     by_rank: dict[int, list[str]] = {}
     for v in graph.vertices:
         by_rank.setdefault(v.rank, []).append(v.id)
+    if format == "dot":
+        return _reeb_dot(graph, by_rank)
+    if format == "svg":
+        return _reeb_svg(graph, s, by_rank)
+    raise RoundFoldError(f"unsupported reeb format {format!r}")
+
+
+def _reeb_dot(graph: LabeledReebGraph, by_rank: dict[int, list[str]]) -> str:
+    lines = ["graph page {", "  rankdir=BT;"]
+    for v in graph.vertices:
         lines.append(
             f'  "{v.id}" [shape={_DOT_SHAPES[v.kind]}, label="{v.kind.value}@{v.rank}"];'
         )
-    for rank in sorted(by_rank):
-        ids = " ".join(f'"{vid}";' for vid in by_rank[rank])
-        lines.append(f"  {{ rank=same; {ids} }}")
+    for ids in by_rank.values():
+        same = " ".join(f'"{vid}";' for vid in ids)
+        lines.append(f"  {{ rank=same; {same} }}")
     for e in graph.edges:
         style = ", style=dashed" if e.twist else ""
         lines.append(f'  "{e.low}" -- "{e.high}" [label="{e.id}"{style}];')
@@ -115,23 +118,16 @@ def _reeb_dot(graph: LabeledReebGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reeb_svg(graph: LabeledReebGraph, s: int) -> str:
-    by_rank: dict[int, list[str]] = {}
-    for v in graph.vertices:
-        by_rank.setdefault(v.rank, []).append(v.id)
+def _reeb_svg(graph: LabeledReebGraph, s: int, by_rank: dict[int, list[str]]) -> str:
     width = 120 * max(len(ids) for ids in by_rank.values()) + 80
     height = 90 * (s + 1) + 60
     pos: dict[str, tuple[float, float]] = {}
     for rank, ids in by_rank.items():
         y = height - 50 - rank * 90
         step = width / (len(ids) + 1)
-        for i, vid in enumerate(sorted(ids)):
+        for i, vid in enumerate(ids):
             pos[vid] = ((i + 1) * step, y)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts: list[str] = []
     # edges first; parallel edges bow apart
     totals = Counter((e.low, e.high) for e in graph.edges)
     seen_pairs: dict[tuple[str, str], int] = {}
@@ -160,8 +156,7 @@ def _reeb_svg(graph: LabeledReebGraph, s: int) -> str:
         parts.append(
             f'<text x="{x + 12:.0f}" y="{y - 8:.0f}" font-size="12">{v.id}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 def _vertex_glyph(kind: VertexKind, x: float, y: float) -> str:

@@ -6,10 +6,12 @@ bookkeeping comes from the classification formulas, the generate-all page
 enumeration builds every labeled graph directly from degree shapes, the
 matrix enumerator lists skeletons as edge-multiplicity matrices filled rank
 by rank, and the Burnside class count has its own gauge vectors and GF(2)
-rank.  The exceptions are references kept from earlier versions of the
-library: ``min_over_orderings_twist_block``, the search over parallel-edge
-orderings that the encoder ran before its closed form, and ``census_rows``,
-which builds a census row through the public functions of one page, as the
+rank; summed over the matrix skeletons, it checks the published class
+counts without the census's top-down skeleton walk.  The exceptions are
+references kept from earlier versions of the library:
+``min_over_orderings_twist_block``, the search over parallel-edge orderings
+that the encoder ran before its closed form, and ``census_rows``, which
+builds a census row through the public functions of one page, as the
 census did before it worked per skeleton.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Iterator
 
 from roundfold import (
     CensusRow,
@@ -226,14 +229,13 @@ def burnside_class_count(kinds: dict[int, VertexKind], edges: list[tuple[str, st
     return count
 
 
-def all_skeletons(s: int) -> list[tuple[dict[int, VertexKind], list[tuple[str, str]]]]:
-    """(kinds by rank, edges) of every degree-correct shape with exactly s
-    critical vertices, connected or not: the rank-s vertex is a max and each
-    lower rank tries max, min, saddle_b, merge and split against the dangling
-    ends above it; the ends left after rank 1 close with boundary vertices
-    b0, b1, ...  Nothing is pruned.  Within one kind sequence this is the
-    census generator's order."""
-    results: list[tuple[dict[int, VertexKind], list[tuple[str, str]]]] = []
+def all_skeletons(s: int) -> Iterator[tuple[dict[int, VertexKind], list[tuple[str, str]]]]:
+    """Yield (kinds by rank, edges) of every degree-correct shape with
+    exactly s critical vertices, connected or not: the rank-s vertex is a max
+    and each lower rank tries max, min, saddle_b, merge and split against the
+    dangling ends above it; the ends left after rank 1 close with boundary
+    vertices b0, b1, ...  Nothing is pruned.  Within one kind sequence this
+    is the census generator's order."""
     shapes = (
         (VertexKind.MAX, 0, 1),
         (VertexKind.MIN, 1, 0),
@@ -244,7 +246,7 @@ def all_skeletons(s: int) -> list[tuple[dict[int, VertexKind], list[tuple[str, s
 
     def rec(rank: int, dangling: tuple[str, ...], kinds: dict[int, VertexKind], edges: list[tuple[str, str]]):
         if rank == 0:
-            results.append((dict(kinds), edges + [(f"b{i}", high) for i, high in enumerate(dangling)]))
+            yield dict(kinds), edges + [(f"b{i}", high) for i, high in enumerate(dangling)]
             return
         me = f"v{rank}"
         for kind, consume, open_ in shapes:
@@ -261,11 +263,10 @@ def all_skeletons(s: int) -> list[tuple[dict[int, VertexKind], list[tuple[str, s
                 for h in highs:
                     rest.remove(h)
                 kinds[rank] = kind
-                rec(rank - 1, tuple(rest) + (me,) * open_, kinds, edges + [(me, h) for h in highs])
+                yield from rec(rank - 1, tuple(rest) + (me,) * open_, kinds, edges + [(me, h) for h in highs])
                 del kinds[rank]
 
-    rec(s - 1, (f"v{s}",), {s: VertexKind.MAX}, [])
-    return results
+    yield from rec(s - 1, (f"v{s}",), {s: VertexKind.MAX}, [])
 
 
 def skeleton_connected(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -> bool:
@@ -369,6 +370,22 @@ def burnside_stratum_count(s: int) -> int:
     """Page classes with exactly s critical vertices: the Burnside count
     summed over every valid skeleton."""
     return sum(burnside_class_count(kinds, edges) for kinds, edges in valid_skeletons(s))
+
+
+def matrix_class_count(s: int) -> int:
+    """Page classes with exactly s critical vertices: the Burnside count
+    summed over the skeletons of :func:`matrix_skeletons`, each named as an
+    edge list with critical vertices v1..vs and a fresh boundary vertex b0,
+    b1, ... for every edge from rank 0.  It shares no skeleton generator
+    with :func:`burnside_stratum_count` or the census."""
+    total = 0
+    for kinds, matrices in matrix_skeletons(s).items():
+        by_rank = dict(enumerate(kinds, start=1))
+        for matrix in matrices:
+            boundary = (f"b{i}" for i in itertools.count())
+            edges = [(f"v{low}" if low else next(boundary), f"v{high}") for low, high in matrix]
+            total += burnside_class_count(by_rank, edges)
+    return total
 
 
 def summarize(graph: LabeledReebGraph) -> str:

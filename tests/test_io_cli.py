@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -56,6 +58,32 @@ def test_round_trips():
         text = rf.serialize_page(g)
         assert rf.parse_page(text) == g
         assert rf.serialize_page(rf.parse_page(text)) == text
+
+
+def built_pages():
+    """One page of every builder, and of each at several sizes."""
+    yield from [rf.disk_page(), rf.sphere_page(), rf.annulus_page(), rf.moebius_page(), rf.klein_page()]
+    yield from map(rf.directed_page, range(1, 5))
+    yield from map(rf.orientable_closed_page, range(4))
+    yield from map(rf.nonorientable_closed_page, range(1, 4))
+    yield from itertools.starmap(rf.handle_page, itertools.product(range(3), repeat=2))
+
+
+def sha256(docs) -> str:
+    return hashlib.sha256("".join(docs).encode("utf-8")).hexdigest()
+
+
+def test_builders_keep_their_bytes():
+    assert sha256(map(rf.serialize_page, built_pages())) == (
+        "19d3238fcc77c44cbe7b8984924730ec1b4da049d7dd5a6ae74fcb0a3ae939c6"
+    )
+    named = [
+        ("disk",), ("sphere",), ("annulus",), ("moebius",), ("directed", 3), ("orientable_closed", 2),
+        ("nonorientable_closed", 2), ("handle_page", 2, 1),
+    ]
+    assert sha256(rf.serialize_page(rf.standard_page(*args)) for args in named) == (
+        "4b15b003d360151d1ab40614d13caa2b9a35369a0e40d33206896e2628281758"
+    )
 
 
 def test_parse_reports_paths():
@@ -150,6 +178,10 @@ def test_manifold_spec_errors():
         rf.parse_manifold_spec("handle_sum n=5 a=1")
     with pytest.raises(rf.RoundFoldError):
         rf.parse_manifold_spec("sphere n=2")
+    # a repeated key is an error, not the last value given
+    for spec in ("sphere n=4 n=5", "handle_sum n=5 a=1 b=0 a=3"):
+        with pytest.raises(rf.ManifoldSpecError, match="repeats a key"):
+            rf.parse_manifold_spec(spec)
 
 
 # -- renderers ---------------------------------------------------------------
@@ -185,6 +217,14 @@ def test_render_reeb_dot():
     assert "invtriangle" in doc and "triangle" in doc
     doc = render_reeb(rf.moebius_page(), format="dot")
     assert "diamond" in doc  # saddle_b glyph distinct
+
+
+def test_renderers_keep_their_bytes():
+    docs = []
+    for g in built_pages():
+        docs += [render_reeb(g, "svg"), render_reeb(g, "dot"), render_critical_values(rf.RoundFoldDescriptor(5, g))]
+    assert len(docs) == 75
+    assert sha256(docs) == "f8eec413b40a6b9a1bfba5856f9a0f305f7a9dc4f4e3a9967ad583be4e3ab5e0"
 
 
 def test_render_reeb_svg():
@@ -286,6 +326,11 @@ def test_cli_admits(capsys):
     }
 
     assert main(["admits", "--manifold", "flat_torus n=5"]) == 2
+    capsys.readouterr()
+    for spec in ("sphere n=4 n=5", "handle_sum n=5 a=1 b=0 a=3"):
+        assert main(["admits", "--manifold", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"manifold spec {spec!r} repeats a key\n"
 
 
 def test_cli_classify(torus_file, klein_file, capsys):

@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     burnside_stratum_count,
     graph_from_skeleton,
+    matrix_class_count,
     min_over_orderings_twist_block,
     swap_sensitive,
     valid_skeletons,
@@ -100,3 +101,12 @@ def test_burnside_count_matches_published_classes(s, classes):
 @pytest.mark.slow
 def test_burnside_count_s7():
     assert burnside_stratum_count(7) == 26964
+
+
+@pytest.mark.parametrize(
+    "s, classes",
+    [(1, 1), (2, 3), (3, 9), (4, 43), (5, 287), (6, 2480), pytest.param(7, 26964, marks=pytest.mark.slow)],
+)
+def test_burnside_count_over_the_matrix_skeletons_matches_published_classes(s, classes):
+    # the same counts from skeletons that the census walk did not generate
+    assert matrix_class_count(s) == classes
