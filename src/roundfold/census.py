@@ -30,6 +30,7 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import gf2, pages
@@ -304,18 +305,21 @@ def _check_int(name: str, value: int, low: int, high: int | None = None) -> None
 # census tables
 # ---------------------------------------------------------------------------
 
-def _row_fields(view: pages._PageView) -> tuple[str, str, int, int, bool, bool]:
+def _row_fields(view: pages._PageView, shapes: dict) -> tuple[str, str, int, int, bool, bool]:
     """What the rows of the classes of the valid skeleton with this view
     share: its kinds text, where a saddle_p is a merge if its critical sphere
     is inward-directed; its fiber counts text; χ; b; whether it has a
     saddle_b; and whether every critical sphere is inward-directed, as
-    :func:`foldmaps.is_directed` asks."""
-    shape = " ".join(
-        [
-            f"{('merge' if inward else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
-            for (r, kind), inward in zip(sorted(view.kinds.items()), view.inward)
-        ]
-    )
+    :func:`foldmaps.is_directed` asks.  ``shapes`` keeps the kinds texts of
+    the view's kind sequence by inward pattern, so each is written once."""
+    shape = shapes.get(view.inward)
+    if shape is None:
+        shape = shapes[view.inward] = " ".join(
+            [
+                f"{('merge' if inward else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
+                for (r, kind), inward in zip(sorted(view.kinds.items()), view.inward)
+            ]
+        )
     fibers = ",".join(map(str, view.fiber_counts))
     return shape, fibers, view.chi, view.b, bool(view.saddle_b), all(view.inward)
 
@@ -337,7 +341,8 @@ def _census_part(
     manifold object.  It returns no pages, and rows with the same surface and
     clutching share their objects, so a worker process sends back only small
     objects."""
-    classes = [c for kinds in sequences for c in _classes(s, kinds, _row_fields)]
+    # each kind sequence gets its own kinds-text cache, dropped with its walk
+    classes = [c for kinds in sequences for c in _classes(s, kinds, partial(_row_fields, shapes={}))]
     rows = []
     for k in clutchings:
         prefix, spaces = _form_prefix(n, k), {}

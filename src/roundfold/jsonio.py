@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterator
 
 from .census import CensusRow, CensusTable
@@ -205,17 +206,13 @@ def census_text(table: CensusTable) -> str:
 
 def _jsonl_row(row: CensusRow, manifold: str) -> str:
     """The JSONL line of a census row whose manifold describes as
-    ``manifold``; a census finisher (see ``census._census_part``)."""
-    return json.dumps(
-        {
-            "canonical": row.canonical.decode("ascii"),
-            "s": row.s,
-            "clutching": row.clutching,
-            "manifold": manifold,
-            "directed": row.directed,
-            "summary": row.summary,
-        },
-        sort_keys=True,
+    ``manifold``; a census finisher (see ``census._census_part``).  The line
+    is ``json.dumps`` of the row's fields with sorted keys, written
+    directly."""
+    return (
+        f'{{"canonical": {_json_str(row.canonical.decode("ascii"))}, "clutching": {row.clutching:d}, '
+        f'"directed": {"true" if row.directed else "false"}, "manifold": {_json_str(manifold)}, '
+        f'"s": {row.s:d}, "summary": {_json_str(row.summary)}}}'
     )
 
 

@@ -10,9 +10,11 @@ rank; summed over the matrix skeletons, it checks the published class
 counts without the census's top-down skeleton walk.  The exceptions are
 references kept from earlier versions of the library:
 ``min_over_orderings_twist_block``, the search over parallel-edge orderings
-that the encoder ran before its closed form, and ``census_rows``, which
+that the encoder ran before its closed form, ``census_rows``, which
 builds a census row through the public functions of one page, as the
-census did before it worked per skeleton.
+census did before it worked per skeleton, and
+``reference_validate_page_data``, the validator that checked a page in one
+pass per invariant before it checked them in one pass over the edges.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from roundfold import (
     surface_type,
     validate_page,
 )
-from roundfold.pages import gauge_generators
+from roundfold.pages import _KIND_DEGREES, ValidationReport, Violation, gauge_generators
 
 # (down slots, up slots) per shape; merge/split are the two saddle_p options
 SHAPES = {
@@ -421,3 +423,87 @@ def census_rows(n: int, graph: LabeledReebGraph, k_max: int) -> list[CensusRow]:
             )
         )
     return rows
+
+
+def reference_validate_page_data(vertices, edges) -> ValidationReport:
+    """The report of ``pages._validate_page_data`` on these (id, kind, rank)
+    vertices and (id, low, high, twist) edges, one pass per invariant, with a
+    graph search for connectivity."""
+    bad: list[Violation] = []
+
+    for code, what, items in (
+        ("duplicate_vertex_id", "vertex", vertices),
+        ("duplicate_edge_id", "edge", edges),
+    ):
+        ids = [x[0] for x in items]
+        if len(set(ids)) < len(ids):
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+            bad.append(Violation(code, f"duplicate {what} ids {dupes}", tuple(dupes)))
+    if bad:
+        return ValidationReport(tuple(bad))
+
+    rank_of = {vid: rank for vid, _, rank in vertices}
+    for eid, low, high, twist in edges:
+        for end in (low, high):
+            if end not in rank_of:
+                bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {end}", (eid, end)))
+        if type(twist) is not int or twist not in (0, 1):
+            bad.append(Violation("bad_twist", f"edge {eid} twist must be 0 or 1", (eid,)))
+    if bad:
+        return ValidationReport(tuple(bad))
+
+    criticals = [(vid, kind, rank) for vid, kind, rank in vertices if kind is not VertexKind.BOUNDARY]
+    s = len(criticals)
+    if s < 1:
+        bad.append(Violation("no_critical", "a page has at least one critical vertex", ()))
+    for vid, kind, rank in vertices:
+        if kind is VertexKind.BOUNDARY and rank != 0:
+            bad.append(Violation("boundary_rank", f"boundary vertex {vid} must have rank 0", (vid,)))
+    ranks = sorted(rank for _, _, rank in criticals)
+    bijective = ranks == list(range(1, s + 1))
+    if s >= 1 and not bijective:
+        bad.append(
+            Violation(
+                "rank_bijection",
+                f"critical ranks must be exactly 1..{s}, got {ranks}",
+                tuple(vid for vid, _, _ in criticals),
+            )
+        )
+
+    for eid, low, high, _ in edges:
+        if rank_of[low] >= rank_of[high]:
+            bad.append(Violation("edge_direction", f"edge {eid} must go strictly upward in rank", (eid,)))
+
+    below = Counter(high for _, _, high, _ in edges)
+    above = Counter(low for _, low, _, _ in edges)
+    for vid, kind, _ in vertices:
+        got = (below[vid], above[vid])
+        if got not in _KIND_DEGREES[kind]:
+            want = " or ".join(f"{b} below / {a} above" for b, a in _KIND_DEGREES[kind])
+            message = f"{kind.value} vertex {vid} has {got[0]} below / {got[1]} above, needs {want}"
+            bad.append(Violation("degree", message, (vid,)))
+
+    adjacent: dict = {vid: [] for vid in rank_of}
+    for _, low, high, _ in edges:
+        adjacent[low].append(high)
+        adjacent[high].append(low)
+    seen = set()
+    if adjacent:
+        todo = [next(iter(adjacent))]
+        seen.add(todo[0])
+        while todo:
+            for w in adjacent[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    if not adjacent or len(seen) < len(adjacent):
+        bad.append(Violation("disconnected", "page graph must be connected", ()))
+
+    if s >= 1 and bijective:
+        top_id, top_kind, _ = next(v for v in criticals if v[2] == s)
+        if top_kind is not VertexKind.MAX:
+            bad.append(
+                Violation("top_not_max", f"the rank-{s} vertex must be a max (outermost fold is definite)", (top_id,))
+            )
+
+    return ValidationReport(tuple(bad))

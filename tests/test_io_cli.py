@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import roundfold as rf
-from roundfold import cli
+from roundfold import cli, jsonio
 from roundfold.cli import main
 from roundfold.render import render_critical_values, render_reeb
 
@@ -365,6 +365,32 @@ def test_cli_census(capsys):
         assert main(["census", "--n", "5", "--s-max", "2", "--workers", workers]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"workers must be >= 1, got {workers}" in captured.err
+
+
+def _row_dict(row: rf.CensusRow, manifold: str) -> dict:
+    return {
+        "canonical": row.canonical.decode("ascii"),
+        "s": row.s,
+        "clutching": row.clutching,
+        "manifold": manifold,
+        "directed": row.directed,
+        "summary": row.summary,
+    }
+
+
+def test_jsonl_row_is_sorted_key_json_dumps():
+    rows = rf.census_table(4, 5, k_max=12).rows
+    assert {row.clutching for row in rows} == set(range(13))
+    for row in rows:
+        name = rf.describe(row.manifold)
+        assert jsonio._jsonl_row(row, name) == json.dumps(_row_dict(row, name), sort_keys=True)
+    base = rows[0]
+    for text in ('a "quoted" name', "back\\slash", "tab\there\x00\x1f", "Möbius × χ=−1 \U0001d4d5", ""):
+        for directed in (True, False):
+            row = rf.CensusRow(base.canonical, 12, -3, text, base.manifold, directed)
+            line = jsonio._jsonl_row(row, text[::-1])
+            assert line == json.dumps(_row_dict(row, text[::-1]), sort_keys=True)
+            assert json.loads(line)["summary"] == text
 
 
 def test_cli_render(torus_file, tmp_path, capsys):
