@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -52,12 +51,8 @@ ORACLE_S_LIMIT = 5
 # A census part is a run of kind sequences of one stratum, adjacent in
 # canonical order, with skeleton walks of this total size (see
 # ``_kind_sequences``) unless it is one sequence: about 50 ms of work, so a
-# part's rows, which come back as one message, are a few hundred kB.  A pool
-# holds this many tasks per process that the census has submitted and not
-# yet written, so a large part delays the parts after it without idling the
-# other processes, and finished rows never pile up.
+# part's rows, which come back as one message, are a few hundred kB.
 _PART_SIZE = 2000
-_TASKS_IN_FLIGHT_PER_PROCESS = 4
 # the kinds of the sphere page, a min under a max, whose class splits by
 # clutching at n = 4
 _SPHERE = {2: VertexKind.MAX, 1: VertexKind.MIN}
@@ -321,7 +316,7 @@ def _row_fields(view: pages._PageView, shapes: dict) -> tuple[str, str, int, int
             ]
         )
     fibers = ",".join(map(str, view.fiber_counts))
-    return shape, fibers, view.chi, view.b, bool(view.saddle_b), all(view.inward)
+    return shape, fibers, view.chi, view.b, view.has_saddle_b, all(view.inward)
 
 
 def _census_part(
@@ -394,11 +389,9 @@ def _run_census(
 
 
 def _results(tasks: list[tuple], processes: int) -> Iterator:
-    """The :func:`_census_part` results of these tasks, in order, each
-    computed when its turn nears: in this process, or in a pool of this many
-    processes with at most _TASKS_IN_FLIGHT_PER_PROCESS tasks per process
-    submitted and not yet taken, so a large part delays its successors'
-    results but never lets them pile up."""
+    """The :func:`_census_part` results of these tasks, in order: computed
+    in this process, each when its turn comes, or in a pool of this many
+    processes."""
     if processes == 1:
         yield from itertools.starmap(_census_part, tasks)
         return
@@ -406,13 +399,7 @@ def _results(tasks: list[tuple], processes: int) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        pending: deque = deque()
-        for task in tasks:
-            pending.append(pool.submit(_census_part, *task))
-            if len(pending) == processes * _TASKS_IN_FLIGHT_PER_PROCESS:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        yield from pool.map(_census_part, *zip(*tasks))
 
 
 def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> CensusTable:

@@ -23,7 +23,7 @@ from .foldmaps import (
     build_total_space,
     fold_counts,
 )
-from .jsonio import parse_manifold_spec, parse_page, serialize_page
+from .jsonio import parse_manifold_spec, parse_page
 from .manifolds import describe
 from .pages import regular_fiber_counts, surface_type
 from .render import render_critical_values, render_reeb
@@ -81,7 +81,7 @@ def _cmd_admits(args: argparse.Namespace) -> int:
     witness = {
         "n": rf.n,
         "clutching": rf.clutching,
-        "page": json.loads(serialize_page(rf.page)),
+        "page": jsonio._page_document(rf.page),
     }
     print(json.dumps(witness, indent=2))
     return 0

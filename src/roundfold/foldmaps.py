@@ -81,7 +81,7 @@ def validate_descriptor(rf: RoundFoldDescriptor) -> ValidationReport:
     bad = list(rf.page.report.violations)
     if not isinstance(rf.n, int) or rf.n < 4:
         bad.append(Violation("dimension", f"descriptor dimension must be an integer >= 4, got {rf.n!r}"))
-    if not isinstance(rf.clutching, int):
+    if type(rf.clutching) is not int:
         bad.append(Violation("clutching_type", "clutching must be an integer"))
     elif rf.clutching != 0:
         if rf.n != 4:

@@ -121,7 +121,12 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
 
 def serialize_page(graph: LabeledReebGraph) -> str:
     """Canonical JSON text of the page (inverse of :func:`parse_page`)."""
-    doc = {
+    return json.dumps(_page_document(graph), indent=2) + "\n"
+
+
+def _page_document(graph: LabeledReebGraph) -> dict:
+    """The page as the dict that :func:`serialize_page` writes."""
+    return {
         "vertices": [
             {"id": v.id, "kind": v.kind.value, "rank": v.rank} for v in graph.vertices
         ],
@@ -129,7 +134,6 @@ def serialize_page(graph: LabeledReebGraph) -> str:
             {"id": e.id, "low": e.low, "high": e.high, "twist": e.twist} for e in graph.edges
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

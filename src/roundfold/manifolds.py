@@ -42,6 +42,10 @@ class HandleSum:
 
     def __post_init__(self) -> None:
         _check_dim(self.n)
+        for name in ("a", "b"):
+            count = getattr(self, name)
+            if type(count) is not int:
+                raise RoundFoldError(f"handle sum {name} must be an int, got {count!r}")
         if self.a < 0 or self.b < 0 or self.a + self.b < 1:
             raise RoundFoldError(f"handle sum needs a, b >= 0 and a + b >= 1, got a={self.a} b={self.b}")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import gf2
 from .errors import InvalidPageError, RoundFoldError
@@ -110,6 +110,12 @@ class SurfaceType:
     crosscaps: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.boundary_circles) is not int:
+            raise RoundFoldError(f"boundary_circles must be an int, got {self.boundary_circles!r}")
+        for name in ("genus", "crosscaps"):
+            count = getattr(self, name)
+            if count is not None and type(count) is not int:
+                raise RoundFoldError(f"{name} must be an int or None, got {count!r}")
         if self.boundary_circles < 0:
             raise RoundFoldError("boundary_circles must be >= 0")
         if self.orientable:
@@ -229,29 +235,13 @@ class LabeledReebGraph:
         """The :func:`surface_type` of this page, computed once per object,
         so its orientability costs one :func:`twist_class`."""
         view = self._view
-        orientable = not view.saddle_b and twist_class(self).representative == 0
+        orientable = not view.has_saddle_b and twist_class(self).representative == 0
         return _surface_of(view.chi, view.b, orientable)
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-def _degree_table(
-    vertices: Sequence[tuple[str, VertexKind, int]], edges: Iterable[tuple[str, str, str, int]]
-) -> dict[str, tuple[int, int]]:
-    """Per-vertex (edges arriving from below, edges leaving upward) of the
-    page with these (id, kind, rank) vertices and (id, low, high, twist)
-    edges."""
-    below = {vid: 0 for vid, _, _ in vertices}
-    above = dict(below)
-    for _, low, high, _ in edges:
-        if high in below:
-            below[high] += 1
-        if low in above:
-            above[low] += 1
-    return {vid: (below[vid], above[vid]) for vid in below}
-
 
 _KIND_DEGREES = {
     VertexKind.BOUNDARY: ((0, 1),),
@@ -390,8 +380,8 @@ class _PageView:
     skeleton.  Nothing changes a view once it is built.
 
     ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
-    by fiberwise Morse counting, ``saddle_b`` the ids of the saddle_b
-    vertices, and ``fiber_counts`` the circle counts c_0..c_s of the regular
+    by fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex
+    exists, and ``fiber_counts`` the circle counts c_0..c_s of the regular
     fiber (see :func:`regular_fiber_counts`): c_r counts the edges with
     low rank <= r < high rank.  ``inward`` tells, for each rank 1..s, whether
     the regular fiber has more circles just below it than just above:
@@ -407,10 +397,7 @@ class _PageView:
         self.b = len(rank_of) - s
         kind_list = list(kinds.values())
         self.chi = 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - s
-        saddle_b = VertexKind.SADDLE_B
-        self.saddle_b = frozenset(
-            [v for v, r in rank_of.items() if kinds.get(r) is saddle_b] if saddle_b in kind_list else ()
-        )
+        self.has_saddle_b = VertexKind.SADDLE_B in kind_list
         # +1 where an edge starts, -1 where it ends; the running sums are c.
         # They go through a list: tuple() of an iterator of unknown length
         # resizes the tuple as it fills, and in a long-lived process that
@@ -430,8 +417,9 @@ class _PageView:
     def gauge_pivots(self) -> dict[int, int]:
         """Echelon form of the gauge span with the edges in this view's
         order (see :func:`gauge_generators`)."""
-        order = [eid for eid, _, _ in self.edges]
-        return gf2.rref(_gauge_vectors(self.rank_of, self.saddle_b, self.edges, order))
+        rank_of, m = self.rank_of, len(self.edges)
+        edges = [(rank_of[low], rank_of[high], m - 1 - j) for j, (_, low, high) in enumerate(self.edges)]
+        return gf2.rref(_gauge_vectors(self.kinds, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -452,33 +440,37 @@ def gauge_generators(graph: LabeledReebGraph, edge_order: Sequence[str]) -> list
     """Generating move vectors of the twist gauge group of a valid page, as
     bitmasks.
 
-    One vector per vertex (toggle all incident edges) plus one unit vector per
-    edge incident to a saddle_b vertex.  Coordinate j of ``edge_order`` sits at
-    bit (m - 1 - j).
+    The flip of each critical vertex by rank (toggle all incident edges),
+    then the flip of each boundary vertex (a unit vector on its one edge) and
+    one unit vector per edge incident to a saddle_b vertex.  Coordinate j of
+    ``edge_order`` sits at bit (m - 1 - j).
     """
     view = graph._view
-    return _gauge_vectors(view.rank_of, view.saddle_b, view.edges, edge_order)
-
-
-def _gauge_vectors(
-    vertex_ids: Iterable[str],
-    saddle_b: Container[str],
-    edges: Iterable[tuple[str, str, str]],
-    edge_order: Sequence[str],
-) -> list[int]:
-    """:func:`gauge_generators` of the page with these vertices, saddle_b
-    vertices and (id, low, high) edges."""
-    m = len(edge_order)
+    m, rank_of = len(edge_order), view.rank_of
     bit = {eid: m - 1 - j for j, eid in enumerate(edge_order)}
-    incident = dict.fromkeys(vertex_ids, 0)
+    return _gauge_vectors(view.kinds, [(rank_of[low], rank_of[high], bit[eid]) for eid, low, high in view.edges])
+
+
+def _gauge_vectors(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The gauge generators of the valid page whose critical vertex of each
+    rank 1..s has these kinds and whose edges are these (low rank, high
+    rank, coordinate bit) triples: the edges at the critical vertex of each
+    rank 1..s, then a unit for the one edge of each boundary vertex and one
+    for each edge at a saddle_b vertex."""
+    incident = [0] * (len(kinds) + 1)
     units = []
-    for eid, low, high in edges:
-        x = 1 << bit[eid]
-        incident[low] |= x
+    saddle_b = VertexKind.SADDLE_B
+    has_saddle_b = saddle_b in kinds.values()
+    for low, high, bit in edges:
+        x = 1 << bit
         incident[high] |= x
-        if saddle_b and (low in saddle_b or high in saddle_b):
+        if low:
+            incident[low] |= x
+        else:
             units.append(x)
-    return [*incident.values(), *units]
+        if has_saddle_b and (kinds.get(low) is saddle_b or kinds[high] is saddle_b):
+            units.append(x)
+    return [*incident[1:], *units]
 
 
 def _check_labeling_domain(graph: LabeledReebGraph, labeling: Mapping[str, int]) -> None:
@@ -632,33 +624,23 @@ def _encoding_layout(view: _PageView) -> EncodingLayout:
     keyed = sorted([(rank_of[low], rank_of[high], low, eid) for eid, low, high in view.edges])
     m = len(keyed)
     targets, edge_keys, order, pairs = [], [], [], []
-    # the gauge generators (see gauge_generators) in this order: the one
-    # edge of each boundary vertex and each edge at a saddle_b vertex as
-    # units, and the edges at the critical vertex of each rank 1..s
-    units, incident = [], [0] * (s + 1)
-    saddle_b, has_saddle_b = VertexKind.SADDLE_B, bool(view.saddle_b)
     before = None
     for j, (low_r, high_r, _, eid) in enumerate(keyed):
-        x = 1 << (m - 1 - j)
         order.append(eid)
-        incident[high_r] |= x
         if low_r:
-            incident[low_r] |= x
             edge_keys.append(f"{low_r}>{high_r}")
             if before == (low_r, high_r):
-                pairs.append(3 * x)  # this edge and the one before it
+                pairs.append(3 << (m - 1 - j))  # this edge and the one before it
             before = (low_r, high_r)
         else:
             targets.append(str(high_r))
             edge_keys.append(f"b{j}>{high_r}")
-            units.append(x)
-        if has_saddle_b and (kinds.get(low_r) is saddle_b or kinds[high_r] is saddle_b):
-            units.append(x)
+    gauge = _gauge_vectors(kinds, [(low_r, high_r, m - 1 - j) for j, (low_r, high_r, _, _) in enumerate(keyed)])
     return EncodingLayout(
         prefix=f"P1;s={s};K={tags};B={','.join(targets)};E={','.join(edge_keys)};",
         order=tuple(order),
         pairs=tuple(pairs),
-        gauge=gf2.rref([*incident, *units]),
+        gauge=gf2.rref(gauge),
     )
 
 

@@ -7,7 +7,9 @@ enumeration builds every labeled graph directly from degree shapes, the
 matrix enumerator lists skeletons as edge-multiplicity matrices filled rank
 by rank, and the Burnside class count has its own gauge vectors and GF(2)
 rank; summed over the matrix skeletons, it checks the published class
-counts without the census's top-down skeleton walk.  The exceptions are
+counts without the census's top-down skeleton walk.  ``page_gauge_vectors``
+builds a page's gauge generators vertex by vertex from its vertices and
+edges, and ``xor_basis`` gives the pivots of their span.  The exceptions are
 references kept from earlier versions of the library:
 ``min_over_orderings_twist_block``, the search over parallel-edge orderings
 that the encoder ran before its closed form, ``census_rows``, which
@@ -39,7 +41,7 @@ from roundfold import (
     surface_type,
     validate_page,
 )
-from roundfold.pages import _KIND_DEGREES, ValidationReport, Violation, gauge_generators
+from roundfold.pages import _KIND_DEGREES, ValidationReport, Violation
 
 # (down slots, up slots) per shape; merge/split are the two saddle_p options
 SHAPES = {
@@ -167,23 +169,54 @@ def min_over_orderings_twist_block(graph: LabeledReebGraph) -> str:
     for combo in itertools.product(*(itertools.permutations(sorted(groups[k])) for k in sorted(groups))):
         order = [eid for perm in combo for eid in perm]
         t = sum(1 << (m - 1 - j) for j, eid in enumerate(order) if labeling[eid])
-        rep = gf2.coset_representative(t, gf2.rref(gauge_generators(graph, order)))
+        rep = gf2.coset_representative(t, gf2.rref(page_gauge_vectors(graph, order)))
         if best is None or rep < best:
             best = rep
     return format(best, f"0{m}b") if m else ""
 
 
-def gf2_rank(vectors) -> int:
-    """GF(2) rank of int bitmasks through an XOR basis kept in decreasing
-    order, so its members have distinct leading bits."""
+def xor_basis(vectors) -> list[int]:
+    """A basis of the GF(2) span of int bitmasks, kept in decreasing order,
+    so its members have distinct leading bits: the pivots of the span."""
     basis: list[int] = []
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
+        v = coset_minimum(v, basis)
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
+
+
+def coset_minimum(v: int, basis: list[int]) -> int:
+    """The least point of v + span(basis), for a :func:`xor_basis`: each
+    member in turn clears its leading bit from v, touching only lower bits."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def gf2_rank(vectors) -> int:
+    return len(xor_basis(vectors))
+
+
+def page_gauge_vectors(graph: LabeledReebGraph, order: list[str]) -> list[int]:
+    """The gauge generators of a page by the per-vertex rule, from its
+    vertices and edges alone: each vertex toggles its incident edges, and
+    each edge at a saddle_b vertex toggles alone.  Coordinate j of
+    ``order`` sits at bit m - 1 - j."""
+    m = len(order)
+    unit = {eid: 1 << (m - 1 - j) for j, eid in enumerate(order)}
+    saddle_b = {v.id for v in graph.vertices if v.kind is VertexKind.SADDLE_B}
+    flips = [sum(unit[e.id] for e in graph.edges if v.id in (e.low, e.high)) for v in graph.vertices]
+    return flips + [unit[e.id] for e in graph.edges if {e.low, e.high} & saddle_b]
+
+
+def below_above(graph: LabeledReebGraph) -> dict[str, tuple[int, int]]:
+    """Per-vertex (edges arriving from below, edges leaving upward)."""
+    return {
+        v.id: (sum(e.high == v.id for e in graph.edges), sum(e.low == v.id for e in graph.edges))
+        for v in graph.vertices
+    }
 
 
 def skeleton_vectors(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import time
 
+from oracles import below_above
+
 import roundfold as rf
 from roundfold import (
     FreeGroup,
@@ -98,14 +100,12 @@ def test_criterion_4_directed_characterization():
     # family is characterized by admitting a directed witness and by the
     # realized-manifold sets coinciding.
     t0 = time.time()
-    from roundfold.pages import VertexKind, _degree_table
+    from roundfold.pages import VertexKind
 
     directed_builds: set[str] = set()
     family_builds: set[str] = set()
     for g in rf.enumerate_pages(5):
-        deg = _degree_table(
-            [(v.id, v.kind, v.rank) for v in g.vertices], [(e.id, e.low, e.high, e.twist) for e in g.edges]
-        )
+        deg = below_above(g)
         shape = all(
             v.kind in (VertexKind.BOUNDARY, VertexKind.MAX)
             or (v.kind is VertexKind.SADDLE_P and deg[v.id] == (2, 1))

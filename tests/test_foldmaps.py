@@ -21,6 +21,9 @@ def test_validate_descriptor_clutching_rules():
     assert not rf.validate_descriptor(RoundFoldDescriptor(4, rf.disk_page(), 1)).ok
     assert not rf.validate_descriptor(RoundFoldDescriptor(3, rf.disk_page())).ok
     assert rf.validate_descriptor(RoundFoldDescriptor(4, rf.disk_page(), 0)).ok
+    for clutching in (True, 1.0):
+        report = rf.validate_descriptor(RoundFoldDescriptor(4, rf.sphere_page(), clutching))
+        assert [v.code for v in report.violations] == ["clutching_type"]
 
 
 def test_build_total_space_examples():

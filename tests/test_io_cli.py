@@ -333,6 +333,19 @@ def test_cli_admits(capsys):
         assert captured.out == "" and captured.err == f"manifold spec {spec!r} repeats a key\n"
 
 
+@pytest.mark.parametrize(
+    "spec, directed",
+    [("handle_sum n=6 a=100 b=50", False), ("twisted_s2s2", False), ("handle_sum n=5 a=2 b=0", True)],
+)
+def test_cli_admits_writes_the_witness_as_serialize_page_does(spec, directed, capsys):
+    # the witness's page is the document of serialize_page, nested at indent 2
+    assert main(["admits", "--manifold", spec] + ["--directed"] * directed) == 0
+    d = jsonio.parse_manifold_spec(spec)
+    found = rf.admits_directed(d) if directed else rf.admits_round_fold(d)
+    witness = {"n": found.n, "clutching": found.clutching, "page": json.loads(rf.serialize_page(found.page))}
+    assert capsys.readouterr().out == json.dumps(witness, indent=2) + "\n"
+
+
 def test_cli_classify(torus_file, klein_file, capsys):
     assert main(["classify", torus_file, klein_file, "--n", "5"]) == 1
     assert capsys.readouterr().out.strip() == "not A-equivalent"

@@ -119,6 +119,26 @@ def test_descriptor_validation():
         FreeGroup(0)
 
 
+COUNT_CASES = {
+    "a=True": (HandleSum, 5, True, 0),
+    "b=False": (HandleSum, 5, 0, False),
+    "a=1.5": (HandleSum, 5, 1.5, 0),
+    "genus=1.5": (rf.orientable_surface, 1.5),
+    "genus=True": (rf.orientable_surface, True),
+    "boundary_circles=2.0": (rf.orientable_surface, 1, 2.0),
+    "crosscaps=1.0": (rf.nonorientable_surface, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_descriptor_counts_must_be_ints(case):
+    # a bool would describe itself as a=True, which the spec grammar cannot
+    # read, and a float would fail later in admits_round_fold's range()
+    make, *args = COUNT_CASES[case]
+    with pytest.raises(rf.RoundFoldError, match="must be an int"):
+        make(*args)
+
+
 def test_describe_round_trips_through_spec_grammar():
     for d in all_descriptors(n_range=(4, 6), size=3):
         assert rf.parse_manifold_spec(rf.describe(d)) == d

@@ -7,6 +7,7 @@ import time
 
 import pytest
 from oracles import (
+    below_above,
     euler_nonorientable,
     euler_orientable,
     fiber_counts_by_levels,
@@ -442,12 +443,8 @@ def test_standard_page_dispatch():
 def test_directed_shape_equivalence():
     # a page is all max/merge/boundary iff it has one max, s-1 merges,
     # s boundary circles, genus zero, orientable
-    from roundfold.pages import _degree_table
-
     for g in rf.enumerate_pages(5):
-        deg = _degree_table(
-            [(v.id, v.kind, v.rank) for v in g.vertices], [(e.id, e.low, e.high, e.twist) for e in g.edges]
-        )
+        deg = below_above(g)
         shape = all(
             v.kind in (VertexKind.BOUNDARY, VertexKind.MAX)
             or (v.kind is VertexKind.SADDLE_P and deg[v.id] == (2, 1))

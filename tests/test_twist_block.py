@@ -1,5 +1,7 @@
 """The closed-form twist block of the canonical encoding against the search
-over parallel-edge orderings, plus the size gate it makes reachable."""
+over parallel-edge orderings, plus the size gate it makes reachable, and
+the gauge span of every page view, layout and edge order against the
+per-vertex rule of the oracles."""
 
 from __future__ import annotations
 
@@ -8,17 +10,23 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     burnside_stratum_count,
+    coset_minimum,
     graph_from_skeleton,
     matrix_class_count,
     min_over_orderings_twist_block,
+    page_gauge_vectors,
     swap_sensitive,
     valid_skeletons,
+    xor_basis,
 )
 
 import roundfold as rf
 from roundfold import gf2
+from roundfold.pages import gauge_generators
 
 
 def twist_block(graph: rf.LabeledReebGraph) -> str:
@@ -110,3 +118,42 @@ def test_burnside_count_s7():
 def test_burnside_count_over_the_matrix_skeletons_matches_published_classes(s, classes):
     # the same counts from skeletons that the census walk did not generate
     assert matrix_class_count(s) == classes
+
+
+GAUGE_PAGES = [
+    rf.disk_page(),
+    rf.sphere_page(),
+    rf.annulus_page(),
+    rf.moebius_page(),
+    rf.directed_page(3),
+    rf.handle_page(2, 1),
+    rf.orientable_closed_page(2),
+    rf.nonorientable_closed_page(3),
+    rf.klein_page(),
+] + [graph_from_skeleton(kinds, edges, {}) for s in range(1, 6) for kinds, edges in valid_skeletons(s)]
+
+
+def oracle_pivots(graph: rf.LabeledReebGraph, order) -> set[int]:
+    return {b.bit_length() - 1 for b in xor_basis(page_gauge_vectors(graph, order))}
+
+
+def test_view_and_layout_gauge_spans_follow_the_per_vertex_rule():
+    assert len(GAUGE_PAGES) == 9 + 1 + 3 + 8 + 37 + 233
+    for g in GAUGE_PAGES:
+        view = g._view
+        assert set(view.gauge_pivots) == oracle_pivots(g, [e.id for e in g.edges]), g
+        assert set(view.layout.gauge) == oracle_pivots(g, view.layout.order), g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_gauge_generators_follow_the_per_vertex_rule_in_any_edge_order(data):
+    g = data.draw(st.sampled_from(GAUGE_PAGES))
+    order = data.draw(st.permutations([e.id for e in g.edges]))
+    gens = gauge_generators(g, order)
+    oracle = page_gauge_vectors(g, order)
+    assert sorted(gens) == sorted(oracle)
+    pivots, basis = gf2.rref(gens), xor_basis(oracle)
+    assert set(pivots) == {b.bit_length() - 1 for b in basis}
+    for t in data.draw(st.lists(st.integers(0, 2 ** len(order) - 1), min_size=1, max_size=4)):
+        assert gf2.coset_representative(t, pivots) == coset_minimum(t, basis)
