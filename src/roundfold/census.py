@@ -9,10 +9,11 @@ according to its kind (max opens one; a merge consumes one and opens two; a
 split consumes two and opens one; a min consumes one; a saddle_b consumes
 one and opens one), and the ends left after rank 1 close with boundary
 vertices.  The generator tracks the component of every dangling end and
-abandons a branch as soon as the shape can no longer be connected.  Each
-skeleton is validated as plain data, without building a page, and its
-encoding layout (the ``K``/``B``/``E`` blocks, the gauge span and the
-parallel pairs), fiber counts, χ and b are derived once.  Its twist
+abandons a branch as soon as the shape can no longer be connected.  The
+census trusts it and validates no skeleton (``tests/test_census.py`` checks
+that each one it walks is a valid page); each skeleton's encoding layout
+(the ``K``/``B``/``E`` blocks, the gauge span and the parallel pairs), fiber
+counts, χ and b are derived once, without building a page.  Its twist
 candidates, one per coset of the gauge span, then cost one ``T`` block each,
 and the classes of a sequence are their distinct encodings, sorted
 (``_classes``).  ``enumerate_pages`` builds a page of each class.  A class's
@@ -41,7 +42,6 @@ from .pages import (
     Edge,
     LabeledReebGraph,
     VertexKind,
-    gauge_generators,
     page_orientable,
 )
 
@@ -204,18 +204,15 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, [])
 
 
-def _valid_skeletons(s: int, kinds: dict[int, VertexKind]):
-    """Yield the :class:`pages._PageView` of each valid skeleton of
+def _skeleton_views(s: int, kinds: dict[int, VertexKind]):
+    """Yield the :class:`pages._PageView` of each skeleton of
     ``_skeletons(s, kinds)``, with vertices v1..vs by rank, boundary
-    vertices b0, b1, ... and edges e0, e1, ... in generator order.  Each is
-    validated once, by the checks of :func:`pages.validate_page` run on its
-    plain data; no page is built."""
+    vertices b0, b1, ... and edges e0, e1, ... in generator order.  The
+    generator yields only valid pages, so none is validated here."""
     for kinds, edges in _skeletons(s, kinds):
-        vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
-        vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
-        es = [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(edges)]
-        if pages._validate_page_data(vertices, es).ok:
-            yield pages._PageView(kinds, {vid: r for vid, _, r in vertices}, tuple([e[:3] for e in es]))
+        rank_of = {f"v{r}": r for r in kinds}
+        rank_of.update([(low, 0) for low, _ in edges if low[0] == "b"])
+        yield pages._PageView(kinds, rank_of, tuple([(f"e{j}", low, high) for j, (low, high) in enumerate(edges)]))
 
 
 def _candidates(view: pages._PageView):
@@ -238,14 +235,14 @@ def _candidates(view: pages._PageView):
 
 def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable = lambda view: view) -> list[tuple]:
     """(encoding, keep(view), twists) of the first candidate of each class of
-    the valid skeletons of this kind sequence, sorted by encoding, with
+    the skeletons of this kind sequence, sorted by encoding, with
     ``keep`` called once per skeleton, so that its view need not outlive the
     walk.  The encodings of one sequence share their text up to the ``K``
     block, and every ``K`` text of a stratum has the same length, so the
     sorted classes of the sequences in ``K`` order are the sorted classes of
     the stratum."""
     found: dict[bytes, tuple] = {}
-    for view in _valid_skeletons(s, kinds):
+    for view in _skeleton_views(s, kinds):
         kept = keep(view)
         for twists, enc in _candidates(view):
             found.setdefault(enc, (kept, twists))
@@ -424,26 +421,29 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
 
 def brute_force_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
     """Exhaustive page isomorphism test, independent of the canonical
-    encoding: tries every kind/rank-preserving vertex and edge bijection and
-    every gauge combination.  Limited to s <= ORACLE_S_LIMIT."""
-    view0, view1 = g0._view, g1._view
-    if view0.s > ORACLE_S_LIMIT or view1.s > ORACLE_S_LIMIT:
+    encoding and its gauge rule: tries every kind/rank-preserving vertex and
+    edge bijection and every gauge move, built from the vertices and edges
+    alone (each vertex toggles its edges, each edge at a saddle_b toggles
+    alone).  Limited to s <= ORACLE_S_LIMIT."""
+    pages.require_valid(g0)
+    pages.require_valid(g1)
+    if g0.s > ORACLE_S_LIMIT or g1.s > ORACLE_S_LIMIT:
         raise OracleLimitError(f"brute-force oracle supports s <= {ORACLE_S_LIMIT}")
-    if view0.kinds != view1.kinds:
-        return False
     crit0, crit1 = g0.critical_by_rank(), g1.critical_by_rank()
+    if {r: v.kind for r, v in crit0.items()} != {r: v.kind for r, v in crit1.items()}:
+        return False
     bd0 = [v.id for v in g0.boundary_vertices()]
     bd1 = [v.id for v in g1.boundary_vertices()]
     if len(bd0) != len(bd1) or len(g0.edges) != len(g1.edges):
         return False
 
-    order1 = [e.id for e in g1.edges]
-    bit1 = {eid: len(order1) - 1 - j for j, eid in enumerate(order1)}
-    t1 = 0
-    for e in g1.edges:
-        if e.twist:
-            t1 |= 1 << bit1[e.id]
-    orbit = gf2.subspace_elements(gauge_generators(g1, order1))
+    m = len(g1.edges)
+    unit = {e.id: 1 << (m - 1 - j) for j, e in enumerate(g1.edges)}
+    t1 = sum(unit[e.id] for e in g1.edges if e.twist)
+    saddle_b = {v.id for v in g1.vertices if v.kind is VertexKind.SADDLE_B}
+    moves = [sum(unit[e.id] for e in g1.edges if v.id in (e.low, e.high)) for v in g1.vertices]
+    moves += [unit[e.id] for e in g1.edges if {e.low, e.high} & saddle_b]
+    orbit = gf2.subspace_elements(moves)
 
     for bd_perm in itertools.permutations(bd1):
         vmap = {crit0[r].id: crit1[r].id for r in range(1, g0.s + 1)}
@@ -464,7 +464,7 @@ def brute_force_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
             for k, perm in zip(keys, perms):
                 for e0, e1 in zip(groups0[k], perm):
                     if e0.twist:
-                        t0 |= 1 << bit1[e1.id]
+                        t0 |= unit[e1.id]
             if t0 ^ t1 in orbit:
                 return True
     return False

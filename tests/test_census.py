@@ -192,12 +192,20 @@ def test_every_generated_skeleton_is_a_valid_page(s):
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
     owner: dict[bytes, int] = {}
-    views = (view for kinds in sequences(s) for view in census._valid_skeletons(s, kinds))
+    views = (view for kinds in sequences(s) for view in census._skeleton_views(s, kinds))
     for i, view in enumerate(views):
         skeleton = rf.LabeledReebGraph.of(
             [(vid, view.kinds[r] if r else "boundary", r) for vid, r in view.rank_of.items()],
             [(*edge, 0) for edge in view.edges],
         )
+        # the census validates no skeleton, so check the page of each of its
+        # views here, and that the page's own view is the census's (a page
+        # keeps its edges sorted by id, e10 before e2)
+        assert rf.validate_page(skeleton).ok
+        own = skeleton._view
+        for field in ("kinds", "rank_of", "fiber_counts", "chi", "b", "inward"):
+            assert getattr(own, field) == getattr(view, field)
+        assert sorted(own.edges) == sorted(view.edges)
         # the candidates are the labelings of the free coordinates of the
         # public gauge generators over e0..e{m-1}, in order
         m = len(skeleton.edges)

@@ -62,6 +62,19 @@ def test_admits_round_fold_witnesses():
     assert w == RoundFoldDescriptor(4, rf.sphere_page(), 1)
 
 
+def test_admits_round_fold_witnesses_use_the_fewest_fold_spheres_of_the_census():
+    # the census at n = 5, s <= 7 reaches 21 manifolds; each witness page has
+    # the least s among the manifold's census rows
+    least: dict = {}
+    for row in rf.census_table(5, 7).rows:
+        least[row.manifold] = min(least.get(row.manifold, row.s), row.s)
+    assert len(least) == 21
+    for manifold, s in least.items():
+        w = rf.admits_round_fold(manifold)
+        assert rf.build_total_space(w) == manifold
+        assert w.page.s == s
+
+
 def test_admits_directed():
     w = rf.admits_directed(HandleSum(5, 3, 0))
     assert w is not None and rf.page_isomorphic(w.page, rf.directed_page(4))
