@@ -11,17 +11,21 @@ one and opens one), and the ends left after rank 1 close with boundary
 vertices.  The generator tracks the component of every dangling end and
 abandons a branch as soon as the shape can no longer be connected.  The
 census trusts it and validates no skeleton (``tests/test_census.py`` checks
-that each one it walks is a valid page); each skeleton's encoding layout
-(the ``K``/``B``/``E`` blocks, the gauge span and the parallel pairs), fiber
-counts, χ and b are derived once, without building a page.  Its twist
-candidates, one per coset of the gauge span, then cost one ``T`` block each,
-and the classes of a sequence are their distinct encodings, sorted
-(``_classes``).  ``enumerate_pages`` builds a page of each class.  A class's
-row depends only on its encoding, its clutching and on whether its
-candidate is twisted.  The canonical forms of one stratum sort by kind
-sequence first, so ``census_table`` runs parts of adjacent sequences, in a
-process pool or in turn, and writes each part's rows as soon as the parts
-before it are done.
+that each one it walks is a valid page).  The generator tracks vertices by
+rank and builds, as it descends, what a skeleton's encoding layout shares
+with its siblings: each edge's bit in the encoding order, the ``E`` keys of
+the ranks above, the parallel pairs and the fiber counts.  At rank 0 it
+sorts only the boundary targets, eliminates the gauge span once in the
+encoding order (and, if the span leaves coordinates free, once more in the
+order the edges were placed, to choose them), and encodes the twist
+candidates, one per coset of the gauge span, at one ``T`` block each; it
+builds no page and no page view.  The classes of a sequence are their
+distinct encodings, sorted (``_classes``), and ``enumerate_pages`` builds a
+page of each class.  A class's row depends only on its encoding, its
+clutching and on whether its candidate is twisted.  The canonical forms of
+one stratum sort by kind sequence first, so ``census_table`` runs parts of
+adjacent sequences, in a process pool or in turn, and writes each part's
+rows as soon as the parts before it are done.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import gf2, pages
@@ -50,8 +53,10 @@ MAX_CLUTCHING = 1000
 ORACLE_S_LIMIT = 5
 # A census part is a run of kind sequences of one stratum, adjacent in
 # canonical order, with skeleton walks of this total size (see
-# ``_kind_sequences``) unless it is one sequence: about 50 ms of work, so a
-# part's rows, which come back as one message, are a few hundred kB.
+# ``_kind_sequences``) unless it is one sequence.  The 68 parts of s = 7
+# took a median of 10 to 17 ms each, and at most 51 ms, in four runs on a
+# shared 2-core Xeon VM under Python 3.11, and a part's rows, which come
+# back as one message, are a few hundred kB.  Twice the size was no faster.
 _PART_SIZE = 2000
 # the kinds of the sphere page, a min under a max, whose class splits by
 # clutching at n = 4
@@ -153,29 +158,58 @@ def _parts(s: int) -> list[list[dict[int, VertexKind]]]:
 
 
 def _skeletons(s: int, kinds: dict[int, VertexKind]):
-    """Yield (kinds, edges) for every connected degree-correct shape with
-    these kinds of ranks s..1, ``kinds`` itself each time; edges are (low,
-    high) vertex-name pairs and boundary vertices are named b0, b1, ...
-    Twists are not assigned.  The order is that of a walk over every kind
-    sequence with the kinds of each rank taken in ``_SHAPES`` order, less
-    the skeletons of other sequences.
+    """Yield a record (edges, ends, fibers, inward, candidates) for every
+    connected degree-correct shape with these kinds of ranks s..1, with
+    vertices tracked by rank (0 for a boundary vertex).  ``edges`` holds
+    the (low rank, high rank, bit) of the edges from critical vertices, e0,
+    e1, ... in the order they are placed; it is the walk's own list, so a
+    reader that keeps it copies it.  ``ends`` holds the high ranks of the
+    edges from the boundary vertices b0, b1, ..., which come next as
+    e{len(edges)}, ...; ``fibers`` is the text of the fiber counts
+    c_0..c_s; ``inward`` tells for each rank 1..s whether c_(r-1) > c_r;
+    and ``candidates`` are the (t, encoding) of :func:`_candidates`.  The
+    order is that of a walk over every kind sequence with the kinds of each
+    rank taken in ``_SHAPES`` order and the ends each vertex takes in order
+    of their ranks, less the skeletons of other sequences.  Ranks sort as
+    the names v1..vs of their vertices only for one-digit s: from s = 10 on,
+    a walk over names would take ends in another order, and so number the
+    edges and keep candidates otherwise.
 
     Each dangling end carries the label of its component (``comp`` maps the
-    vertex an end hangs from to that label).  Only a split joins components,
-    and it consumes two open ends, so a component whose last open end a min
-    closes can never be joined again: the branch is dead unless nothing else
-    is left to place.  At rank 0 the open ends must carry at most one label;
-    a closed page has none."""
+    rank of the vertex an end hangs from to that label).  Only a split joins
+    components, and it consumes two open ends, so a component whose last
+    open end a min closes can never be joined again: the branch is dead
+    unless nothing else is left to place.  At rank 0 the open ends must
+    carry at most one label; a closed page has none.
 
-    def rec(rank: int, dangling: tuple[str, ...], comp: dict[str, str], edges: list[tuple[str, str]]):
+    The encoding order is the boundary edges by target rank, then the edges
+    from ranks 1..s-1, each rank's by high rank: the walk's order of ranks,
+    reversed.  So an edge's bit in it (m - 1 - j at position j) is fixed when
+    it is placed: the number of edges placed before its rank's, plus its
+    offset from the end of its rank's.  The walk carries the ``E`` keys of
+    the ranks above, each after a comma, and the parallel-pair vectors; at
+    rank 0 it sorts only the boundary targets, and keeps the text they start
+    per tuple of targets."""
+    starts: dict[tuple[int, ...], str] = {}
+
+    def rec(rank: int, dangling: tuple, comp: list, edges: list, keys: str, pairs: tuple, fibers: str, inward: tuple):
         if rank == 0:
             if len({comp[h] for h in dangling}) <= 1:
-                yield kinds, edges + [(f"b{i}", high) for i, high in enumerate(dangling)]
+                targets = tuple(sorted(dangling))
+                start = starts.get(targets)
+                if start is None:
+                    start = starts[targets] = pages._layout_start(kinds, targets)
+                prefix = pages._layout_prefix(start, keys)
+                yield edges, dangling, fibers, inward, _candidates(kinds, prefix, edges, dangling, targets, pairs)
             return
-        me = f"v{rank}"
+        placed = len(edges)
         for consume, open_ in _SHAPES[kinds[rank]]:
+            # c_(rank - 1) is the number of ends left open below this vertex
+            below = f"{len(dangling) - consume + open_},{fibers}", (open_ > consume, *inward)
             if consume == 0:
-                yield from rec(rank - 1, dangling + (me,) * open_, {**comp, me: me}, edges)
+                labels = comp.copy()
+                labels[rank] = rank
+                yield from rec(rank - 1, dangling + (rank,) * open_, labels, edges, keys, pairs, *below)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
@@ -183,79 +217,88 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                     label = comp[high]
                     if not open_ and (rank > 1 or rest) and all(comp[h] != label for h in rest):
                         continue
-                    edges.append((me, high))
-                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, {**comp, me: label}, edges)
+                    labels = comp.copy()
+                    labels[rank] = label
+                    edges.append((rank, high, placed))
+                    above = f",{pages._edge_key(rank, high)}{keys}"
+                    yield from rec(rank - 1, (*rest, *(rank,) * open_), labels, edges, above, pairs, *below)
                     edges.pop()
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
-                pairs = [(h, h) for h in uniq if dangling.count(h) >= 2]
-                pairs += list(itertools.combinations(uniq, 2))
-                for h1, h2 in pairs:
+                choices = [(h, h) for h in uniq if dangling.count(h) >= 2]
+                choices += list(itertools.combinations(uniq, 2))
+                for h1, h2 in choices:
                     rest = list(dangling)
                     rest.remove(h1)
                     rest.remove(h2)
                     keep, gone = comp[h1], comp[h2]
-                    joined = {v: keep if label == gone else label for v, label in comp.items()}
-                    joined[me] = keep
-                    edges += [(me, h1), (me, h2)]
-                    yield from rec(rank - 1, tuple(rest) + (me,) * open_, joined, edges)
+                    labels = [keep if label == gone else label for label in comp]
+                    labels[rank] = keep
+                    # h1 <= h2, so the edge up to h1 comes first in encoding
+                    # order, and takes the higher bit
+                    edges += [(rank, h1, placed + 1), (rank, h2, placed)]
+                    above = f",{pages._edge_key(rank, h1)},{pages._edge_key(rank, h2)}{keys}"
+                    parallel = (*pairs, 3 << placed) if h1 == h2 else pairs
+                    yield from rec(rank - 1, (*rest, *(rank,) * open_), labels, edges, above, parallel, *below)
                     del edges[-2:]
 
-    yield from rec(s - 1, (f"v{s}",), {f"v{s}": f"v{s}"}, [])
+    yield from rec(s - 1, (s,), [0] * s + [s], [], "", (), "1,0", (True,))
 
 
-def _skeleton_views(s: int, kinds: dict[int, VertexKind]):
-    """Yield the :class:`pages._PageView` of each skeleton of
-    ``_skeletons(s, kinds)``, with vertices v1..vs by rank, boundary
-    vertices b0, b1, ... and edges e0, e1, ... in generator order.  The
-    generator yields only valid pages, so none is validated here."""
-    for kinds, edges in _skeletons(s, kinds):
-        rank_of = {f"v{r}": r for r in kinds}
-        rank_of.update([(low, 0) for low, _ in edges if low[0] == "b"])
-        yield pages._PageView(kinds, rank_of, tuple([(f"e{j}", low, high) for j, (low, high) in enumerate(edges)]))
-
-
-def _candidates(view: pages._PageView):
-    """Yield (twists, encoding) for one twist labeling per gauge coset of the
-    valid skeleton with this view: ``twists`` maps the coordinates that an
-    elimination over its edges in order leaves free to their picks, in
-    lexicographic order, and every other twist is 0.  The layout is computed
-    once, so a candidate costs one ``T`` block."""
-    m = len(view.edges)
-    layout = view.layout
-    free: list[str] = []
+def _candidates(kinds: dict, prefix: str, edges: list, ends: tuple, targets: tuple, pairs: tuple) -> list:
+    """(t, encoding) of one twist labeling per gauge coset of the skeleton
+    of :func:`_skeletons` with these ``edges``, boundary ``ends``, and their
+    sorted ``targets``, whose encodings start with ``prefix`` and have these
+    parallel-pair vectors: ``t`` holds the twists as bits of the encoding
+    order.  The labelings are those of the coordinates that an elimination
+    over the edges in generator order (e0, e1, ...) leaves free, in
+    lexicographic order of their picks, and every other twist is 0, so the
+    first candidate is untwisted."""
+    m = len(edges) + len(ends)
+    gauge = gf2.rref(pages._gauge_vectors(kinds, [*edges, *[(0, high, m - 1 - j) for j, high in enumerate(targets)]]))
     # the rank of the gauge span does not depend on the edge order; at full
     # rank no coordinate is free, and the one candidate is untwisted
-    if len(layout.gauge) < m:
-        free = [view.edges[m - 1 - bit][0] for bit in gf2.complement_bits(view.gauge_pivots, m)]
+    if len(gauge) == m:
+        return [(0, pages._encode_bits(prefix, 0, m, pairs, gauge))]
+    generator = [(low, high, m - 1 - k) for k, (low, high, _) in enumerate(edges)]
+    generator += [(0, high, len(ends) - 1 - i) for i, high in enumerate(ends)]
+    pivots = gf2.rref(pages._gauge_vectors(kinds, generator))
+    # the unit of a boundary edge is a gauge generator, so the free
+    # coordinates are edges from critical vertices
+    free = [1 << edges[m - 1 - bit][2] for bit in gf2.complement_bits(pivots, m)]
+    found = []
     for picks in itertools.product((0, 1), repeat=len(free)):
-        twists = dict(zip(free, picks))
-        yield twists, layout.encode(twists)
+        t = sum([x for x, pick in zip(free, picks) if pick])
+        found.append((t, pages._encode_bits(prefix, t, m, pairs, gauge)))
+    return found
 
 
-def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable = lambda view: view) -> list[tuple]:
-    """(encoding, keep(view), twists) of the first candidate of each class of
-    the skeletons of this kind sequence, sorted by encoding, with
-    ``keep`` called once per skeleton, so that its view need not outlive the
-    walk.  The encodings of one sequence share their text up to the ``K``
-    block, and every ``K`` text of a stratum has the same length, so the
-    sorted classes of the sequences in ``K`` order are the sorted classes of
-    the stratum."""
+def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable) -> list[tuple]:
+    """(encoding, keep(skeleton), t) of the first candidate of each class of
+    the skeletons of this kind sequence, sorted by encoding, with ``keep``
+    called once on each record of :func:`_skeletons`, while the walk waits.
+    The encodings of one sequence share their text up to the ``K`` block,
+    and every ``K`` text of a stratum has the same length, so the sorted
+    classes of the sequences in ``K`` order are the sorted classes of the
+    stratum."""
     found: dict[bytes, tuple] = {}
-    for view in _skeleton_views(s, kinds):
-        kept = keep(view)
-        for twists, enc in _candidates(view):
-            found.setdefault(enc, (kept, twists))
+    for skeleton in _skeletons(s, kinds):
+        kept = keep(skeleton)
+        for t, enc in skeleton[4]:
+            found.setdefault(enc, (kept, t))
     return [(enc, *found[enc]) for enc in sorted(found)]
 
 
 def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
     for s in range(1, s_max + 1):
         for kinds, _ in _kind_sequences(s):
-            for _, view, twists in _classes(s, kinds):
+            critical = [(f"v{r}", kind, r) for r, kind in kinds.items()]
+            # a page keeps a copy of its skeleton's edges, which the walk reuses
+            for _, (edges, ends), t in _classes(s, kinds, lambda skeleton: (list(skeleton[0]), skeleton[1])):
                 g = LabeledReebGraph.of(
-                    [(vid, view.kinds.get(r, VertexKind.BOUNDARY), r) for vid, r in view.rank_of.items()],
-                    [(eid, lo, hi, twists.get(eid, 0)) for eid, lo, hi in view.edges],
+                    critical + [(f"b{i}", VertexKind.BOUNDARY, 0) for i in range(len(ends))],
+                    [(f"e{k}", f"v{low}", f"v{high}", t >> bit & 1) for k, (low, high, bit) in enumerate(edges)]
+                    + [(f"e{len(edges) + i}", f"b{i}", f"v{high}", 0) for i, high in enumerate(ends)],
                 )
                 # its skeleton is valid, and 0/1 twists never affect validity
                 object.__setattr__(g, "report", pages._VALID)
@@ -297,23 +340,29 @@ def _check_int(name: str, value: int, low: int, high: int | None = None) -> None
 # census tables
 # ---------------------------------------------------------------------------
 
-def _row_fields(view: pages._PageView, shapes: dict) -> tuple[str, str, int, int, bool, bool]:
-    """What the rows of the classes of the valid skeleton with this view
-    share: its kinds text, where a saddle_p is a merge if its critical sphere
-    is inward-directed; its fiber counts text; χ; b; whether it has a
-    saddle_b; and whether every critical sphere is inward-directed, as
-    :func:`foldmaps.is_directed` asks.  ``shapes`` keeps the kinds texts of
-    the view's kind sequence by inward pattern, so each is written once."""
-    shape = shapes.get(view.inward)
-    if shape is None:
-        shape = shapes[view.inward] = " ".join(
-            [
-                f"{('merge' if inward else 'split') if kind is VertexKind.SADDLE_P else kind.value}@{r}"
-                for (r, kind), inward in zip(sorted(view.kinds.items()), view.inward)
+def _row_fields(kinds: dict[int, VertexKind]) -> Callable:
+    """The ``keep`` of :func:`_classes` for the census of this kind
+    sequence: what the rows of the classes of a skeleton share, from its
+    record.  That is its kinds text, where a saddle_p is a merge if its
+    critical sphere is inward-directed; its fiber counts text; χ; b; whether
+    it has a saddle_b; and whether every critical sphere is inward-directed,
+    as :func:`foldmaps.is_directed` asks.  The kinds texts are kept by
+    inward pattern, so each is written once."""
+    chi, saddle_b = pages._euler_by_kinds(kinds), VertexKind.SADDLE_B in kinds.values()
+    shapes: dict[tuple[bool, ...], str] = {}
+
+    def fields(skeleton: tuple) -> tuple[str, str, int, int, bool, bool]:
+        _, ends, fibers, inward, _ = skeleton
+        shape = shapes.get(inward)
+        if shape is None:
+            names = [
+                ("merge" if inward[r - 1] else "split") if kinds[r] is VertexKind.SADDLE_P else kinds[r].value
+                for r in range(1, len(inward) + 1)
             ]
-        )
-    fibers = ",".join(map(str, view.fiber_counts))
-    return shape, fibers, view.chi, view.b, view.has_saddle_b, all(view.inward)
+            shape = shapes[inward] = " ".join([f"{name}@{r}" for r, name in enumerate(names, start=1)])
+        return shape, fibers, chi, len(ends), saddle_b, all(inward)
+
+    return fields
 
 
 def _census_part(
@@ -333,15 +382,14 @@ def _census_part(
     manifold object.  It returns no pages, and rows with the same surface and
     clutching share their objects, so a worker process sends back only small
     objects."""
-    # each kind sequence gets its own kinds-text cache, dropped with its walk
-    classes = [c for kinds in sequences for c in _classes(s, kinds, partial(_row_fields, shapes={}))]
+    classes = [c for kinds in sequences for c in _classes(s, kinds, _row_fields(kinds))]
     rows = []
     for k in clutchings:
         prefix, spaces = _form_prefix(n, k), {}
-        for enc, (shape, fibers, chi, b, saddle_b, inward), twists in classes:
-            # a candidate lies in the gauge span iff its picks are all 0, and
+        for enc, (shape, fibers, chi, b, saddle_b, inward), t in classes:
+            # a candidate lies in the gauge span iff its twists are all 0, and
             # a page is orientable iff its twists do and it has no saddle_b
-            orientable = not saddle_b and not any(twists.values())
+            orientable = not saddle_b and not t
             key = (chi, b, orientable)
             if key not in spaces:
                 surface = pages._surface_of(*key)

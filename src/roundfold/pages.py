@@ -395,9 +395,8 @@ class _PageView:
         self.kinds, self.rank_of, self.edges = kinds, rank_of, edges
         s = self.s = len(kinds)
         self.b = len(rank_of) - s
-        kind_list = list(kinds.values())
-        self.chi = 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - s
-        self.has_saddle_b = VertexKind.SADDLE_B in kind_list
+        self.chi = _euler_by_kinds(kinds)
+        self.has_saddle_b = VertexKind.SADDLE_B in kinds.values()
         # +1 where an edge starts, -1 where it ends; the running sums are c.
         # They go through a list: tuple() of an iterator of unknown length
         # resizes the tuple as it fills, and in a long-lived process that
@@ -425,6 +424,13 @@ class _PageView:
 # ---------------------------------------------------------------------------
 # surface invariants
 # ---------------------------------------------------------------------------
+
+def _euler_by_kinds(kinds: Mapping[int, VertexKind]) -> int:
+    """The Euler characteristic of a page with these kinds by rank, by
+    fiberwise Morse counting: each min and max adds 1, each saddle takes 1."""
+    kind_list = list(kinds.values())
+    return 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - len(kind_list)
+
 
 def page_euler(graph: LabeledReebGraph) -> int:
     """Euler characteristic of the page, by fiberwise Morse counting."""
@@ -601,20 +607,49 @@ class EncodingLayout:
 
     def encode(self, labeling: Mapping[str, int]) -> bytes:
         """The encoding of the copy with these twists (an edge missing from
-        ``labeling`` has twist 0): the prefix, then the least point of
-        t + S + span{1_e + 1_f : t_e != t_f} (see
-        :func:`canonical_page_encoding`)."""
+        ``labeling`` has twist 0)."""
         t = _labeling_bits(labeling, self.order)
-        swaps = [pair for pair in self.pairs if t & pair not in (0, pair)]
-        pivots = gf2.rref([*self.gauge.values(), *swaps]) if swaps else self.gauge
-        best = gf2.coset_representative(t, pivots)
-        return f"{self.prefix}T={best:0{len(self.order)}b}".encode("ascii")
+        return _encode_bits(self.prefix, t, len(self.order), self.pairs, self.gauge)
+
+
+def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[int], gauge: dict[int, int]) -> bytes:
+    """The encoding with this prefix of the twists ``t``, as bits of the
+    encoding edge order of width m with these parallel-pair vectors and this
+    echelon form of the gauge span S: the prefix, then the ``T`` block, the
+    least point of t + S + span{1_e + 1_f : t_e != t_f} (see
+    :func:`canonical_page_encoding`)."""
+    swaps = [pair for pair in pairs if t & pair not in (0, pair)]
+    pivots = gf2.rref([*gauge.values(), *swaps]) if swaps else gauge
+    return f"{prefix}T={gf2.coset_representative(t, pivots):0{m}b}".encode("ascii")
+
+
+def _edge_key(low: int, high: int, j: int = 0) -> str:
+    """The ``E`` key of an edge from a vertex of rank ``low`` up to one of
+    rank ``high``; a boundary edge (low rank 0) is named by its position j
+    in the encoding order."""
+    return f"{low}>{high}" if low else f"b{j}>{high}"
+
+
+def _layout_start(kinds: Mapping[int, VertexKind], targets: Sequence[int]) -> str:
+    """The encoding text, up to the keys of its critical edges, of a page
+    with these kinds by rank whose boundary edges end at these ranks, sorted:
+    the ``P1;s=;K=;B=`` blocks and ``E=`` with the boundary edges' keys."""
+    s = len(kinds)
+    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, s + 1)])
+    keys = ",".join([_edge_key(0, high, j) for j, high in enumerate(targets)])
+    return f"P1;s={s};K={tags};B={','.join(map(str, targets))};E={keys}"
+
+
+def _layout_prefix(start: str, keys: str) -> str:
+    """The ``P1;s=;K=;B=;E=`` text of an encoding: ``start`` from
+    :func:`_layout_start`, then ``keys``, the keys of the critical edges in
+    encoding order, each after a comma, and ``;``."""
+    return f"{start}{keys[1:] if start[-1] == '=' else keys};"
 
 
 def _encoding_layout(view: _PageView) -> EncodingLayout:
     """The :class:`EncodingLayout` of the valid page with this view."""
-    kinds, rank_of, s = view.kinds, view.rank_of, view.s
-    tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, s + 1)])
+    rank_of = view.rank_of
     # edges sorted by (low rank, high rank, low id): the boundary edges come
     # first, sorted by target rank; within a target group boundary vertices
     # are interchangeable and their edge twists are individually
@@ -623,22 +658,20 @@ def _encoding_layout(view: _PageView) -> EncodingLayout:
     # end up adjacent
     keyed = sorted([(rank_of[low], rank_of[high], low, eid) for eid, low, high in view.edges])
     m = len(keyed)
-    targets, edge_keys, order, pairs = [], [], [], []
+    targets, keys, pairs = [], [], []
     before = None
-    for j, (low_r, high_r, _, eid) in enumerate(keyed):
-        order.append(eid)
+    for j, (low_r, high_r, _, _) in enumerate(keyed):
         if low_r:
-            edge_keys.append(f"{low_r}>{high_r}")
+            keys.append(f",{_edge_key(low_r, high_r)}")
             if before == (low_r, high_r):
                 pairs.append(3 << (m - 1 - j))  # this edge and the one before it
             before = (low_r, high_r)
         else:
-            targets.append(str(high_r))
-            edge_keys.append(f"b{j}>{high_r}")
-    gauge = _gauge_vectors(kinds, [(low_r, high_r, m - 1 - j) for j, (low_r, high_r, _, _) in enumerate(keyed)])
+            targets.append(high_r)
+    gauge = _gauge_vectors(view.kinds, [(low_r, high_r, m - 1 - j) for j, (low_r, high_r, _, _) in enumerate(keyed)])
     return EncodingLayout(
-        prefix=f"P1;s={s};K={tags};B={','.join(targets)};E={','.join(edge_keys)};",
-        order=tuple(order),
+        prefix=_layout_prefix(_layout_start(view.kinds, targets), "".join(keys)),
+        order=tuple([eid for _, _, _, eid in keyed]),
         pairs=tuple(pairs),
         gauge=gf2.rref(gauge),
     )

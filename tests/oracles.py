@@ -9,8 +9,11 @@ by rank, and the Burnside class count has its own gauge vectors and GF(2)
 rank; summed over the matrix skeletons, it checks the published class
 counts without the census's top-down skeleton walk.  ``page_gauge_vectors``
 builds a page's gauge generators vertex by vertex from its vertices and
-edges, and ``xor_basis`` gives the pivots of their span.  The exceptions are
-references kept from earlier versions of the library:
+edges, and ``xor_basis`` gives the pivots of their span.
+``swap_sensitive`` and ``saddle_b_sensitive`` pick the skeletons on which a
+pair swap or the saddle_b rule changes a class, and ``named_edges`` names
+the vertices of a census walk record as the other oracles name them.  The
+exceptions are references kept from earlier versions of the library:
 ``min_over_orderings_twist_block``, the search over parallel-edge orderings
 that the encoder ran before its closed form, ``census_rows``, which
 builds a census row through the public functions of one page, as the
@@ -245,6 +248,22 @@ def swap_sensitive(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -
     return any(gf2_rank(gauge + [u]) > rank for u in pairs)
 
 
+def saddle_b_sensitive(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -> bool:
+    """True if toggling the twist of some edge at a saddle_b vertex alone
+    is not a product of vertex flips (the edge lies on a cycle), so that the
+    saddle_b rule changes the gauge span."""
+    m = len(edges)
+    flips: dict[str, int] = {}
+    for j, (lo, hi) in enumerate(edges):
+        flips[lo] = flips.get(lo, 0) | 1 << (m - 1 - j)
+        flips[hi] = flips.get(hi, 0) | 1 << (m - 1 - j)
+    saddle_b = {f"v{r}" for r, k in kinds.items() if k is VertexKind.SADDLE_B}
+    rank = gf2_rank(flips.values())
+    return any(
+        gf2_rank([*flips.values(), 1 << (m - 1 - j)]) > rank for j, (lo, hi) in enumerate(edges) if {lo, hi} & saddle_b
+    )
+
+
 def burnside_class_count(kinds: dict[int, VertexKind], edges: list[tuple[str, str]]) -> int:
     """Twist classes of one skeleton up to gauge and parallel-edge swaps.
 
@@ -329,19 +348,20 @@ DEGREES = {
 }
 
 
-def matrix_skeletons(s: int) -> dict[tuple[VertexKind, ...], list[tuple[tuple[int, int], ...]]]:
-    """The connected skeletons with s critical vertices, by their kinds of
-    ranks 1..s.  Ranks pin the critical vertices and each boundary vertex
-    has one edge, so a skeleton up to isomorphism is its multiset of (low
-    rank, high rank) edges, boundary lows at rank 0: an upper-triangular
-    edge-multiplicity matrix.  For every kind sequence with a max at rank s
-    and every degree choice of its saddle_p vertices, the matrix is filled
-    column by column, breadth first: column j takes as many lows as vertex
-    j has edges below, from rank 0 at will and from ranks 1..j-1 while they
-    have edges above left.  A matrix is kept when every edge above is taken
-    and ranks 1..s are connected.  Each is a tuple of (low, high) pairs
-    sorted by (high, low)."""
-    found: dict[tuple[VertexKind, ...], list[tuple[tuple[int, int], ...]]] = {}
+def matrix_skeletons(s: int) -> Iterator[tuple[tuple[VertexKind, ...], tuple[tuple[int, int], ...]]]:
+    """Yield (kinds of ranks 1..s, matrix) for every connected skeleton with
+    s critical vertices, one at a time, so that a pass over them holds only
+    the matrices of one degree choice.  Ranks pin the critical vertices and
+    each boundary vertex has one edge, so a skeleton up to isomorphism is its
+    multiset of (low rank, high rank) edges, boundary lows at rank 0: an
+    upper-triangular edge-multiplicity matrix.  For every kind sequence with
+    a max at rank s and every degree choice of its saddle_p vertices, the
+    matrix is filled column by column, breadth first: column j takes as many
+    lows as vertex j has edges below, from rank 0 at will and from ranks
+    1..j-1 while they have edges above left.  A matrix is kept when every
+    edge above is taken and ranks 1..s are connected.  Each is a tuple of
+    (low, high) pairs sorted by (high, low), and the matrices of one kind
+    sequence come one after another."""
     for lower in itertools.product(DEGREES, repeat=s - 1):
         kinds = (*lower, VertexKind.MAX)
         for degrees in itertools.product(*(DEGREES[kind] for kind in kinds)):
@@ -359,10 +379,9 @@ def matrix_skeletons(s: int) -> dict[tuple[VertexKind, ...], list[tuple[tuple[in
                         if min(after) >= 0 and sum(after) <= later[j - 1]:
                             grown.append((tuple(after), edges + tuple((low, j) for low in lows)))
                 states = grown
-            matrices = [edges for left, edges in states if not any(left) and ranks_connected(s, edges)]
-            if matrices:
-                found.setdefault(kinds, []).extend(matrices)
-    return found
+            for left, edges in states:
+                if not any(left) and ranks_connected(s, edges):
+                    yield kinds, edges
 
 
 def ranks_connected(s: int, edges) -> bool:
@@ -393,6 +412,14 @@ def graph_from_skeleton(
     )
 
 
+def named_edges(edges, ends) -> list[tuple[str, str]]:
+    """The (low, high) vertex names of the edges of a census walk record:
+    its (low rank, high rank, bit) edges from critical vertices, named
+    v1..vs by rank, then one edge from each boundary vertex b0, b1, ... up
+    to the rank at its position in ``ends``."""
+    return [(f"v{low}", f"v{high}") for low, high, _ in edges] + [(f"b{i}", f"v{high}") for i, high in enumerate(ends)]
+
+
 def valid_skeletons(s: int):
     """(kinds, edges) of every valid skeleton with exactly s critical
     vertices, filtered from the unpruned :func:`all_skeletons`."""
@@ -414,12 +441,10 @@ def matrix_class_count(s: int) -> int:
     b1, ... for every edge from rank 0.  It shares no skeleton generator
     with :func:`burnside_stratum_count` or the census."""
     total = 0
-    for kinds, matrices in matrix_skeletons(s).items():
-        by_rank = dict(enumerate(kinds, start=1))
-        for matrix in matrices:
-            boundary = (f"b{i}" for i in itertools.count())
-            edges = [(f"v{low}" if low else next(boundary), f"v{high}") for low, high in matrix]
-            total += burnside_class_count(by_rank, edges)
+    for kinds, matrix in matrix_skeletons(s):
+        boundary = (f"b{i}" for i in itertools.count())
+        edges = [(f"v{low}" if low else next(boundary), f"v{high}") for low, high in matrix]
+        total += burnside_class_count(dict(enumerate(kinds, start=1)), edges)
     return total
 
 

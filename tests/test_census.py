@@ -14,6 +14,7 @@ from oracles import (
     census_rows,
     graph_from_skeleton,
     matrix_skeletons,
+    named_edges,
     partition_by,
     skeleton_connected,
 )
@@ -63,8 +64,14 @@ def sequences(s):
     return [kinds for kinds, _ in _kind_sequences(s)]
 
 
+def walked(s, kinds):
+    """The census walk's skeletons of this kind sequence as (kinds, edges),
+    with the vertices named as the oracles name them."""
+    return [(kinds, named_edges(edges, ends)) for edges, ends, *_ in _skeletons(s, kinds)]
+
+
 def generated_skeletons(s):
-    return [sk for kinds in sequences(s) for sk in _skeletons(s, kinds)]
+    return [sk for kinds in sequences(s) for sk in walked(s, kinds)]
 
 
 @pytest.mark.parametrize("s", up_to_7(SKELETON_COUNTS))
@@ -92,18 +99,18 @@ def test_kind_sequences_are_the_realized_ones_in_k_order(s):
 def test_matrix_enumerator_finds_each_walked_skeleton_once(s):
     # the matrix enumerator shares no code with the census walk: per kind
     # sequence, the walk yields each of its edge-multiplicity matrices once
-    def rank(vertex):
-        return int(vertex[1:]) if vertex[0] == "v" else 0
-
-    walked = {
+    by_walk = {
         tuple(kinds[r] for r in range(1, s + 1)): sorted(
-            tuple(sorted(((rank(lo), rank(hi)) for lo, hi in edges), key=lambda e: (e[1], e[0])))
-            for _, edges in _skeletons(s, kinds)
+            tuple(sorted([(low, high) for low, high, _ in edges] + [(0, h) for h in ends], key=lambda e: (e[1], e[0])))
+            for edges, ends, *_ in _skeletons(s, kinds)
         )
         for kinds in sequences(s)
     }
-    assert {kinds: sorted(matrices) for kinds, matrices in matrix_skeletons(s).items()} == walked
-    assert sum(map(len, walked.values())) == SKELETON_COUNTS[s]
+    by_matrix: dict = {}
+    for kinds, matrix in matrix_skeletons(s):
+        by_matrix.setdefault(kinds, []).append(matrix)
+    assert {kinds: sorted(matrices) for kinds, matrices in by_matrix.items()} == by_walk
+    assert sum(map(len, by_walk.values())) == SKELETON_COUNTS[s]
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -113,7 +120,7 @@ def test_generator_parts_partition_the_skeletons_in_order(s):
     # hold every connected skeleton exactly once; a sequence's walk size is
     # at least its number of skeletons
     connected = connected_skeletons(s)
-    parts = [(list(_skeletons(s, kinds)), size) for kinds, size in _kind_sequences(s)]
+    parts = [(walked(s, kinds), size) for kinds, size in _kind_sequences(s)]
     for kinds, (part, size) in zip(sequences(s), parts):
         assert part == [sk for sk in connected if sk[0] == kinds]
         assert len(part) <= size
@@ -177,11 +184,21 @@ def test_clutched_rows_keep_their_order_and_bytes(workers):
     assert hashlib.sha256(text.encode()).hexdigest() == "aefc938e16d83227e291679db2eecd527a567d42cfe2b9d12a8be81f5af17c43"
 
 
+def enumerated_pages_sha(s_max):
+    """The number of pages that enumerate_pages(s_max) lists, and the
+    sha256 of their page texts, which pins the twists each class keeps."""
+    listed = list(rf.enumerate_pages(s_max))
+    return len(listed), hashlib.sha256("".join(rf.serialize_page(g) for g in listed).encode()).hexdigest()
+
+
 def test_enumerated_pages_keep_their_bytes():
-    listed = list(rf.enumerate_pages(6))
-    assert len(listed) == 2823
-    text = "".join(rf.serialize_page(g) for g in listed)
-    assert hashlib.sha256(text.encode()).hexdigest() == "c9b365215cd9a9c04f2c19c1df9a814058f738d979485a144ee5cf6ab14086e2"
+    assert enumerated_pages_sha(6) == (2823, "c9b365215cd9a9c04f2c19c1df9a814058f738d979485a144ee5cf6ab14086e2")
+
+
+@pytest.mark.slow
+def test_enumerated_pages_keep_their_bytes_s7():
+    # measured before the census walk tracked its vertices by rank
+    assert enumerated_pages_sha(7) == (29787, "3fb7ccdaeadaf1329670220790716baf897f7d5832bf1b4c670aa665c3c4ebda")
 
 
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
@@ -192,33 +209,42 @@ def test_every_generated_skeleton_is_a_valid_page(s):
 @pytest.mark.parametrize("s", up_to_7(range(1, 8)))
 def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
     owner: dict[bytes, int] = {}
-    views = (view for kinds in sequences(s) for view in census._skeleton_views(s, kinds))
-    for i, view in enumerate(views):
-        skeleton = rf.LabeledReebGraph.of(
-            [(vid, view.kinds[r] if r else "boundary", r) for vid, r in view.rank_of.items()],
-            [(*edge, 0) for edge in view.edges],
-        )
+    records = ((kinds, record) for kinds in sequences(s) for record in census._skeletons(s, kinds))
+    for i, (kinds, record) in enumerate(records):
+        edges, ends, fibers, inward, candidates = record
+        _, fiber_text, chi, b, saddle_b, directed = census._row_fields(kinds)(record)
+        skeleton = graph_from_skeleton(kinds, named_edges(edges, ends), {})
         # the census validates no skeleton, so check the page of each of its
-        # views here, and that the page's own view is the census's (a page
-        # keeps its edges sorted by id, e10 before e2)
+        # records here, and that the page's own view has the kinds, ranks
+        # and invariants the census took from the walk
         assert rf.validate_page(skeleton).ok
         own = skeleton._view
-        for field in ("kinds", "rank_of", "fiber_counts", "chi", "b", "inward"):
-            assert getattr(own, field) == getattr(view, field)
-        assert sorted(own.edges) == sorted(view.edges)
-        # the candidates are the labelings of the free coordinates of the
-        # public gauge generators over e0..e{m-1}, in order
-        m = len(skeleton.edges)
+        assert own.kinds == kinds
+        rank_pairs = {eid: (own.rank_of[low], own.rank_of[high]) for eid, low, high in own.edges}
+        m = len(own.edges)
         ids = [f"e{j}" for j in range(m)]
+        assert [rank_pairs[eid] for eid in ids] == [(low, high) for low, high, _ in edges] + [(0, h) for h in ends]
+        assert fiber_text == fibers == ",".join(map(str, own.fiber_counts))
+        assert (chi, b, inward, saddle_b, directed) == (own.chi, own.b, own.inward, own.has_saddle_b, all(own.inward))
+        # an edge's bit is that of its place in the page's encoding order
+        order = own.layout.order
+        assert [rank_pairs[order[m - 1 - bit]] for _, _, bit in edges] == [(low, high) for low, high, _ in edges]
+        # the candidates are the labelings of the free coordinates of the
+        # public gauge generators over e0..e{m-1}, in order, with their
+        # twists as bits of the edges from critical vertices
         pivots = gf2.rref(pages.gauge_generators(skeleton, ids))
         free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
-        candidates = list(census._candidates(view))
-        assert [twists for twists, _ in candidates] == [
-            dict(zip(free, picks)) for picks in itertools.product((0, 1), repeat=len(free))
+        expected = [
+            {**dict.fromkeys(ids, 0), **dict(zip(free, picks))} for picks in itertools.product((0, 1), repeat=len(free))
         ]
-        for twists, enc in candidates:
-            page = skeleton.with_twists({**skeleton.twist_labeling(), **twists})
-            assert enc == rf.canonical_page_encoding(page)
+        assert all(0 <= t < 1 << len(edges) for t, _ in candidates)
+        labelings = [
+            {**dict.fromkeys(ids, 0), **{f"e{k}": t >> bit & 1 for k, (_, _, bit) in enumerate(edges)}}
+            for t, _ in candidates
+        ]
+        assert labelings == expected
+        for (_, enc), labeling in zip(candidates, labelings):
+            assert enc == rf.canonical_page_encoding(skeleton.with_twists(labeling))
             # no class is met in two skeletons
             assert owner.setdefault(enc, i) == i
 
@@ -395,16 +421,18 @@ GOLDEN = [
     (5, 7, "75d8b75e2338e98fda792704160a7d2c1123acaba7afc5c82a7f24c66d5dd8f4",
      "81827d6691ee6301b7c8213cb060a3be368f221eff9c655608a00cb521b9e1fa", "n5-s7", [pytest.mark.slow]),
 ]
+# the benchmark's own census command, n = 5 and s <= 7 in a pool, runs in tier-1
+TIER_1 = {"n5-s7-workers2"}
 
 
 # every case runs in this process (workers=1) and in a process pool
 @pytest.mark.parametrize(
     "n, s_max, workers, jsonl_sha, text_sha",
     [
-        pytest.param(n, s_max, workers, jsonl_sha, text_sha,
-                     id=name if workers == 1 else f"{name}-workers{workers}", marks=marks)
+        pytest.param(n, s_max, workers, jsonl_sha, text_sha, id=case, marks=[] if case in TIER_1 else marks)
         for n, s_max, jsonl_sha, text_sha, name, marks in GOLDEN
         for workers in (1, 2)
+        for case in [name if workers == 1 else f"{name}-workers{workers}"]
     ],
 )
 def test_census_golden_bytes(capsys, n, s_max, workers, jsonl_sha, text_sha):

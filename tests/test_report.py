@@ -1,8 +1,8 @@
 """What each page caches: its validation report, its validated view (with
 the gauge pivots), its canonical encoding and its surface type are computed
 once per page object; the census lays out each skeleton once, unvalidated,
-through the same view; and every public function gives the same errors on
-an invalid page."""
+in its walk, with no view and no page; and every public function gives the
+same errors on an invalid page."""
 
 from __future__ import annotations
 
@@ -52,20 +52,27 @@ def test_valid_pages_share_one_report():
 
 def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatch):
     validations = count_calls(monkeypatch, "_validate_page_data", pages)
-    layouts = count_calls(monkeypatch, "_encoding_layout", pages)
-    encodings = count_calls(monkeypatch, "encode", pages.EncodingLayout)
+    page_layouts = count_calls(monkeypatch, "_encoding_layout", pages)
+    layouts = count_calls(monkeypatch, "_layout_prefix", pages)
+    blocks = []
+    encode_bits = pages._encode_bits
+    monkeypatch.setattr(pages, "_encode_bits", lambda *args: blocks.append(args) or encode_bits(*args))
+    views = count_calls(monkeypatch, "__init__", pages._PageView)
     page_encodings = count_calls(monkeypatch, "_encode_page", pages)
     built_pages = count_calls(monkeypatch, "__post_init__", pages.LabeledReebGraph)
     assert len(rf.census_table(5, 6).rows) == 2823
     connected_skeletons = 1 + 3 + 8 + 37 + 233 + 1920
     # the generator's skeletons are valid (tests/test_census.py checks them),
-    # so each is laid out once as plain data and none is validated
+    # so none is validated, and each is laid out once, by the walk, with no
+    # view or page layout
     assert validations == []
     assert len(layouts) == connected_skeletons
+    assert views == page_layouts == []
     # each twist candidate costs one encoding of its twist block on its
-    # skeleton's layout, and no page is built at all
-    assert len(encodings) == 2834  # twist candidates
-    assert len(set(map(id, encodings))) == connected_skeletons
+    # skeleton's layout (its prefix, pair vectors and gauge echelon form),
+    # and no page is built at all
+    assert len(blocks) == 2834  # twist candidates
+    assert len({id(gauge) for *_, gauge in blocks}) == connected_skeletons
     assert page_encodings == []
     assert built_pages == []
 

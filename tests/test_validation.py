@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_validate_page_data
+from oracles import named_edges, reference_validate_page_data
 
 import roundfold as rf
 from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind, census
@@ -40,13 +40,15 @@ def plain(graph: LabeledReebGraph) -> tuple[list, list]:
 
 
 def skeleton_data(s: int) -> list[tuple[list, list]]:
-    """The plain data of each skeleton of stratum s, as the census builds it."""
+    """The plain data of each skeleton that the census walks in stratum s,
+    named as ``enumerate_pages`` names its pages."""
     found = []
     for kinds, _ in census._kind_sequences(s):
-        for kinds, edges in census._skeletons(s, kinds):
+        for edges, ends, *_ in census._skeletons(s, kinds):
             vertices = [(f"v{r}", kind, r) for r, kind in kinds.items()]
-            vertices += [(low, VertexKind.BOUNDARY, 0) for low, _ in edges if low[0] == "b"]
-            found.append((vertices, [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(edges)]))
+            vertices += [(f"b{i}", VertexKind.BOUNDARY, 0) for i in range(len(ends))]
+            named = named_edges(edges, ends)
+            found.append((vertices, [(f"e{j}", low, high, 0) for j, (low, high) in enumerate(named)]))
     return found
 
 
