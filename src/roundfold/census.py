@@ -9,19 +9,19 @@ according to its kind (max opens one; a merge consumes one and opens two; a
 split consumes two and opens one; a min consumes one; a saddle_b consumes
 one and opens one), and the ends left after rank 1 close with boundary
 vertices.  The generator tracks the component of every dangling end and
-abandons a branch as soon as the shape can no longer be connected.  The
-census trusts it and validates no skeleton (``tests/test_census.py`` checks
+enters no branch whose shape can no longer be connected.  The census
+trusts it and validates no skeleton (``tests/test_census.py`` checks
 that each one it walks is a valid page).  The generator tracks vertices by
 rank and builds, as it descends, what a skeleton's encoding layout shares
 with its siblings: each edge's bit in the encoding order, the ``E`` keys of
-the ranks above, the parallel pairs and the fiber counts.  At rank 0 it
-sorts only the boundary targets, eliminates the gauge span once in the
-encoding order (and, if the span leaves coordinates free, once more in the
-order the edges were placed, to choose them), and encodes the twist
-candidates, one per coset of the gauge span, at one ``T`` block each; it
-builds no page and no page view.  The classes of a sequence are their
-distinct encodings, sorted (``_classes``), and ``enumerate_pages`` builds a
-page of each class.  A class's row depends only on its encoding, its
+the ranks above, the parallel pairs and the fiber counts, and which twists
+the gauge span leaves free, by union-find over the edges it places (see
+``_skeletons``).  At rank 0 it sorts only the boundary targets, eliminates
+the gauge span once in the encoding order if some twist is free, and
+encodes the twist candidates, one per coset of the gauge span, at one ``T``
+block each; it builds no page and no page view.  The classes of a sequence
+are their distinct encodings, sorted (``_classes``), and ``enumerate_pages``
+builds a page of each class.  A class's row depends only on its encoding, its
 clutching and on whether its candidate is twisted.  The canonical forms of
 one stratum sort by kind sequence first, so ``census_table`` runs parts of
 adjacent sequences, in a process pool or in turn, and writes each part's
@@ -30,6 +30,7 @@ rows as soon as the parts before it are done.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
@@ -54,9 +55,10 @@ ORACLE_S_LIMIT = 5
 # A census part is a run of kind sequences of one stratum, adjacent in
 # canonical order, with skeleton walks of this total size (see
 # ``_kind_sequences``) unless it is one sequence.  The 68 parts of s = 7
-# took a median of 10 to 17 ms each, and at most 51 ms, in four runs on a
+# took a median of 10 to 11 ms each, and at most 40 ms, in six runs on a
 # shared 2-core Xeon VM under Python 3.11, and a part's rows, which come
-# back as one message, are a few hundred kB.  Twice the size was no faster.
+# back as one message, are a few hundred kB.  Twice the size was no faster
+# when parts took 10 to 17 ms.
 _PART_SIZE = 2000
 # the kinds of the sphere page, a min under a max, whose class splits by
 # clutching at n = 4
@@ -176,11 +178,14 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     edges and keep candidates otherwise.
 
     Each dangling end carries the label of its component (``comp`` maps the
-    rank of the vertex an end hangs from to that label).  Only a split joins
-    components, and it consumes two open ends, so a component whose last
-    open end a min closes can never be joined again: the branch is dead
-    unless nothing else is left to place.  At rank 0 the open ends must
-    carry at most one label; a closed page has none.
+    rank of the vertex an end hangs from to that label), and the walk counts
+    the components of its open ends.  Only a split joins components, and it
+    consumes two open ends, so a component whose last open end a min closes
+    can never be joined again.  Before it places a vertex's edges the walk
+    checks that the (open ends, components) they leave can still reach a
+    connected end by the rule of :func:`_moves`, which allows no such min
+    unless nothing else is left to place; so every branch it enters ends in
+    a connected skeleton.
 
     The encoding order is the boundary edges by target rank, then the edges
     from ranks 1..s-1, each rank's by high rank: the walk's order of ranks,
@@ -189,83 +194,125 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     offset from the end of its rank's.  The walk carries the ``E`` keys of
     the ranks above, each after a comma, and the parallel-pair vectors; at
     rank 0 it sorts only the boundary targets, and keeps the text they start
-    per tuple of targets."""
-    starts: dict[tuple[int, ...], str] = {}
+    per tuple of targets.
 
-    def rec(rank: int, dangling: tuple, comp: list, edges: list, keys: str, pairs: tuple, fibers: str, inward: tuple):
+    The walk also finds which twists the gauge span S leaves free.  Call an
+    edge from a boundary vertex or at a saddle_b vertex a unit edge: S holds
+    its unit vector.  So S is the units of the unit edges plus the vertex
+    flips restricted to the other edges, those of the graph H of edges
+    between critical vertices other than saddle_b.  Those restricted flips
+    span the cut space of H, whose matroid is the graphic matroid of H.
+    Elimination in any edge order therefore pivots on every unit edge and on
+    the greedy (Kruskal) spanning forest of H in that order, and leaves free
+    exactly the H edges that close a cycle of H as they come.  In the order
+    the walk places edges, each vertex's first edge joins a vertex that had
+    no edge yet, so only a split's second edge, up to h2, can close a cycle:
+    when h2 already lies in the H-tree of h1, and so of the split
+    (``trees`` maps each rank to the label of its H-tree, and a parallel
+    pair, h1 == h2, is one).  A vertex joined only by a unit edge starts a
+    tree of its own, so a saddle_b, whose edges are all unit edges, never
+    shares a label while it has an open end.  ``free`` holds the bits of
+    the free edges in the order they are placed."""
+    starts: dict[tuple[int, ...], str] = {}
+    saddle_b = VertexKind.SADDLE_B
+
+    @functools.cache
+    def ahead(rank: int, d: int, c: int) -> set[tuple[int, int]]:
+        """The (open ends, components) below this rank, each a move of
+        :func:`_moves` from ``d`` ends of ``c`` components above it, from
+        which a connected end can still be reached."""
+        return {
+            (d_after, c_after)
+            for d_after, c_after, _ in _moves(kinds[rank], rank, d, c)
+            if (c_after <= 1 if rank == 1 else ahead(rank - 1, d_after, c_after))
+        }
+
+    def rec(rank, dangling, c, comp, trees, edges, free, keys, pairs, fibers, inward):
         if rank == 0:
-            if len({comp[h] for h in dangling}) <= 1:
-                targets = tuple(sorted(dangling))
-                start = starts.get(targets)
-                if start is None:
-                    start = starts[targets] = pages._layout_start(kinds, targets)
-                prefix = pages._layout_prefix(start, keys)
-                yield edges, dangling, fibers, inward, _candidates(kinds, prefix, edges, dangling, targets, pairs)
+            targets = tuple(sorted(dangling))
+            start = starts.get(targets)
+            if start is None:
+                start = starts[targets] = pages._layout_start(kinds, targets)
+            prefix = pages._layout_prefix(start, keys)
+            yield edges, dangling, fibers, inward, _candidates(kinds, prefix, edges, targets, pairs, free)
             return
         placed = len(edges)
+        live = ahead(rank, len(dangling), c)
         for consume, open_ in _SHAPES[kinds[rank]]:
             # c_(rank - 1) is the number of ends left open below this vertex
-            below = f"{len(dangling) - consume + open_},{fibers}", (open_ > consume, *inward)
+            d = len(dangling) - consume + open_
+            below = f"{d},{fibers}", (open_ > consume, *inward)
             if consume == 0:
-                labels = comp.copy()
-                labels[rank] = rank
-                yield from rec(rank - 1, dangling + (rank,) * open_, labels, edges, keys, pairs, *below)
+                if (d, c + 1) in live:
+                    labels, forest = comp.copy(), trees.copy()
+                    labels[rank] = forest[rank] = rank
+                    ends = dangling + (rank,) * open_
+                    yield from rec(rank - 1, ends, c + 1, labels, forest, edges, free, keys, pairs, *below)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
                     rest.remove(high)
                     label = comp[high]
-                    if not open_ and (rank > 1 or rest) and all(comp[h] != label for h in rest):
+                    # a min that closes the last end of a component leaves
+                    # one fewer, which _moves allows only at the very end
+                    closes = not open_ and label not in [comp[h] for h in rest]
+                    if (d, c - closes) not in live:
                         continue
-                    labels = comp.copy()
+                    labels, forest = comp.copy(), trees.copy()
                     labels[rank] = label
+                    unit = kinds[rank] is saddle_b or kinds[high] is saddle_b
+                    forest[rank] = rank if unit else trees[high]
                     edges.append((rank, high, placed))
                     above = f",{pages._edge_key(rank, high)}{keys}"
-                    yield from rec(rank - 1, (*rest, *(rank,) * open_), labels, edges, above, pairs, *below)
+                    ends = (*rest, *(rank,) * open_)
+                    yield from rec(rank - 1, ends, c - closes, labels, forest, edges, free, above, pairs, *below)
                     edges.pop()
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
                 choices = [(h, h) for h in uniq if dangling.count(h) >= 2]
                 choices += list(itertools.combinations(uniq, 2))
                 for h1, h2 in choices:
+                    keep, gone = comp[h1], comp[h2]
+                    joins = keep != gone
+                    if (d, c - joins) not in live:
+                        continue
                     rest = list(dangling)
                     rest.remove(h1)
                     rest.remove(h2)
-                    keep, gone = comp[h1], comp[h2]
                     labels = [keep if label == gone else label for label in comp]
                     labels[rank] = keep
+                    tree, other = trees[h1], trees[h2]
+                    forest = [tree if label == other else label for label in trees]
+                    forest[rank] = tree
                     # h1 <= h2, so the edge up to h1 comes first in encoding
                     # order, and takes the higher bit
                     edges += [(rank, h1, placed + 1), (rank, h2, placed)]
                     above = f",{pages._edge_key(rank, h1)},{pages._edge_key(rank, h2)}{keys}"
                     parallel = (*pairs, 3 << placed) if h1 == h2 else pairs
-                    yield from rec(rank - 1, (*rest, *(rank,) * open_), labels, edges, above, parallel, *below)
+                    cycle = (*free, 1 << placed) if tree == other else free
+                    ends = (*rest, *(rank,) * open_)
+                    yield from rec(rank - 1, ends, c - joins, labels, forest, edges, cycle, above, parallel, *below)
                     del edges[-2:]
 
-    yield from rec(s - 1, (s,), [0] * s + [s], [], "", (), "1,0", (True,))
+    yield from rec(s - 1, (s,), 1, [0] * s + [s], [0] * s + [s], [], (), "", (), "1,0", (True,))
 
 
-def _candidates(kinds: dict, prefix: str, edges: list, ends: tuple, targets: tuple, pairs: tuple) -> list:
+def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, pairs: tuple, free: tuple) -> list:
     """(t, encoding) of one twist labeling per gauge coset of the skeleton
-    of :func:`_skeletons` with these ``edges``, boundary ``ends``, and their
-    sorted ``targets``, whose encodings start with ``prefix`` and have these
+    of :func:`_skeletons` with these ``edges`` and sorted boundary
+    ``targets``, whose encodings start with ``prefix`` and have these
     parallel-pair vectors: ``t`` holds the twists as bits of the encoding
-    order.  The labelings are those of the coordinates that an elimination
-    over the edges in generator order (e0, e1, ...) leaves free, in
-    lexicographic order of their picks, and every other twist is 0, so the
-    first candidate is untwisted."""
-    m = len(edges) + len(ends)
-    gauge = gf2.rref(pages._gauge_vectors(kinds, [*edges, *[(0, high, m - 1 - j) for j, high in enumerate(targets)]]))
-    # the rank of the gauge span does not depend on the edge order; at full
-    # rank no coordinate is free, and the one candidate is untwisted
-    if len(gauge) == m:
-        return [(0, pages._encode_bits(prefix, 0, m, pairs, gauge))]
-    generator = [(low, high, m - 1 - k) for k, (low, high, _) in enumerate(edges)]
-    generator += [(0, high, len(ends) - 1 - i) for i, high in enumerate(ends)]
-    pivots = gf2.rref(pages._gauge_vectors(kinds, generator))
-    # the unit of a boundary edge is a gauge generator, so the free
-    # coordinates are edges from critical vertices
-    free = [1 << edges[m - 1 - bit][2] for bit in gf2.complement_bits(pivots, m)]
+    order.  The labelings are those of the ``free`` edges that the walk
+    found (see :func:`_skeletons`), in lexicographic order of their picks,
+    and every other twist is 0, so the first candidate is untwisted.  The
+    gauge span is eliminated in encoding order, for the coset minima, only
+    if some edge is free: otherwise the span is everything and the one
+    ``T`` block is all zeros."""
+    m = len(edges) + len(targets)
+    gauge = {}
+    if free:
+        boundary = [(0, high, m - 1 - j) for j, high in enumerate(targets)]
+        gauge = gf2.rref(pages._gauge_vectors(kinds, [*edges, *boundary]))
     found = []
     for picks in itertools.product((0, 1), repeat=len(free)):
         t = sum([x for x, pick in zip(free, picks) if pick])

@@ -47,11 +47,6 @@ def coset_representative(v: int, pivots: dict[int, int]) -> int:
     return v
 
 
-def complement_bits(pivots: dict[int, int], width: int) -> list[int]:
-    """Non-pivot bit positions, descending (i.e. in coordinate order)."""
-    return [b for b in range(width - 1, -1, -1) if b not in pivots]
-
-
 def subspace_elements(generators: Iterable[int]) -> frozenset[int]:
     """Every XOR combination of ``generators`` (exhaustive, for oracles)."""
     elems = {0}

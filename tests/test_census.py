@@ -12,9 +12,11 @@ from oracles import (
     all_skeletons,
     all_valid_pages,
     census_rows,
+    gf2_rank,
     graph_from_skeleton,
     matrix_skeletons,
     named_edges,
+    page_gauge_vectors,
     partition_by,
     skeleton_connected,
 )
@@ -233,7 +235,7 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         # public gauge generators over e0..e{m-1}, in order, with their
         # twists as bits of the edges from critical vertices
         pivots = gf2.rref(pages.gauge_generators(skeleton, ids))
-        free = [ids[m - 1 - bit] for bit in gf2.complement_bits(pivots, m)]
+        free = [eid for j, eid in enumerate(ids) if m - 1 - j not in pivots]
         expected = [
             {**dict.fromkeys(ids, 0), **dict(zip(free, picks))} for picks in itertools.product((0, 1), repeat=len(free))
         ]
@@ -247,6 +249,28 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
             assert enc == rf.canonical_page_encoding(skeleton.with_twists(labeling))
             # no class is met in two skeletons
             assert owner.setdefault(enc, i) == i
+
+
+# (skeletons, skeletons with a free twist, twist candidates) with s <= s_max
+FREE_TWIST_TOTALS = {6: (2202, 544, 2834), 7: (21832, 6463, 29979)}
+
+
+@pytest.mark.parametrize("s_max", up_to_7(FREE_TWIST_TOTALS))
+def test_each_skeleton_has_one_candidate_per_gauge_coset(s_max):
+    # the walk finds the free twists by union-find over the edges it places;
+    # count the gauge cosets of each record's page by the per-vertex rule of
+    # tests/oracles.py and an elimination that shares no code with it
+    skeletons = free = candidates = 0
+    for s in range(1, s_max + 1):
+        for kinds in sequences(s):
+            for edges, ends, *_, found in _skeletons(s, kinds):
+                page = graph_from_skeleton(kinds, named_edges(edges, ends), {})
+                order = [e.id for e in page.edges]
+                assert len(found) == 2 ** (len(order) - gf2_rank(page_gauge_vectors(page, order)))
+                skeletons += 1
+                free += len(found) > 1
+                candidates += len(found)
+    assert (skeletons, free, candidates) == FREE_TWIST_TOTALS[s_max]
 
 
 @pytest.mark.parametrize(
@@ -348,6 +372,19 @@ def test_enumeration_complete_against_generate_all_oracle():
 def test_every_emitted_page_is_valid():
     for g in rf.enumerate_pages(5):
         assert rf.validate_page(g).ok
+
+
+# the manifolds of the n = 5 census rows with s <= s_max
+CENSUS_MANIFOLDS = {6: 18, 7: 21}
+
+
+@pytest.mark.parametrize("s_max", up_to_7(CENSUS_MANIFOLDS))
+def test_admits_witness_has_the_fewest_fold_spheres_of_the_census(s_max):
+    least: dict = {}
+    for row in rf.census_table(5, s_max).rows:
+        least[row.manifold] = min(row.s, least.get(row.manifold, row.s))
+    assert len(least) == CENSUS_MANIFOLDS[s_max]
+    assert {manifold: rf.admits_round_fold(manifold).page.s for manifold in least} == least
 
 
 def test_census_table_n5_s2():

@@ -52,6 +52,8 @@ def test_valid_pages_share_one_report():
 
 def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatch):
     validations = count_calls(monkeypatch, "_validate_page_data", pages)
+    gauges = count_calls(monkeypatch, "_gauge_vectors", pages)
+    eliminations = count_calls(monkeypatch, "rref", gf2)
     page_layouts = count_calls(monkeypatch, "_encoding_layout", pages)
     layouts = count_calls(monkeypatch, "_layout_prefix", pages)
     blocks = []
@@ -72,7 +74,12 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
     # skeleton's layout (its prefix, pair vectors and gauge echelon form),
     # and no page is built at all
     assert len(blocks) == 2834  # twist candidates
-    assert len({id(gauge) for *_, gauge in blocks}) == connected_skeletons
+    # the walk finds which twists are free; only the 544 skeletons with a
+    # free twist build their gauge generators and eliminate them, once, in
+    # encoding order, and the other eliminations extend an echelon form by
+    # the swap vectors of a candidate's unequal parallel pairs
+    assert len(gauges) == 544
+    assert len(eliminations) == 544 + 350
     assert page_encodings == []
     assert built_pages == []
 
