@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -78,12 +77,9 @@ def _cmd_admits(args: argparse.Namespace) -> int:
             return 1
     else:
         rf = admits_round_fold(d)
-    witness = {
-        "n": rf.n,
-        "clutching": rf.clutching,
-        "page": jsonio._page_document(rf.page),
-    }
-    print(json.dumps(witness, indent=2))
+    # json.dumps(indent=2) of {"n", "clutching", "page"}, written directly
+    page = jsonio._page_text(rf.page, "  ")
+    print(f'{{\n  "n": {rf.n:d},\n  "clutching": {rf.clutching:d},\n  "page": {page}\n}}')
     return 0
 
 

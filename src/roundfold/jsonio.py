@@ -9,7 +9,11 @@ Page schema::
 
 ``serialize_page`` emits the canonical-whitespace normal form (two-space
 indent, vertices sorted by (rank, id), edges by id, trailing newline), so
-parse and serialize are mutually inverse on valid documents.
+parse and serialize are mutually inverse on valid documents.  It writes the
+bytes of ``json.dumps(..., indent=2)`` directly, one f-string per item, and
+``admits`` nests the same text in its witness.  ``parse_page`` accepts an
+item by one compound test and explains, field by field, only an item that
+fails it.
 """
 
 from __future__ import annotations
@@ -66,50 +70,40 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
     if problems:
         raise PageFormatError(problems)
 
+    # an item is accepted by one test; only a failing one is explained
     vertices: list[Vertex] = []
     for i, item in enumerate(data["vertices"]):
-        path = f"$.vertices[{i}]"
-        if not isinstance(item, dict):
-            problems.append(f"{path}: must be an object")
-            continue
-        vid = item.get("id")
-        kind = item.get("kind")
-        rank = item.get("rank")
-        if not isinstance(vid, str) or not vid:
-            problems.append(f"{path}.id: must be a non-empty string")
-        if not isinstance(kind, str) or kind not in _KINDS:
-            problems.append(f"{path}.kind: must be one of {sorted(_KINDS)}")
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-            problems.append(f"{path}.rank: must be a non-negative integer")
-        extra = set(item) - {"id", "kind", "rank"}
-        if extra:
-            problems.append(f"{path}: unexpected keys {sorted(extra)}")
-        if not problems:
-            vertices.append(Vertex(vid, _KINDS[kind], rank))
+        if (
+            type(item) is dict
+            and len(item) == 3
+            and type(vid := item.get("id")) is str
+            and vid
+            and type(kind := item.get("kind")) is str
+            and kind in _KINDS
+            and type(rank := item.get("rank")) is int
+            and rank >= 0
+        ):
+            if not problems:
+                vertices.append(Vertex(vid, _KINDS[kind], rank))
+        else:
+            problems += _vertex_problems(f"$.vertices[{i}]", item)
 
     edges: list[Edge] = []
     for i, item in enumerate(data["edges"]):
-        path = f"$.edges[{i}]"
-        if not isinstance(item, dict):
-            problems.append(f"{path}: must be an object")
-            continue
-        eid = item.get("id")
-        low = item.get("low")
-        high = item.get("high")
-        twist = item.get("twist")
-        if not isinstance(eid, str) or not eid:
-            problems.append(f"{path}.id: must be a non-empty string")
-        if not isinstance(low, str):
-            problems.append(f"{path}.low: must be a vertex id string")
-        if not isinstance(high, str):
-            problems.append(f"{path}.high: must be a vertex id string")
-        if type(twist) is not int or twist not in (0, 1):
-            problems.append(f"{path}.twist: must be 0 or 1")
-        extra = set(item) - {"id", "low", "high", "twist"}
-        if extra:
-            problems.append(f"{path}: unexpected keys {sorted(extra)}")
-        if not problems:
-            edges.append(Edge(eid, low, high, twist))
+        if (
+            type(item) is dict
+            and len(item) == 4
+            and type(eid := item.get("id")) is str
+            and eid
+            and type(low := item.get("low")) is str
+            and type(high := item.get("high")) is str
+            and type(twist := item.get("twist")) is int
+            and twist in (0, 1)
+        ):
+            if not problems:
+                edges.append(Edge(eid, low, high, twist))
+        else:
+            problems += _edge_problems(f"$.edges[{i}]", item)
 
     if problems:
         raise PageFormatError(problems)
@@ -119,21 +113,95 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
     return graph
 
 
+def _vertex_problems(path: str, item: object) -> list[str]:
+    """What is wrong with a vertex item that :func:`parse_page` does not
+    accept, field by field."""
+    if not isinstance(item, dict):
+        return [f"{path}: must be an object"]
+    problems = []
+    vid = item.get("id")
+    kind = item.get("kind")
+    rank = item.get("rank")
+    if not isinstance(vid, str) or not vid:
+        problems.append(f"{path}.id: must be a non-empty string")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        problems.append(f"{path}.kind: must be one of {sorted(_KINDS)}")
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+        problems.append(f"{path}.rank: must be a non-negative integer")
+    extra = set(item) - {"id", "kind", "rank"}
+    if extra:
+        problems.append(f"{path}: unexpected keys {sorted(extra)}")
+    return problems
+
+
+def _edge_problems(path: str, item: object) -> list[str]:
+    """What is wrong with an edge item that :func:`parse_page` does not
+    accept, field by field."""
+    if not isinstance(item, dict):
+        return [f"{path}: must be an object"]
+    problems = []
+    eid = item.get("id")
+    low = item.get("low")
+    high = item.get("high")
+    twist = item.get("twist")
+    if not isinstance(eid, str) or not eid:
+        problems.append(f"{path}.id: must be a non-empty string")
+    if not isinstance(low, str):
+        problems.append(f"{path}.low: must be a vertex id string")
+    if not isinstance(high, str):
+        problems.append(f"{path}.high: must be a vertex id string")
+    if type(twist) is not int or twist not in (0, 1):
+        problems.append(f"{path}.twist: must be 0 or 1")
+    extra = set(item) - {"id", "low", "high", "twist"}
+    if extra:
+        problems.append(f"{path}: unexpected keys {sorted(extra)}")
+    return problems
+
+
 def serialize_page(graph: LabeledReebGraph) -> str:
     """Canonical JSON text of the page (inverse of :func:`parse_page`)."""
-    return json.dumps(_page_document(graph), indent=2) + "\n"
+    return _page_text(graph, "") + "\n"
 
 
-def _page_document(graph: LabeledReebGraph) -> dict:
-    """The page as the dict that :func:`serialize_page` writes."""
-    return {
-        "vertices": [
-            {"id": v.id, "kind": v.kind.value, "rank": v.rank} for v in graph.vertices
-        ],
-        "edges": [
-            {"id": e.id, "low": e.low, "high": e.high, "twist": e.twist} for e in graph.edges
-        ],
-    }
+def _page_text(graph: LabeledReebGraph, indent: str) -> str:
+    """``json.dumps`` of the page's document (``{"vertices": [{"id", "kind",
+    "rank"}], "edges": [{"id", "low", "high", "twist"}]}``) with
+    ``indent=2``, written directly, and every line after the first indented
+    by ``indent`` more.  The json module drops its C encoder for any
+    ``indent``; this writer is one f-string per item."""
+    item, field = f"{indent}    ", f"{indent}      "
+    vertices = [
+        f'{item}{{\n{field}"id": {_scalar(v.id)},\n{field}"kind": {_json_str(v.kind.value)},\n'
+        f'{field}"rank": {_scalar(v.rank)}\n{item}}}'
+        for v in graph.vertices
+    ]
+    edges = [
+        f'{item}{{\n{field}"id": {_scalar(e.id)},\n{field}"low": {_scalar(e.low)},\n'
+        f'{field}"high": {_scalar(e.high)},\n{field}"twist": {_scalar(e.twist)}\n{item}}}'
+        for e in graph.edges
+    ]
+    return (
+        f'{{\n{indent}  "vertices": {_array(vertices, indent)},\n'
+        f'{indent}  "edges": {_array(edges, indent)}\n{indent}}}'
+    )
+
+
+def _array(items: list[str], indent: str) -> str:
+    """The JSON array of these written items, closed at ``indent`` plus two
+    spaces, as ``json.dumps`` with ``indent=2`` writes it."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}  ]" if items else "[]"
+
+
+def _scalar(value: object) -> str:
+    """``json.dumps(value)``: a str by the C string encoder, an exact int
+    as digits, anything else (a bool or float twist of a library page) by
+    ``json.dumps`` itself."""
+    cls = type(value)
+    if cls is str:
+        return _json_str(value)
+    if cls is int:
+        return "%d" % value
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------

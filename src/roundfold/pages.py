@@ -171,7 +171,7 @@ class LabeledReebGraph:
         vertices: Iterable[tuple[str, VertexKind | str, int]],
         edges: Iterable[tuple[str, str, str, int]],
     ) -> "LabeledReebGraph":
-        vs = tuple(Vertex(i, VertexKind(k), r) for i, k, r in vertices)
+        vs = tuple(Vertex(i, k if type(k) is VertexKind else VertexKind(k), r) for i, k, r in vertices)
         es = tuple(Edge(i, lo, hi, t) for i, lo, hi, t in edges)
         return cls(vs, es)
 

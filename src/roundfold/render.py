@@ -131,7 +131,7 @@ def _reeb_svg(graph: LabeledReebGraph, s: int, by_rank: dict[int, list[str]]) ->
     # edges first; parallel edges bow apart
     totals = Counter((e.low, e.high) for e in graph.edges)
     seen_pairs: dict[tuple[str, str], int] = {}
-    for e in sorted(graph.edges, key=lambda e: e.id):
+    for e in graph.edges:  # a page keeps its edges sorted by id
         k = (e.low, e.high)
         slot = seen_pairs.get(k, 0)
         seen_pairs[k] = slot + 1

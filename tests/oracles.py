@@ -19,12 +19,15 @@ that the encoder ran before its closed form, ``census_rows``, which
 builds a census row through the public functions of one page, as the
 census did before it worked per skeleton, and
 ``reference_validate_page_data``, the validator that checked a page in one
-pass per invariant before it checked them in one pass over the edges.
+pass per invariant before it checked them in one pass over the edges, and
+``reference_page_problems``, the page parser's schema check as it ran field
+by field on every item before it accepted items first.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from typing import Iterator
 
@@ -565,3 +568,83 @@ def reference_validate_page_data(vertices, edges) -> ValidationReport:
             )
 
     return ValidationReport(tuple(bad))
+
+
+_REFERENCE_KIND_NAMES = {k.value: k for k in VertexKind}
+
+
+def reference_page_problems(text: str, validate: bool) -> tuple[str, ...] | None:
+    """The ``PageFormatError`` problems of ``parse_page(text, validate)`` as
+    the parser found them when it checked every item field by field, or None
+    where it accepts.  ``text`` is valid JSON; page invariants are checked by
+    :func:`reference_validate_page_data` on the vertices sorted by (rank, id)
+    and the edges sorted by id, as a page stores them."""
+    problems: list[str] = []
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        return ("$: document must be a JSON object",)
+    extra = set(data) - {"vertices", "edges"}
+    if extra:
+        problems.append(f"$: unexpected keys {sorted(extra)}")
+    for key in ("vertices", "edges"):
+        if key not in data:
+            problems.append(f"$.{key}: missing")
+        elif not isinstance(data[key], list):
+            problems.append(f"$.{key}: must be an array")
+    if problems:
+        return tuple(problems)
+
+    vertices = []
+    for i, item in enumerate(data["vertices"]):
+        path = f"$.vertices[{i}]"
+        if not isinstance(item, dict):
+            problems.append(f"{path}: must be an object")
+            continue
+        vid = item.get("id")
+        kind = item.get("kind")
+        rank = item.get("rank")
+        if not isinstance(vid, str) or not vid:
+            problems.append(f"{path}.id: must be a non-empty string")
+        if not isinstance(kind, str) or kind not in _REFERENCE_KIND_NAMES:
+            problems.append(f"{path}.kind: must be one of {sorted(_REFERENCE_KIND_NAMES)}")
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+            problems.append(f"{path}.rank: must be a non-negative integer")
+        extra = set(item) - {"id", "kind", "rank"}
+        if extra:
+            problems.append(f"{path}: unexpected keys {sorted(extra)}")
+        if not problems:
+            vertices.append((vid, _REFERENCE_KIND_NAMES[kind], rank))
+
+    edges = []
+    for i, item in enumerate(data["edges"]):
+        path = f"$.edges[{i}]"
+        if not isinstance(item, dict):
+            problems.append(f"{path}: must be an object")
+            continue
+        eid = item.get("id")
+        low = item.get("low")
+        high = item.get("high")
+        twist = item.get("twist")
+        if not isinstance(eid, str) or not eid:
+            problems.append(f"{path}.id: must be a non-empty string")
+        if not isinstance(low, str):
+            problems.append(f"{path}.low: must be a vertex id string")
+        if not isinstance(high, str):
+            problems.append(f"{path}.high: must be a vertex id string")
+        if type(twist) is not int or twist not in (0, 1):
+            problems.append(f"{path}.twist: must be 0 or 1")
+        extra = set(item) - {"id", "low", "high", "twist"}
+        if extra:
+            problems.append(f"{path}: unexpected keys {sorted(extra)}")
+        if not problems:
+            edges.append((eid, low, high, twist))
+
+    if problems:
+        return tuple(problems)
+    if validate:
+        vertices.sort(key=lambda v: (v[2], v[0]))
+        edges.sort(key=lambda e: e[0])
+        report = reference_validate_page_data(vertices, edges)
+        if not report.ok:
+            return tuple(f"$: {v.message}" for v in report.violations)
+    return None

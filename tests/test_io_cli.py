@@ -12,6 +12,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_page_problems
 
 import roundfold as rf
 from roundfold import cli, jsonio
@@ -146,6 +149,143 @@ def test_a_library_page_round_trips_through_its_json(twist):
     g = rf.LabeledReebGraph.of([("v1", "min", 1), ("v2", "max", 2)], [("e0", "v1", "v2", twist)])
     assert g.report.ok
     assert rf.parse_page(rf.serialize_page(g)) == g
+
+
+def _page_document(graph: rf.LabeledReebGraph) -> dict:
+    """The page as the dict whose ``json.dumps(indent=2)`` is the page's
+    canonical text."""
+    return {
+        "vertices": [{"id": v.id, "kind": v.kind.value, "rank": v.rank} for v in graph.vertices],
+        "edges": [{"id": e.id, "low": e.low, "high": e.high, "twist": e.twist} for e in graph.edges],
+    }
+
+
+def odd_library_pages():
+    """Pages a library user can build and no builder does: ids that need
+    escaping, empty vertex or edge lists, int ids, and bool or float twists."""
+    names = ["\u00e9t\u00e9", "\u65e5\u672c", 'q"uote', "back\\slash", "tab\tnew\nline\x00\x1f", "\U0001f600"]
+    yield rf.LabeledReebGraph((), ())
+    yield rf.LabeledReebGraph.of([(name, "min", r) for r, name in enumerate(names, 1)], [])
+    yield rf.LabeledReebGraph.of([], [("e0", names[0], names[1], 0)])
+    yield rf.LabeledReebGraph.of(
+        [(names[0], "min", 1), (names[1], "max", 2)],
+        [(names[2], names[0], names[1], 1), (names[3], names[0], names[1], 0)],
+    )
+    yield rf.LabeledReebGraph.of([(1, "min", 1), (2, "max", 2)], [(0, 1, 2, 1)])
+    for twist in (True, False, 1.0, 0.0):
+        yield rf.LabeledReebGraph.of([("v1", "min", 1), ("v2", "max", 2)], [("e0", "v1", "v2", twist)])
+
+
+def writer_pages():
+    yield from rf.enumerate_pages(5)
+    yield from itertools.starmap(rf.handle_page, itertools.product(range(151), range(5)))
+    yield from odd_library_pages()
+
+
+def test_page_writer_writes_json_dumps_of_the_page_document(monkeypatch, capsys):
+    # serialize_page, and the witness that admits prints, fed every writer page
+    pages = []
+    monkeypatch.setattr(cli, "admits_round_fold", lambda d: rf.RoundFoldDescriptor(5, pages[-1]))
+    for g in writer_pages():
+        document = _page_document(g)
+        assert rf.serialize_page(g) == json.dumps(document, indent=2) + "\n"
+        pages.append(g)
+        assert main(["admits", "--manifold", "sphere n=5"]) == 0
+        witness = {"n": 5, "clutching": 0, "page": document}
+        assert capsys.readouterr().out == json.dumps(witness, indent=2) + "\n"
+
+
+def test_odd_library_pages_are_written_as_json_dumps_writes_them():
+    twists = [json.loads(rf.serialize_page(g))["edges"][0]["twist"] for g in list(odd_library_pages())[-4:]]
+    assert [repr(t) for t in twists] == ["True", "False", "1.0", "0.0"]
+    assert rf.serialize_page(rf.LabeledReebGraph((), ())) == '{\n  "vertices": [],\n  "edges": []\n}\n'
+
+
+PARSE_SEEDS = [
+    json.loads(rf.serialize_page(g))
+    for g in (rf.disk_page(), rf.klein_page(), rf.handle_page(2, 1), rf.orientable_closed_page(2))
+]
+# per key: values the schema rejects, and values it takes that may break a page invariant
+REJECTED = {
+    "id": ["", 0, None, ["v1"], True],
+    "low": [0, None, ["v1"]],
+    "high": [0, None, True],
+    "kind": [["min"], {"min": 1}, 2, None, "peak", "MIN"],
+    "rank": [True, False, -1, 1.0, 2.5, "1", None],
+    "twist": [True, False, 0.0, 1.0, 2, -1, "1", None],
+}
+TAKEN = {
+    "id": ["v1", "e0", "x"],
+    "low": ["zz", "v1", "b0"],
+    "high": ["zz", "v2", "v1"],
+    "kind": ["min", "max", "saddle_b", "saddle_p", "boundary"],
+    "rank": [0, 1, 2, 7],
+    "twist": [0, 1],
+}
+
+
+@st.composite
+def mutated_page_texts(draw) -> str:
+    """A seed page with up to three edits; about half the documents get only
+    edits the schema takes, so that page invariants and acceptance are
+    reached as often as schema problems."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(PARSE_SEEDS))))
+    schema_ok = draw(st.booleans())
+    moves = ["taken", "drop", "copy"] + ([] if schema_ok else ["not_object", "missing", "extra", "rejected"])
+    for _ in range(draw(st.integers(0, 3))):
+        items = doc[draw(st.sampled_from(["vertices", "edges"]))]
+        if not items:
+            continue
+        i = draw(st.integers(0, len(items) - 1))
+        move = draw(st.sampled_from(moves))
+        if move == "drop":
+            del items[i]
+        elif move == "copy":
+            items.insert(draw(st.integers(0, len(items))), json.loads(json.dumps(items[i])))
+        elif not isinstance(items[i], dict) or not items[i]:
+            continue
+        elif move == "not_object":
+            items[i] = draw(st.sampled_from([[], [items[i]], "v1", 3, None]))
+        elif move == "missing":
+            del items[i][draw(st.sampled_from(sorted(items[i])))]
+        elif move == "extra":
+            items[i][draw(st.sampled_from(["color", "ID", ""]))] = 1
+        elif keys := sorted(TAKEN.keys() & items[i].keys()):
+            key = draw(st.sampled_from(keys))
+            items[i][key] = draw(st.sampled_from((TAKEN if move == "taken" else REJECTED)[key]))
+    return json.dumps(doc)
+
+
+def assert_parse_page_explains_as_the_reference(text: str) -> None:
+    # any exception but PageFormatError would end a command in exit 3
+    for validate in (False, True):
+        expected = reference_page_problems(text, validate)
+        try:
+            graph = rf.parse_page(text, validate=validate)
+        except rf.PageFormatError as exc:
+            assert exc.problems == expected
+        else:
+            assert expected is None
+            doc = json.loads(text)
+            assert _page_document(graph) == {
+                "vertices": sorted(doc["vertices"], key=lambda v: (v["rank"], v["id"])),
+                "edges": sorted(doc["edges"], key=lambda e: e["id"]),
+            }
+
+
+def test_parse_page_explains_every_single_field_edit_as_the_reference():
+    for seed, section, values in itertools.product(PARSE_SEEDS, ["vertices", "edges"], [REJECTED, TAKEN]):
+        for key in seed[section][0]:
+            for value in values[key]:
+                doc = json.loads(json.dumps(seed))
+                doc[section][0][key] = value
+                assert_parse_page_explains_as_the_reference(json.dumps(doc))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_page_texts())
+def test_parse_page_explains_as_the_field_by_field_reference(text):
+    assert_parse_page_explains_as_the_reference(text)
 
 
 def test_manifold_spec_counts_are_bounded(capsys):
