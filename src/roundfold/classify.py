@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import warnings
 
-from .foldmaps import RoundFoldDescriptor, require_valid_descriptor
+from .foldmaps import RoundFoldDescriptor
 from .pages import canonical_page_encoding, page_isomorphic
 
 
 def a_equivalent(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) -> bool:
     """Decide equivalence by diffeomorphisms of source and target."""
-    require_valid_descriptor(rf0)
-    require_valid_descriptor(rf1)
+    rf0._view, rf1._view  # raise InvalidDescriptorError on an invalid descriptor
     if rf0.n != rf1.n:
         return False
     if not page_isomorphic(rf0.page, rf1.page):
@@ -35,8 +34,7 @@ def r_equivalent_standard(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) ->
     For n = 4 this delegates to :func:`a_equivalent` (the page-only statement
     is native to n >= 5) and says so with a warning.
     """
-    require_valid_descriptor(rf0)
-    require_valid_descriptor(rf1)
+    rf0._view, rf1._view  # raise InvalidDescriptorError on an invalid descriptor
     if rf0.n == 4 or rf1.n == 4:
         warnings.warn(
             "standard-form comparison at n = 4 is delegated to the full equivalence test",
@@ -53,7 +51,7 @@ def canonical_form(rf: RoundFoldDescriptor) -> bytes:
     canonical twist coset representative).  Stable across releases within a
     major version.
     """
-    require_valid_descriptor(rf)
+    rf._view  # raises InvalidDescriptorError on an invalid descriptor
     return _form_prefix(rf.n, rf.clutching) + canonical_page_encoding(rf.page)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import pages
 from .errors import (
@@ -34,7 +35,6 @@ from .pages import (
     ValidationReport,
     VertexKind,
     Violation,
-    boundary_count,
     directed_page,
     disk_page,
     handle_page,
@@ -51,6 +51,40 @@ class RoundFoldDescriptor:
     n: int
     page: LabeledReebGraph
     clutching: int = 0
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Page validity plus the clutching constraints, computed once per
+        object.
+
+        A nonzero clutching integer is only meaningful for n = 4 with the
+        two-critical-point sphere page; for n >= 5 the page determines the
+        map, and for the disk page the total space would stop being a
+        sphere.
+        """
+        bad = list(self.page.report.violations)
+        if not isinstance(self.n, int) or self.n < 4:
+            bad.append(Violation("dimension", f"descriptor dimension must be an integer >= 4, got {self.n!r}"))
+        if type(self.clutching) is not int:
+            bad.append(Violation("clutching_type", "clutching must be an integer"))
+        elif self.clutching != 0:
+            if self.n != 4:
+                message = f"clutching must be 0 for n = {self.n}; the page determines the map"
+                bad.append(Violation("clutching_dim", message))
+            elif not is_sphere_page(self.page):
+                message = "nonzero clutching needs the two-critical-point sphere page"
+                bad.append(Violation("clutching_page", message))
+        return ValidationReport(tuple(bad))
+
+    @cached_property
+    def _view(self) -> pages._PageView:
+        """The :class:`_PageView` of the page of a valid descriptor, read
+        once per object; every descriptor function reads it, so on an
+        invalid descriptor each raises :class:`InvalidDescriptorError` with
+        the descriptor's report."""
+        if not self.report.ok:
+            raise InvalidDescriptorError(self.report)
+        return self.page._view
 
 
 @dataclass(frozen=True)
@@ -72,33 +106,9 @@ def is_sphere_page(graph: LabeledReebGraph) -> bool:
 
 
 def validate_descriptor(rf: RoundFoldDescriptor) -> ValidationReport:
-    """Page validity plus the clutching constraints.
-
-    A nonzero clutching integer is only meaningful for n = 4 with the
-    two-critical-point sphere page; for n >= 5 the page determines the map,
-    and for the disk page the total space would stop being a sphere.
-    """
-    bad = list(rf.page.report.violations)
-    if not isinstance(rf.n, int) or rf.n < 4:
-        bad.append(Violation("dimension", f"descriptor dimension must be an integer >= 4, got {rf.n!r}"))
-    if type(rf.clutching) is not int:
-        bad.append(Violation("clutching_type", "clutching must be an integer"))
-    elif rf.clutching != 0:
-        if rf.n != 4:
-            bad.append(
-                Violation("clutching_dim", f"clutching must be 0 for n = {rf.n}; the page determines the map")
-            )
-        elif not is_sphere_page(rf.page):
-            bad.append(
-                Violation("clutching_page", "nonzero clutching needs the two-critical-point sphere page")
-            )
-    return ValidationReport(tuple(bad))
-
-
-def require_valid_descriptor(rf: RoundFoldDescriptor) -> None:
-    report = validate_descriptor(rf)
-    if not report.ok:
-        raise InvalidDescriptorError(report)
+    """The descriptor's :attr:`RoundFoldDescriptor.report`: page validity
+    plus the clutching constraints."""
+    return rf.report
 
 
 def build_total_space(rf: RoundFoldDescriptor) -> ManifoldDescriptor:
@@ -110,7 +120,7 @@ def build_total_space(rf: RoundFoldDescriptor) -> ManifoldDescriptor:
     handle sum with 1 - chi(page) summands, twisted iff the page is
     non-orientable.
     """
-    require_valid_descriptor(rf)
+    rf._view  # raises InvalidDescriptorError on an invalid descriptor
     return _total_space(rf.n, surface_type(rf.page), rf.clutching)
 
 
@@ -173,45 +183,45 @@ def component_directions(rf: RoundFoldDescriptor) -> list[tuple[int, Direction]]
     The sphere of rank r is inward-directed when the regular fiber has more
     circles on its inner side.  Undefined for non-orientable total spaces.
     """
-    require_valid_descriptor(rf)
-    if not page_orientable(rf.page):
-        raise NonOrientableError("component directions are defined only for orientable total spaces")
-    return [
-        (r, Direction.INWARD if inward else Direction.OUTWARD)
-        for r, inward in enumerate(rf.page._view.inward, 1)
-    ]
+    return [(r, Direction.INWARD if inward else Direction.OUTWARD) for r, inward in enumerate(_inward(rf), 1)]
 
 
 def is_directed(rf: RoundFoldDescriptor) -> bool:
     """True iff every critical sphere is inward-directed, i.e. the innermost
     regular fiber has one circle per critical sphere."""
-    dirs = component_directions(rf)
-    return all(d is Direction.INWARD for _, d in dirs)
+    return all(_inward(rf))
+
+
+def _inward(rf: RoundFoldDescriptor) -> tuple[bool, ...]:
+    """Whether the critical sphere of each rank 1..s is inward-directed;
+    the descriptor is checked first, then the orientability."""
+    view = rf._view
+    if not page_orientable(rf.page):
+        raise NonOrientableError("component directions are defined only for orientable total spaces")
+    return view.inward
 
 
 def fold_counts(rf: RoundFoldDescriptor) -> tuple[int, int]:
     """(definite, indefinite) fold sphere counts: (min + max, saddles)."""
-    require_valid_descriptor(rf)
+    view = rf._view
     # n0 + n1 = s and n0 - n1 = chi
-    view = rf.page._view
     return (view.s + view.chi) // 2, (view.s - view.chi) // 2
 
 
 def euler_via_folds(rf: RoundFoldDescriptor) -> int:
     """Euler characteristic of the total space as twice the difference of
     definite and indefinite fold counts (even dimensions only)."""
-    require_valid_descriptor(rf)
+    view = rf._view
     if rf.n % 2 != 0:
         raise RoundFoldError(f"fold-count Euler characteristic needs even dimension, got n={rf.n}")
-    n0, n1 = fold_counts(rf)
-    return 2 * (n0 - n1)
+    return 2 * view.chi  # n0 - n1 = chi
 
 
 def height_critical_counts(rf: RoundFoldDescriptor) -> tuple[int, int]:
     """(even-index, odd-index) critical point counts of a height function
     composed with the map: twice the fold counts."""
-    n0, n1 = fold_counts(rf)
-    return 2 * n0, 2 * n1
+    view = rf._view
+    return view.s + view.chi, view.s - view.chi
 
 
 def open_book(rf: RoundFoldDescriptor) -> OpenBookDescriptor:
@@ -221,9 +231,9 @@ def open_book(rf: RoundFoldDescriptor) -> OpenBookDescriptor:
     Nonzero clutching (n = 4 sphere page) leaves the trivial-monodromy model
     and is reported as unsupported.
     """
-    require_valid_descriptor(rf)
+    view = rf._view
     if rf.clutching != 0:
         raise OpenBookUnsupportedError(
             "open book with nonzero clutching has non-trivial monodromy; unsupported"
         )
-    return OpenBookDescriptor(surface_type(rf.page), boundary_count(rf.page), True)
+    return OpenBookDescriptor(surface_type(rf.page), view.b, True)

@@ -27,6 +27,7 @@ over GF(2).
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -181,6 +182,9 @@ class LabeledReebGraph:
         return sum(1 for v in self.vertices if v.kind is not VertexKind.BOUNDARY)
 
     def vertex(self, vid: str) -> Vertex:
+        """The vertex with this id.  Deprecated: it scans every vertex, and
+        nothing in the package needs it."""
+        warnings.warn("LabeledReebGraph.vertex is deprecated; search graph.vertices", DeprecationWarning, stacklevel=2)
         for v in self.vertices:
             if v.id == vid:
                 return v
@@ -375,9 +379,10 @@ class _PageView:
     each rank 1..s, the rank of every vertex and the (id, low, high) of every
     edge, in the page's edge order.  The invariants that do not depend on the
     twists are computed when the view is built, except the encoding layout
-    and the gauge echelon form, which are cached properties; a page reads it
-    through ``LabeledReebGraph._view``, and the census builds one per
-    skeleton.  Nothing changes a view once it is built.
+    and the gauge echelon form, which are cached properties.  A page reads it
+    through ``LabeledReebGraph._view`` and a descriptor through
+    ``RoundFoldDescriptor._view``; the census builds none, since its walk
+    derives the same invariants.  Nothing changes a view once it is built.
 
     ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
     by fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex

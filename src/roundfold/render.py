@@ -8,18 +8,8 @@ import math
 from collections import Counter
 
 from .errors import RoundFoldError
-from .foldmaps import (
-    Direction,
-    RoundFoldDescriptor,
-    component_directions,
-    require_valid_descriptor,
-)
-from .pages import (
-    LabeledReebGraph,
-    VertexKind,
-    page_orientable,
-    regular_fiber_counts,
-)
+from .foldmaps import RoundFoldDescriptor
+from .pages import LabeledReebGraph, VertexKind, page_orientable
 
 _R_STEP = 48  # px between consecutive critical circles
 
@@ -30,12 +20,10 @@ def render_critical_values(rf: RoundFoldDescriptor, format: str = "svg") -> str:
     arrow on each circle."""
     if format != "svg":
         raise RoundFoldError(f"unsupported critical-value format {format!r}")
-    require_valid_descriptor(rf)
-    counts = regular_fiber_counts(rf.page)
-    s = len(counts) - 1
-    directions = (
-        {r: d for r, d in component_directions(rf)} if page_orientable(rf.page) else {}
-    )
+    view = rf._view
+    s, counts = view.s, view.fiber_counts
+    # whether each circle's arrow points inward, for orientable total spaces
+    inward = view.inward if page_orientable(rf.page) else ()
     size = 2 * (_R_STEP * s + _R_STEP)
     cx = cy = size // 2
     parts: list[str] = []
@@ -50,13 +38,10 @@ def render_critical_values(rf: RoundFoldDescriptor, format: str = "svg") -> str:
             f'<text x="{x}" y="{cy - 6}" font-size="14" text-anchor="middle">{counts[r]}</text>'
         )
     # one arrow per circle on the diagonal, pointing inward or outward
-    for r in range(1, s + 1):
-        d = directions.get(r)
-        if d is None:
-            continue
+    for r, flag in enumerate(inward, 1):
         ux, uy = math.cos(2.3), -math.sin(2.3)
         px, py = cx + r * _R_STEP * ux, cy + r * _R_STEP * uy
-        sign = -1 if d is Direction.INWARD else 1
+        sign = -1 if flag else 1
         tip_x, tip_y = px + sign * 14 * ux, py + sign * 14 * uy
         parts.append(
             f'<line x1="{px:.1f}" y1="{py:.1f}" x2="{tip_x:.1f}" y2="{tip_y:.1f}" '
@@ -102,18 +87,25 @@ def render_reeb(graph: LabeledReebGraph, format: str = "svg") -> str:
     raise RoundFoldError(f"unsupported reeb format {format!r}")
 
 
+def _dot_quoted(ids: list[str]) -> dict[str, str]:
+    """Each of these ids as a DOT quoted string, with ``\\`` and ``"``
+    escaped."""
+    return {i: '"' + i.replace("\\", "\\\\").replace('"', '\\"') + '"' for i in ids}
+
+
 def _reeb_dot(graph: LabeledReebGraph, by_rank: dict[int, list[str]]) -> str:
+    quoted = _dot_quoted([v.id for v in graph.vertices] + [e.id for e in graph.edges])
     lines = ["graph page {", "  rankdir=BT;"]
     for v in graph.vertices:
         lines.append(
-            f'  "{v.id}" [shape={_DOT_SHAPES[v.kind]}, label="{v.kind.value}@{v.rank}"];'
+            f'  {quoted[v.id]} [shape={_DOT_SHAPES[v.kind]}, label="{v.kind.value}@{v.rank}"];'
         )
     for ids in by_rank.values():
-        same = " ".join(f'"{vid}";' for vid in ids)
+        same = " ".join(f"{quoted[vid]};" for vid in ids)
         lines.append(f"  {{ rank=same; {same} }}")
     for e in graph.edges:
         style = ", style=dashed" if e.twist else ""
-        lines.append(f'  "{e.low}" -- "{e.high}" [label="{e.id}"{style}];')
+        lines.append(f"  {quoted[e.low]} -- {quoted[e.high]} [label={quoted[e.id]}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -154,9 +146,14 @@ def _reeb_svg(graph: LabeledReebGraph, s: int, by_rank: dict[int, list[str]]) ->
         x, y = pos[v.id]
         parts.append(_vertex_glyph(v.kind, x, y))
         parts.append(
-            f'<text x="{x + 12:.0f}" y="{y - 8:.0f}" font-size="12">{v.id}</text>'
+            f'<text x="{x + 12:.0f}" y="{y - 8:.0f}" font-size="12">{_xml_text(v.id)}</text>'
         )
     return _svg(width, height, parts)
+
+
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data, with ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _vertex_glyph(kind: VertexKind, x: float, y: float) -> str:

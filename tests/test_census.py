@@ -519,3 +519,16 @@ def test_oracle_size_limit():
     big = rf.directed_page(rf.ORACLE_S_LIMIT + 1)
     with pytest.raises(rf.OracleLimitError):
         brute_force_isomorphic(big, big)
+
+
+def test_the_enumeration_ceiling_has_one_digit():
+    ceiling = rf.MAX_ENUMERATION_S
+    assert ceiling <= 9, (
+        f"MAX_ENUMERATION_S = {ceiling}, but two places assume a one-digit s: the stratum order in "
+        "census._run_census (strata in order of s are in order of their canonical forms) and the edge order "
+        "in census._skeletons (ranks in order are the names v1..vs in order)"
+    )
+    # what the two places rely on, for every s up to the ceiling
+    strata = range(1, ceiling + 1)
+    assert sorted(strata, key=lambda s: f"RF1;n=5;k=0;P1;s={s};") == list(strata)
+    assert sorted(strata, key=lambda r: f"v{r}") == list(strata)

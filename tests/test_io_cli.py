@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +375,41 @@ def test_render_reeb_svg():
     assert "<path" in doc  # bowed parallel edges are visible
     doc = render_reeb(rf.klein_page(), format="svg")
     assert "stroke-dasharray" in doc
+
+
+# a disk page whose ids need escaping in XML text and in DOT quoted strings
+ODD_IDS_PAGE = rf.LabeledReebGraph.of(
+    [('b<0>&"x', "boundary", 0), ('v"1', "max", 1)],
+    [('e\\"0\\', 'b<0>&"x', 'v"1', 0)],
+)
+
+
+def dot_tokens(doc: str) -> collections.Counter:
+    """The quoted strings of a DOT document, unescaped, with their counts."""
+    return collections.Counter(
+        re.sub(r'\\(["\\])', r"\1", token) for token in re.findall(r'"((?:[^"\\]|\\.)*)"', doc)
+    )
+
+
+def test_render_reeb_escapes_ids():
+    svg = ElementTree.fromstring(render_reeb(ODD_IDS_PAGE, "svg"))
+    texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ['b<0>&"x', 'v"1']
+    # each vertex id on its node line, its rank line and its one edge; the
+    # edge id in its label
+    assert dot_tokens(render_reeb(ODD_IDS_PAGE, "dot")) == {
+        'b<0>&"x': 3, 'v"1': 3, 'e\\"0\\': 1, "boundary@0": 1, "max@1": 1
+    }
+
+
+def test_cli_renders_odd_ids(tmp_path, capsys):
+    page = tmp_path / "odd.json"
+    page.write_text(rf.serialize_page(ODD_IDS_PAGE), encoding="utf-8")
+    svg, dot = tmp_path / "odd.svg", tmp_path / "odd.dot"
+    assert main(["render", str(page), "--kind", "reeb", "--out", str(svg)]) == 0
+    assert main(["render", str(page), "--kind", "reeb", "--format", "dot", "--out", str(dot)]) == 0
+    ElementTree.parse(svg)
+    assert dot_tokens(dot.read_text(encoding="utf-8"))['v"1'] == 3
 
 
 # -- CLI ----------------------------------------------------------------------

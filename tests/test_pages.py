@@ -470,3 +470,12 @@ def test_serialization_order_independence():
         [("v2", "max", 2), ("v1", "min", 1)], [("e0", "v1", "v2", 0)]
     )
     assert g0 == g1
+
+
+def test_vertex_lookup_is_deprecated():
+    g = rf.disk_page()
+    with pytest.warns(DeprecationWarning, match="LabeledReebGraph.vertex") as record:
+        assert g.vertex("v1") == g.vertices[1]
+    assert [w.filename for w in record] == [__file__]
+    with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
+        g.vertex("nope")

@@ -1,10 +1,13 @@
 """What each page caches: its validation report, its validated view (with
 the gauge pivots), its canonical encoding and its surface type are computed
 once per page object; the census lays out each skeleton once, unvalidated,
-in its walk, with no view and no page; and every public function gives the
-same errors on an invalid page."""
+in its walk, with no view and no page; a descriptor computes its report
+once per object; and every public function gives the same errors on an
+invalid page or descriptor."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from oracles import graph_from_skeleton, valid_skeletons
 import roundfold as rf
 from roundfold import gf2, pages
 from roundfold.census import brute_force_isomorphic
+from roundfold.cli import main
 from roundfold.render import render_critical_values, render_reeb
 
 
@@ -205,3 +209,76 @@ def test_descriptor_functions_reject_invalid_page(call):
     with pytest.raises(rf.InvalidDescriptorError) as info:
         call(rf.RoundFoldDescriptor(4, INVALID))
     assert info.value.report.violations == rf.validate_page(INVALID).violations
+
+
+# a valid page under a descriptor that breaks one descriptor rule
+BAD_DESCRIPTORS = {
+    "dimension": rf.RoundFoldDescriptor(3, rf.annulus_page()),
+    "clutching_dim": rf.RoundFoldDescriptor(5, rf.sphere_page(), 1),
+    "clutching_page": rf.RoundFoldDescriptor(4, rf.disk_page(), 1),
+}
+
+
+@pytest.mark.filterwarnings("error")  # the n = 4 warning comes after the checks
+@pytest.mark.parametrize("code", BAD_DESCRIPTORS)
+@pytest.mark.parametrize("call", DESCRIPTOR_CALLS)
+def test_descriptor_functions_reject_invalid_descriptor(call, code):
+    descriptor = BAD_DESCRIPTORS[code]
+    with pytest.raises(rf.InvalidDescriptorError) as info:
+        call(descriptor)
+    assert [v.code for v in info.value.report.violations] == [code]
+    assert info.value.report.violations == rf.validate_descriptor(descriptor).violations
+
+
+@pytest.mark.parametrize(
+    "command, stderr",
+    [
+        (["build", "{annulus}", "--n", "3"], "descriptor dimension must be an integer >= 4, got 3"),
+        (
+            ["classify", "{sphere}", "{sphere}", "--n", "5", "--clutching0", "1"],
+            "clutching must be 0 for n = 5; the page determines the map",
+        ),
+        (
+            ["render", "{annulus}", "--kind", "circles", "--n", "3", "--out", "{out}"],
+            "descriptor dimension must be an integer >= 4, got 3",
+        ),
+    ],
+)
+def test_cli_rejects_invalid_descriptor(command, stderr, tmp_path, capsys):
+    files = {"out": str(tmp_path / "out.svg")}
+    for name in ("annulus", "sphere"):
+        path = files[name] = tmp_path / f"{name}.json"
+        path.write_text(rf.serialize_page(getattr(rf, f"{name}_page")()), encoding="utf-8")
+    assert main([arg.format(**files) for arg in command]) == 2
+    assert capsys.readouterr() == ("", f"invalid descriptor: {stderr}\n")
+    assert not (tmp_path / "out.svg").exists()
+
+
+@pytest.mark.filterwarnings("ignore:standard-form comparison")
+@pytest.mark.parametrize("code", ["valid", *BAD_DESCRIPTORS])
+def test_descriptor_functions_check_a_descriptor_once(monkeypatch, code):
+    # a fresh object, with nothing cached on it yet
+    descriptor = dataclasses.replace(BAD_DESCRIPTORS.get(code, rf.RoundFoldDescriptor(4, rf.annulus_page())))
+    checks = []
+    rule = rf.RoundFoldDescriptor.report.func
+    monkeypatch.setattr(rf.RoundFoldDescriptor.report, "func", lambda d: checks.append(d) or rule(d))
+    for call in DESCRIPTOR_CALLS:
+        if code == "valid":
+            call(descriptor)
+        else:
+            with pytest.raises(rf.InvalidDescriptorError):
+                call(descriptor)
+    assert [d for d in checks if d is descriptor] == [descriptor]
+    assert rf.validate_descriptor(descriptor) is descriptor.report
+
+
+def test_descriptor_check_keeps_its_place_among_the_checks():
+    bad = rf.RoundFoldDescriptor(3, rf.moebius_page())
+    # the descriptor before the orientability of its page
+    for call in (rf.component_directions, rf.is_directed):
+        with pytest.raises(rf.InvalidDescriptorError):
+            call(bad)
+    # the format before the descriptor
+    with pytest.raises(rf.RoundFoldError, match="unsupported critical-value format") as info:
+        render_critical_values(bad, format="pdf")
+    assert not isinstance(info.value, rf.InvalidDescriptorError)
