@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -368,6 +369,39 @@ def test_renderers_keep_their_bytes():
         docs += [render_reeb(g, "svg"), render_reeb(g, "dot"), render_critical_values(rf.RoundFoldDescriptor(5, g))]
     assert len(docs) == 75
     assert sha256(docs) == "f8eec413b40a6b9a1bfba5856f9a0f305f7a9dc4f4e3a9967ad583be4e3ab5e0"
+
+
+def large_pages():
+    """Pages of 150 to 300 vertices whose ranks hold many vertices (the
+    boundary rank of a handle page) or parallel edges, one of them with
+    seeded twists."""
+    closed = rf.orientable_closed_page(74)
+    rng = random.Random(23)
+    twisted = closed.with_twists({e.id: rng.randrange(2) for e in closed.edges})
+    return [rf.handle_page(149, 0), rf.handle_page(99, 50), rf.nonorientable_closed_page(148), twisted]
+
+
+def shuffled_document(graph, rng) -> str:
+    """A JSON document of the page with its items in a random order."""
+    doc = json.loads(rf.serialize_page(graph))
+    rng.shuffle(doc["vertices"])
+    rng.shuffle(doc["edges"])
+    return json.dumps(doc)
+
+
+def test_large_drawings_and_parses_keep_their_bytes():
+    rng = random.Random(7)
+    docs = []
+    for g in large_pages():
+        parsed = rf.parse_page(shuffled_document(g, rng))
+        assert parsed == g
+        docs += [
+            render_reeb(g, "svg"),
+            render_reeb(g, "dot"),
+            render_critical_values(rf.RoundFoldDescriptor(5, g)),
+            rf.serialize_page(parsed),
+        ]
+    assert sha256(docs) == "b680b98ef0ed9c1ee9382c396248d54315cd724de1e5de205a809c28592e9a7e"
 
 
 def test_render_reeb_svg():
