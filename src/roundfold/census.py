@@ -304,15 +304,15 @@ def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, pairs: tu
     parallel-pair vectors: ``t`` holds the twists as bits of the encoding
     order.  The labelings are those of the ``free`` edges that the walk
     found (see :func:`_skeletons`), in lexicographic order of their picks,
-    and every other twist is 0, so the first candidate is untwisted.  The
-    gauge span is eliminated in encoding order, for the coset minima, only
-    if some edge is free: otherwise the span is everything and the one
-    ``T`` block is all zeros."""
+    and every other twist is 0, so the first candidate is untwisted.  If no
+    edge is free, the gauge span is everything and the one candidate's ``T``
+    block is all zeros; otherwise the span is eliminated in encoding order,
+    for the coset minima."""
     m = len(edges) + len(targets)
-    gauge = {}
-    if free:
-        boundary = [(0, high, m - 1 - j) for j, high in enumerate(targets)]
-        gauge = gf2.rref(pages._gauge_vectors(kinds, [*edges, *boundary]))
+    if not free:
+        return [(0, f"{prefix}T={'0' * m}".encode("ascii"))]
+    boundary = [(0, high, m - 1 - j) for j, high in enumerate(targets)]
+    gauge = gf2.rref(pages._gauge_vectors(kinds, [*edges, *boundary]))
     found = []
     for picks in itertools.product((0, 1), repeat=len(free)):
         t = sum([x for x, pick in zip(free, picks) if pick])

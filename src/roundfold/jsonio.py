@@ -43,6 +43,8 @@ from .pages import (
 )
 
 _KINDS = {k.value: k for k in VertexKind}
+# each kind's JSON text: reading an Enum member's value costs a class lookup
+_KIND_JSON = {k: _json_str(k.value) for k in VertexKind}
 
 
 def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
@@ -70,7 +72,9 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
     if problems:
         raise PageFormatError(problems)
 
-    # an item is accepted by one test; only a failing one is explained
+    # an item is accepted by one test; only a failing one is explained.  Its
+    # record is made as NamedTuple._make makes one, by tuple.__new__, without
+    # a call of the record class's Python-level __new__
     vertices: list[Vertex] = []
     for i, item in enumerate(data["vertices"]):
         if (
@@ -84,7 +88,7 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
             and rank >= 0
         ):
             if not problems:
-                vertices.append(Vertex(vid, _KINDS[kind], rank))
+                vertices.append(tuple.__new__(Vertex, (vid, _KINDS[kind], rank)))
         else:
             problems += _vertex_problems(f"$.vertices[{i}]", item)
 
@@ -101,13 +105,13 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
             and twist in (0, 1)
         ):
             if not problems:
-                edges.append(Edge(eid, low, high, twist))
+                edges.append(tuple.__new__(Edge, (eid, low, high, twist)))
         else:
             problems += _edge_problems(f"$.edges[{i}]", item)
 
     if problems:
         raise PageFormatError(problems)
-    graph = LabeledReebGraph(tuple(vertices), tuple(edges))
+    graph = LabeledReebGraph(vertices, edges)
     if validate and not graph.report.ok:
         raise PageFormatError([f"$: {v.message}" for v in graph.report.violations])
     return graph
@@ -171,14 +175,14 @@ def _page_text(graph: LabeledReebGraph, indent: str) -> str:
     ``indent``; this writer is one f-string per item."""
     item, field = f"{indent}    ", f"{indent}      "
     vertices = [
-        f'{item}{{\n{field}"id": {_scalar(v.id)},\n{field}"kind": {_json_str(v.kind.value)},\n'
-        f'{field}"rank": {_scalar(v.rank)}\n{item}}}'
-        for v in graph.vertices
+        f'{item}{{\n{field}"id": {_scalar(vid)},\n{field}"kind": {_KIND_JSON[kind]},\n'
+        f'{field}"rank": {_scalar(rank)}\n{item}}}'
+        for vid, kind, rank in graph.vertices
     ]
     edges = [
-        f'{item}{{\n{field}"id": {_scalar(e.id)},\n{field}"low": {_scalar(e.low)},\n'
-        f'{field}"high": {_scalar(e.high)},\n{field}"twist": {_scalar(e.twist)}\n{item}}}'
-        for e in graph.edges
+        f'{item}{{\n{field}"id": {_scalar(eid)},\n{field}"low": {_scalar(low)},\n'
+        f'{field}"high": {_scalar(high)},\n{field}"twist": {_scalar(twist)}\n{item}}}'
+        for eid, low, high, twist in graph.edges
     ]
     return (
         f'{{\n{indent}  "vertices": {_array(vertices, indent)},\n'

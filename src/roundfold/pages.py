@@ -32,8 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import gf2
 from .errors import InvalidPageError, RoundFoldError
@@ -59,15 +59,13 @@ _KIND_TAG = {
 }
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     kind: VertexKind
     rank: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     low: str
     high: str
@@ -156,15 +154,16 @@ class LabeledReebGraph:
 
     Vertices are stored sorted by (rank, id) and edges by id, so equal graphs
     compare equal regardless of construction order and serialization is
-    canonical.
+    canonical.  Each item is a record, the (id, kind, rank) or (id, low,
+    high, twist) tuple that :func:`validate_page` reads as it is.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=attrgetter("rank", "id"))))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=attrgetter("id"))))
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=itemgetter(2, 0))))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=itemgetter(0))))
 
     @classmethod
     def of(
@@ -172,9 +171,8 @@ class LabeledReebGraph:
         vertices: Iterable[tuple[str, VertexKind | str, int]],
         edges: Iterable[tuple[str, str, str, int]],
     ) -> "LabeledReebGraph":
-        vs = tuple(Vertex(i, k if type(k) is VertexKind else VertexKind(k), r) for i, k, r in vertices)
-        es = tuple(Edge(i, lo, hi, t) for i, lo, hi, t in edges)
-        return cls(vs, es)
+        vs = [Vertex(i, k if type(k) is VertexKind else VertexKind(k), r) for i, k, r in vertices]
+        return cls(vs, [Edge(i, lo, hi, t) for i, lo, hi, t in edges])
 
     @property
     def s(self) -> int:
@@ -201,7 +199,7 @@ class LabeledReebGraph:
         copy of a valid page shares its report and its view, since 0/1
         twists never affect validity and the view does not read them."""
         _check_labeling_domain(self, labeling)
-        es = tuple(Edge(e.id, e.low, e.high, int(labeling[e.id])) for e in self.edges)
+        es = [Edge(eid, low, high, int(labeling[eid])) for eid, low, high, _ in self.edges]
         copy = LabeledReebGraph(self.vertices, es)
         if self.report.ok:
             copy.__dict__.update(report=_VALID, _view=self._view)
@@ -222,8 +220,9 @@ class LabeledReebGraph:
         page function reads it, so on an invalid page each raises
         :class:`InvalidPageError` with the page's report."""
         require_valid(self)
+        boundary = VertexKind.BOUNDARY  # an Enum member costs a class lookup each time it is named
         return _PageView(
-            {v.rank: v.kind for v in self.vertices if v.kind is not VertexKind.BOUNDARY},
+            {v.rank: v.kind for v in self.vertices if v.kind is not boundary},
             {v.id: v.rank for v in self.vertices},
             tuple([(e.id, e.low, e.high) for e in self.edges]),
         )
@@ -258,9 +257,7 @@ _KIND_DEGREES = {
 
 def validate_page(graph: LabeledReebGraph) -> ValidationReport:
     """Check every page invariant; an empty report means the graph is a page."""
-    return _validate_page_data(
-        [(v.id, v.kind, v.rank) for v in graph.vertices], [(e.id, e.low, e.high, e.twist) for e in graph.edges]
-    )
+    return _validate_page_data(graph.vertices, graph.edges)
 
 
 def _validate_page_data(
@@ -320,8 +317,9 @@ def _validate_page_data(
     criticals = []
     boundary: list[Violation] = []
     degree: list[Violation] = []
+    boundary_kind = VertexKind.BOUNDARY
     for k, (vid, kind, rank) in enumerate(vertices):
-        if kind is not VertexKind.BOUNDARY:
+        if kind is not boundary_kind:
             criticals.append((vid, kind, rank))
         elif rank != 0:
             boundary.append(Violation("boundary_rank", f"boundary vertex {vid} must have rank 0", (vid,)))

@@ -5,6 +5,7 @@ text with no external assets."""
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 from .errors import RoundFoldError
@@ -63,12 +64,31 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, f'<rect width="{width}" height="{height}" fill="white"/>', *body, "</svg>"]) + "\n"
 
 
-_DOT_SHAPES = {
-    VertexKind.BOUNDARY: "box",
-    VertexKind.MIN: "invtriangle",
-    VertexKind.MAX: "triangle",
-    VertexKind.SADDLE_P: "ellipse",
-    VertexKind.SADDLE_B: "diamond",
+# each kind's DOT node attributes up to its rank, and its SVG glyph at (x, y):
+# tables, since naming an Enum member costs a class lookup each time.  A
+# vertex's y is the int of its rank's row, written as it is, and its x a float
+_DOT_NODES = {
+    VertexKind.BOUNDARY: 'shape=box, label="boundary@',
+    VertexKind.MIN: 'shape=invtriangle, label="min@',
+    VertexKind.MAX: 'shape=triangle, label="max@',
+    VertexKind.SADDLE_P: 'shape=ellipse, label="saddle_p@',
+    VertexKind.SADDLE_B: 'shape=diamond, label="saddle_b@',
+}
+_GLYPHS = {
+    VertexKind.BOUNDARY: lambda x, y: (
+        f'<rect x="{x - 6:.0f}" y="{y - 6}" width="12" height="12" fill="white" stroke="black"/>'
+    ),
+    VertexKind.MIN: lambda x, y: (
+        f'<polygon points="{x - 7:.0f},{y - 6} {x + 7:.0f},{y - 6} {x:.0f},{y + 7}" fill="black"/>'
+    ),
+    VertexKind.MAX: lambda x, y: (
+        f'<polygon points="{x - 7:.0f},{y + 6} {x + 7:.0f},{y + 6} {x:.0f},{y - 7}" fill="black"/>'
+    ),
+    VertexKind.SADDLE_B: lambda x, y: (
+        f'<polygon points="{x:.0f},{y - 8} {x + 8:.0f},{y} {x:.0f},{y + 8} '
+        f'{x - 8:.0f},{y}" fill="white" stroke="black"/>'
+    ),
+    VertexKind.SADDLE_P: lambda x, y: f'<circle cx="{x:.0f}" cy="{y}" r="7" fill="white" stroke="black"/>',
 }
 
 
@@ -96,76 +116,63 @@ def _dot_quoted(ids: list[str]) -> dict[str, str]:
 def _reeb_dot(graph: LabeledReebGraph, by_rank: dict[int, list[str]]) -> str:
     quoted = _dot_quoted([v.id for v in graph.vertices] + [e.id for e in graph.edges])
     lines = ["graph page {", "  rankdir=BT;"]
-    for v in graph.vertices:
-        lines.append(
-            f'  {quoted[v.id]} [shape={_DOT_SHAPES[v.kind]}, label="{v.kind.value}@{v.rank}"];'
-        )
+    for vid, kind, rank in graph.vertices:
+        lines.append(f'  {quoted[vid]} [{_DOT_NODES[kind]}{rank}"];')
     for ids in by_rank.values():
         same = " ".join(f"{quoted[vid]};" for vid in ids)
         lines.append(f"  {{ rank=same; {same} }}")
-    for e in graph.edges:
-        style = ", style=dashed" if e.twist else ""
-        lines.append(f"  {quoted[e.low]} -- {quoted[e.high]} [label={quoted[e.id]}{style}];")
+    for eid, low, high, twist in graph.edges:
+        style = ", style=dashed" if twist else ""
+        lines.append(f"  {quoted[low]} -- {quoted[high]} [label={quoted[eid]}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _reeb_svg(graph: LabeledReebGraph, s: int, by_rank: dict[int, list[str]]) -> str:
+    vertex_ids = [v.id for v in graph.vertices]
+    if _NOT_XML.search("".join(vertex_ids)):
+        bad = next(vid for vid in vertex_ids if _NOT_XML.search(vid))
+        raise RoundFoldError(f"vertex id {bad!r} holds a character that an SVG drawing cannot hold")
     width = 120 * max(len(ids) for ids in by_rank.values()) + 80
     height = 90 * (s + 1) + 60
-    pos: dict[str, tuple[float, float]] = {}
+    pos: dict[str, tuple[float, int]] = {}
+    at: dict[str, tuple[str, str]] = {}  # the coordinates as drawn, formatted once
     for rank, ids in by_rank.items():
         y = height - 50 - rank * 90
-        step = width / (len(ids) + 1)
-        for i, vid in enumerate(ids):
-            pos[vid] = ((i + 1) * step, y)
+        y_text, step = str(y), width / (len(ids) + 1)
+        for i, vid in enumerate(ids, 1):
+            x = i * step
+            pos[vid], at[vid] = (x, y), (f"{x:.0f}", y_text)
     parts: list[str] = []
     # edges first; parallel edges bow apart
-    totals = Counter((e.low, e.high) for e in graph.edges)
+    totals = Counter([(low, high) for _, low, high, _ in graph.edges])
     seen_pairs: dict[tuple[str, str], int] = {}
-    for e in graph.edges:  # a page keeps its edges sorted by id
-        k = (e.low, e.high)
-        slot = seen_pairs.get(k, 0)
-        seen_pairs[k] = slot + 1
-        total = totals[k]
-        (x1, y1), (x2, y2) = pos[e.low], pos[e.high]
-        dash = ' stroke-dasharray="6,4"' if e.twist else ""
+    for _, low, high, twist in graph.edges:  # a page keeps its edges sorted by id
+        dash = ' stroke-dasharray="6,4"' if twist else ""
+        (x1, y1), (x2, y2) = at[low], at[high]
+        total = totals[low, high]
         if total == 1:
-            parts.append(
-                f'<line x1="{x1:.0f}" y1="{y1:.0f}" x2="{x2:.0f}" y2="{y2:.0f}" '
-                f'stroke="black"{dash}/>'
-            )
+            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"{dash}/>')
         else:
-            bow = (slot - (total - 1) / 2) * 44
-            mx, my = (x1 + x2) / 2 + bow, (y1 + y2) / 2
+            slot = seen_pairs.get((low, high), 0)
+            seen_pairs[low, high] = slot + 1
+            (px1, py1), (px2, py2) = pos[low], pos[high]
+            mx, my = (px1 + px2) / 2 + (slot - (total - 1) / 2) * 44, (py1 + py2) / 2
             parts.append(
-                f'<path d="M {x1:.0f} {y1:.0f} Q {mx:.0f} {my:.0f} {x2:.0f} {y2:.0f}" '
-                f'fill="none" stroke="black"{dash}/>'
+                f'<path d="M {x1} {y1} Q {mx:.0f} {my:.0f} {x2} {y2}" fill="none" stroke="black"{dash}/>'
             )
-    for v in graph.vertices:
-        x, y = pos[v.id]
-        parts.append(_vertex_glyph(v.kind, x, y))
-        parts.append(
-            f'<text x="{x + 12:.0f}" y="{y - 8:.0f}" font-size="12">{_xml_text(v.id)}</text>'
-        )
+    for vid, kind, _ in graph.vertices:
+        x, y = pos[vid]
+        parts.append(_GLYPHS[kind](x, y))
+        parts.append(f'<text x="{x + 12:.0f}" y="{y - 8}" font-size="12">{_xml_text(vid)}</text>')
     return _svg(width, height, parts)
+
+
+# the characters XML 1.0 allows nowhere in a document, not even escaped
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _xml_text(text: str) -> str:
     """``text`` as XML character data, with ``&``, ``<`` and ``>`` escaped."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-
-def _vertex_glyph(kind: VertexKind, x: float, y: float) -> str:
-    if kind is VertexKind.BOUNDARY:
-        return f'<rect x="{x - 6:.0f}" y="{y - 6:.0f}" width="12" height="12" fill="white" stroke="black"/>'
-    if kind is VertexKind.MIN:
-        return f'<polygon points="{x - 7:.0f},{y - 6:.0f} {x + 7:.0f},{y - 6:.0f} {x:.0f},{y + 7:.0f}" fill="black"/>'
-    if kind is VertexKind.MAX:
-        return f'<polygon points="{x - 7:.0f},{y + 6:.0f} {x + 7:.0f},{y + 6:.0f} {x:.0f},{y - 7:.0f}" fill="black"/>'
-    if kind is VertexKind.SADDLE_B:
-        return (
-            f'<polygon points="{x:.0f},{y - 8:.0f} {x + 8:.0f},{y:.0f} {x:.0f},{y + 8:.0f} '
-            f'{x - 8:.0f},{y:.0f}" fill="white" stroke="black"/>'
-        )
-    return f'<circle cx="{x:.0f}" cy="{y:.0f}" r="7" fill="white" stroke="black"/>'

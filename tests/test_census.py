@@ -273,6 +273,24 @@ def test_each_skeleton_has_one_candidate_per_gauge_coset(s_max):
     assert (skeletons, free, candidates) == FREE_TWIST_TOTALS[s_max]
 
 
+def test_only_the_candidates_of_skeletons_with_a_free_twist_are_encoded(monkeypatch):
+    # a skeleton without a free twist has one candidate, untwisted, whose
+    # twist block is all zeros with no encoder call
+    blocks = []
+    encode_bits = pages._encode_bits
+    monkeypatch.setattr(pages, "_encode_bits", lambda *args: blocks.append(args) or encode_bits(*args))
+    skeletons = candidates = 0
+    for s in range(1, 6):
+        for kinds in sequences(s):
+            for *_, found in _skeletons(s, kinds):
+                skeletons += 1
+                candidates += len(found)
+                if len(found) == 1:
+                    [(t, enc)] = found
+                    assert t == 0 and enc.endswith(b";T=" + b"0" * enc.count(b">"))
+    assert (skeletons, candidates, len(blocks)) == (282, 344, 118)
+
+
 @pytest.mark.parametrize(
     "n, s_max", [(5, 6), (4, 5), pytest.param(5, 7, marks=pytest.mark.slow)]
 )

@@ -446,6 +446,30 @@ def test_cli_renders_odd_ids(tmp_path, capsys):
     assert dot_tokens(dot.read_text(encoding="utf-8"))['v"1'] == 3
 
 
+@pytest.mark.parametrize("bad", ["b\x00", "b\x01", "b\x08", "b\x0b", "b\x0c", "b\x0e", "b\x1f"])
+def test_an_id_xml_does_not_allow_is_not_drawn_as_svg(bad, tmp_path, capsys):
+    page = rf.LabeledReebGraph.of([(bad, "boundary", 0), ("v1", "max", 1)], [("e0", bad, "v1", 0)])
+    with pytest.raises(rf.RoundFoldError, match=re.escape(repr(bad))):
+        render_reeb(page, "svg")
+    assert dot_tokens(render_reeb(page, "dot"))[bad] == 3
+    path, svg, dot = tmp_path / "page.json", tmp_path / "page.svg", tmp_path / "page.dot"
+    path.write_text(rf.serialize_page(page), encoding="utf-8")
+    assert main(["render", str(path), "--kind", "reeb", "--out", str(svg)]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert not svg.exists()
+    assert main(["render", str(path), "--kind", "reeb", "--format", "dot", "--out", str(dot)]) == 0
+    # XML allows tab, newline and carriage return in text
+    fine = rf.LabeledReebGraph.of([("b\t\n\r", "boundary", 0), ("v1", "max", 1)], [("e0", "b\t\n\r", "v1", 0)])
+    ElementTree.fromstring(render_reeb(fine, "svg"))
+
+
+def test_svg_refuses_surrogate_and_noncharacter_ids():
+    for bad in ("b\ud800", "b\udfff", "b\ufffe", "b\uffff"):
+        page = rf.LabeledReebGraph.of([(bad, "boundary", 0), ("v1", "max", 1)], [("e0", bad, "v1", 0)])
+        with pytest.raises(rf.RoundFoldError, match=re.escape(repr(bad))):
+            render_reeb(page, "svg")
+
+
 # -- CLI ----------------------------------------------------------------------
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+import random
 import time
 
 import pytest
@@ -15,7 +17,7 @@ from oracles import (
 )
 
 import roundfold as rf
-from roundfold import LabeledReebGraph, VertexKind
+from roundfold import LabeledReebGraph, VertexKind, pages
 from roundfold.pages import gauge_generators
 
 
@@ -479,3 +481,38 @@ def test_vertex_lookup_is_deprecated():
     assert [w.filename for w in record] == [__file__]
     with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
         g.vertex("nope")
+
+
+def test_page_items_are_records():
+    assert rf.Vertex._fields == ("id", "kind", "rank")
+    assert rf.Edge._fields == ("id", "low", "high", "twist")
+    v, e = rf.Vertex("v1", VertexKind.MIN, 1), rf.Edge("e0", "v1", "v2")
+    # records are the tuples the validator reads, and unpack like them
+    assert e.twist == 0 and e == ("e0", "v1", "v2", 0)
+    vid, kind, rank = v
+    assert (vid, kind, rank) == (v.id, v.kind, v.rank) == ("v1", VertexKind.MIN, 1)
+    with pytest.raises(AttributeError):
+        v.rank = 2
+    with pytest.raises(AttributeError):
+        e.twist = 1
+    assert e._replace(twist=1) == rf.Edge("e0", "v1", "v2", 1)
+    assert e._asdict() == {"id": "e0", "low": "v1", "high": "v2", "twist": 0}
+    for item in (v, e):
+        copy = pickle.loads(pickle.dumps(item))
+        assert copy == item and type(copy) is type(item)
+
+
+def test_a_page_sorts_its_records_and_validates_them_as_they_are(monkeypatch):
+    g = rf.handle_page(3, 1)
+    vertices, edges = list(g.vertices), list(g.edges)
+    random.Random(5).shuffle(vertices)
+    random.Random(6).shuffle(edges)
+    copy = LabeledReebGraph(tuple(vertices), tuple(edges))
+    assert copy == g
+    assert [(v.rank, v.id) for v in copy.vertices] == sorted((v.rank, v.id) for v in vertices)
+    assert [e.id for e in copy.edges] == sorted(e.id for e in edges)
+    read = []
+    validate = pages._validate_page_data
+    monkeypatch.setattr(pages, "_validate_page_data", lambda *items: read.append(items) or validate(*items))
+    assert copy.report.ok
+    assert read[0][0] is copy.vertices and read[0][1] is copy.edges

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import graph_from_skeleton, valid_skeletons
 
 import roundfold as rf
-from roundfold import gf2, pages
+from roundfold import census, gf2, pages
 from roundfold.census import brute_force_isomorphic
 from roundfold.cli import main
 from roundfold.render import render_critical_values, render_reeb
@@ -63,6 +63,15 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
     blocks = []
     encode_bits = pages._encode_bits
     monkeypatch.setattr(pages, "_encode_bits", lambda *args: blocks.append(args) or encode_bits(*args))
+    candidates = []
+    find_candidates = census._candidates
+
+    def counting_candidates(*args):
+        found = find_candidates(*args)
+        candidates.extend(found)
+        return found
+
+    monkeypatch.setattr(census, "_candidates", counting_candidates)
     views = count_calls(monkeypatch, "__init__", pages._PageView)
     page_encodings = count_calls(monkeypatch, "_encode_page", pages)
     built_pages = count_calls(monkeypatch, "__post_init__", pages.LabeledReebGraph)
@@ -74,14 +83,17 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
     assert validations == []
     assert len(layouts) == connected_skeletons
     assert views == page_layouts == []
-    # each twist candidate costs one encoding of its twist block on its
-    # skeleton's layout (its prefix, pair vectors and gauge echelon form),
-    # and no page is built at all
-    assert len(blocks) == 2834  # twist candidates
-    # the walk finds which twists are free; only the 544 skeletons with a
-    # free twist build their gauge generators and eliminate them, once, in
-    # encoding order, and the other eliminations extend an echelon form by
-    # the swap vectors of a candidate's unequal parallel pairs
+    # the walk finds which twists are free.  A skeleton with none has one
+    # candidate, untwisted, whose twist block is all zeros with no
+    # encoding; each candidate of the 544 skeletons with a free twist costs
+    # one encoding of its twist block on its skeleton's layout (its prefix,
+    # pair vectors and gauge echelon form), and no page is built at all
+    assert len(candidates) == 2834
+    assert len(blocks) == 2834 - (connected_skeletons - 544)
+    # only the skeletons with a free twist build their gauge generators and
+    # eliminate them, once, in encoding order, and the other eliminations
+    # extend an echelon form by the swap vectors of a candidate's unequal
+    # parallel pairs
     assert len(gauges) == 544
     assert len(eliminations) == 544 + 350
     assert page_encodings == []
