@@ -42,16 +42,11 @@ from .classify import _form_prefix
 from .errors import OracleLimitError, RoundFoldError
 from .foldmaps import _total_space
 from .manifolds import ManifoldDescriptor, describe
-from .pages import (
-    Edge,
-    LabeledReebGraph,
-    VertexKind,
-    page_orientable,
-)
+from .pages import LabeledReebGraph, VertexKind, page_orientable
 
 MAX_ENUMERATION_S = 7
 MAX_CLUTCHING = 1000
-ORACLE_S_LIMIT = 5
+ORACLE_S_LIMIT = 5  # deprecated, with brute_force_isomorphic
 # A census part is a run of kind sequences of one stratum, adjacent in
 # canonical order, with skeleton walks of this total size (see
 # ``_kind_sequences``) unless it is one sequence.  The 68 parts of s = 7
@@ -511,55 +506,17 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# deprecated, removed at the next major version with ORACLE_S_LIMIT and
+# OracleLimitError
 # ---------------------------------------------------------------------------
 
 def brute_force_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
-    """Exhaustive page isomorphism test, independent of the canonical
-    encoding and its gauge rule: tries every kind/rank-preserving vertex and
-    edge bijection and every gauge move, built from the vertices and edges
-    alone (each vertex toggles its edges, each edge at a saddle_b toggles
-    alone).  Limited to s <= ORACLE_S_LIMIT."""
+    """Deprecated: :func:`pages.page_isomorphic` for pages with
+    s <= ORACLE_S_LIMIT.  The exhaustive search is a test oracle
+    (``tests/oracles.py``)."""
     pages.require_valid(g0)
     pages.require_valid(g1)
     if g0.s > ORACLE_S_LIMIT or g1.s > ORACLE_S_LIMIT:
         raise OracleLimitError(f"brute-force oracle supports s <= {ORACLE_S_LIMIT}")
-    crit0, crit1 = g0.critical_by_rank(), g1.critical_by_rank()
-    if {r: v.kind for r, v in crit0.items()} != {r: v.kind for r, v in crit1.items()}:
-        return False
-    bd0 = [v.id for v in g0.boundary_vertices()]
-    bd1 = [v.id for v in g1.boundary_vertices()]
-    if len(bd0) != len(bd1) or len(g0.edges) != len(g1.edges):
-        return False
-
-    m = len(g1.edges)
-    unit = {e.id: 1 << (m - 1 - j) for j, e in enumerate(g1.edges)}
-    t1 = sum(unit[e.id] for e in g1.edges if e.twist)
-    saddle_b = {v.id for v in g1.vertices if v.kind is VertexKind.SADDLE_B}
-    moves = [sum(unit[e.id] for e in g1.edges if v.id in (e.low, e.high)) for v in g1.vertices]
-    moves += [unit[e.id] for e in g1.edges if {e.low, e.high} & saddle_b]
-    orbit = gf2.subspace_elements(moves)
-
-    for bd_perm in itertools.permutations(bd1):
-        vmap = {crit0[r].id: crit1[r].id for r in range(1, g0.s + 1)}
-        vmap.update(dict(zip(bd0, bd_perm)))
-        groups0: dict[tuple[str, str], list[Edge]] = {}
-        for e in g0.edges:
-            groups0.setdefault((vmap[e.low], vmap[e.high]), []).append(e)
-        groups1: dict[tuple[str, str], list[Edge]] = {}
-        for e in g1.edges:
-            groups1.setdefault((e.low, e.high), []).append(e)
-        if set(groups0) != set(groups1):
-            continue
-        if any(len(groups0[k]) != len(groups1[k]) for k in groups0):
-            continue
-        keys = sorted(groups0)
-        for perms in itertools.product(*[itertools.permutations(groups1[k]) for k in keys]):
-            t0 = 0
-            for k, perm in zip(keys, perms):
-                for e0, e1 in zip(groups0[k], perm):
-                    if e0.twist:
-                        t0 |= unit[e1.id]
-            if t0 ^ t1 in orbit:
-                return True
-    return False
+    warnings.warn("brute_force_isomorphic is deprecated; use page_isomorphic", DeprecationWarning, stacklevel=2)
+    return pages.page_isomorphic(g0, g1)

@@ -53,4 +53,5 @@ class ManifoldSpecError(RoundFoldError):
 
 
 class OracleLimitError(RoundFoldError):
-    """The brute-force isomorphism oracle was asked to exceed its size limit."""
+    """Deprecated, with ``brute_force_isomorphic``: it was asked for a page
+    above ``ORACLE_S_LIMIT``."""

@@ -45,11 +45,3 @@ def coset_representative(v: int, pivots: dict[int, int]) -> int:
         if (v >> p) & 1:
             v ^= pivots[p]
     return v
-
-
-def subspace_elements(generators: Iterable[int]) -> frozenset[int]:
-    """Every XOR combination of ``generators`` (exhaustive, for oracles)."""
-    elems = {0}
-    for g in generators:
-        elems |= {x ^ g for x in elems}
-    return frozenset(elems)

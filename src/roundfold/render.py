@@ -39,8 +39,9 @@ def render_critical_values(rf: RoundFoldDescriptor, format: str = "svg") -> str:
             f'<text x="{x}" y="{cy - 6}" font-size="14" text-anchor="middle">{counts[r]}</text>'
         )
     # one arrow per circle on the diagonal, pointing inward or outward
+    ux, uy = math.cos(2.3), -math.sin(2.3)
+    wx, wy = -uy, ux
     for r, flag in enumerate(inward, 1):
-        ux, uy = math.cos(2.3), -math.sin(2.3)
         px, py = cx + r * _R_STEP * ux, cy + r * _R_STEP * uy
         sign = -1 if flag else 1
         tip_x, tip_y = px + sign * 14 * ux, py + sign * 14 * uy
@@ -48,7 +49,6 @@ def render_critical_values(rf: RoundFoldDescriptor, format: str = "svg") -> str:
             f'<line x1="{px:.1f}" y1="{py:.1f}" x2="{tip_x:.1f}" y2="{tip_y:.1f}" '
             f'stroke="black" stroke-width="2"/>'
         )
-        wx, wy = -uy, ux
         for w in (-1, 1):
             bx, by = tip_x - sign * 6 * ux + w * 4 * wx, tip_y - sign * 6 * uy + w * 4 * wy
             parts.append(
@@ -114,7 +114,12 @@ def _dot_quoted(ids: list[str]) -> dict[str, str]:
 
 
 def _reeb_dot(graph: LabeledReebGraph, by_rank: dict[int, list[str]]) -> str:
-    quoted = _dot_quoted([v.id for v in graph.vertices] + [e.id for e in graph.edges])
+    ids = [v.id for v in graph.vertices] + [e.id for e in graph.edges]
+    if _SURROGATE.search("".join(ids)):
+        first = next(j for j, i in enumerate(ids) if _SURROGATE.search(i))
+        what = "vertex" if first < len(graph.vertices) else "edge"
+        raise RoundFoldError(f"{what} id {ids[first]!r} holds a lone surrogate, which a DOT file cannot hold")
+    quoted = _dot_quoted(ids)
     lines = ["graph page {", "  rankdir=BT;"]
     for vid, kind, rank in graph.vertices:
         lines.append(f'  {quoted[vid]} [{_DOT_NODES[kind]}{rank}"];')
@@ -170,6 +175,8 @@ def _reeb_svg(graph: LabeledReebGraph, s: int, by_rank: dict[int, list[str]]) ->
 
 # the characters XML 1.0 allows nowhere in a document, not even escaped
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# a code point UTF-8 cannot encode: half of a surrogate pair, on its own
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _xml_text(text: str) -> str:

@@ -1,15 +1,22 @@
 """Independent oracles used to compute expected test values.
 
 Nothing here reuses the library's decision procedures: span membership is
-exhaustive subset XOR, fiber counts are re-derived from scratch, surface
-bookkeeping comes from the classification formulas, the generate-all page
-enumeration builds every labeled graph directly from degree shapes, the
-matrix enumerator lists skeletons as edge-multiplicity matrices filled rank
-by rank, and the Burnside class count has its own gauge vectors and GF(2)
-rank; summed over the matrix skeletons, it checks the published class
-counts without the census's top-down skeleton walk.  ``page_gauge_vectors``
-builds a page's gauge generators vertex by vertex from its vertices and
-edges, and ``xor_basis`` gives the pivots of their span.
+exhaustive subset XOR (``span_elements``), fiber counts are re-derived from
+scratch, surface bookkeeping comes from the classification formulas, the
+generate-all page enumeration builds every labeled graph directly from
+degree shapes, the matrix enumerator lists skeletons as edge-multiplicity
+matrices filled rank by rank, and the Burnside class count has its own
+gauge vectors and GF(2) rank; summed over the matrix skeletons, it checks
+the published class counts without the census's top-down skeleton walk.
+``page_gauge_vectors`` builds a page's gauge generators vertex by vertex
+from its vertices and edges, and ``xor_basis`` gives the pivots of their
+span.  ``brute_force_isomorphic``, the search that the deprecated
+``roundfold.brute_force_isomorphic`` ran, decides page isomorphism over
+every vertex and edge bijection and the whole gauge orbit, reading only a
+page's vertices and edges: no validation, no page view, no cached property
+and no ``roundfold.gf2``.  ``skeleton_bucket`` groups pages by what an
+isomorphism keeps, so that a separation check compares only pages of one
+bucket.
 ``swap_sensitive`` and ``saddle_b_sensitive`` pick the skeletons on which a
 pair swap or the saddle_b rule changes a class, and ``named_edges`` names
 the vertices of a census walk record as the other oracles name them.  The
@@ -61,14 +68,16 @@ SHAPES = {
 
 def subset_xor_member(vectors: list[int], target: int) -> bool:
     """Exhaustive GF(2) span membership: try every subset XOR."""
-    for r in range(len(vectors) + 1):
-        for combo in itertools.combinations(vectors, r):
-            acc = 0
-            for v in combo:
-                acc ^= v
-            if acc == target:
-                return True
-    return False
+    return target in span_elements(vectors)
+
+
+def span_elements(generators) -> frozenset[int]:
+    """Every XOR of a subset of ``generators``, each generator in turn
+    doubling the set: the whole span, exhaustively."""
+    elements = {0}
+    for g in generators:
+        elements |= {x ^ g for x in elements}
+    return frozenset(elements)
 
 
 def euler_orientable(genus: int, boundary: int) -> int:
@@ -215,6 +224,62 @@ def page_gauge_vectors(graph: LabeledReebGraph, order: list[str]) -> list[int]:
     saddle_b = {v.id for v in graph.vertices if v.kind is VertexKind.SADDLE_B}
     flips = [sum(unit[e.id] for e in graph.edges if v.id in (e.low, e.high)) for v in graph.vertices]
     return flips + [unit[e.id] for e in graph.edges if {e.low, e.high} & saddle_b]
+
+
+def skeleton_bucket(graph: LabeledReebGraph) -> tuple:
+    """The kind of each rank and the sorted (low rank, high rank) of every
+    edge, a boundary vertex at rank 0, read from the vertices and edges
+    alone.  An isomorphism of pages keeps both, so pages of two buckets are
+    never isomorphic; pages of one bucket share a skeleton up to renaming."""
+    rank_of = {v.id: v.rank for v in graph.vertices}
+    kinds = tuple(sorted((v.rank, v.kind.value) for v in graph.vertices if v.kind is not VertexKind.BOUNDARY))
+    return kinds, tuple(sorted((rank_of[e.low], rank_of[e.high]) for e in graph.edges))
+
+
+def brute_force_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
+    """Exhaustive isomorphism of two valid pages, independent of the
+    canonical encoding and its gauge rule: tries every kind- and
+    rank-preserving bijection of the vertices and of the edges, and every
+    gauge move, from ``page_gauge_vectors`` and ``span_elements``.  It reads
+    only the vertices and edges, and its cost grows with the factorials of
+    the boundary count and of the parallel classes and with the size of the
+    gauge orbit, so it suits pages with a few critical vertices."""
+    crit0 = {v.rank: v for v in g0.vertices if v.kind is not VertexKind.BOUNDARY}
+    crit1 = {v.rank: v for v in g1.vertices if v.kind is not VertexKind.BOUNDARY}
+    if {r: v.kind for r, v in crit0.items()} != {r: v.kind for r, v in crit1.items()}:
+        return False
+    bd0 = [v.id for v in g0.vertices if v.kind is VertexKind.BOUNDARY]
+    bd1 = [v.id for v in g1.vertices if v.kind is VertexKind.BOUNDARY]
+    if len(bd0) != len(bd1) or len(g0.edges) != len(g1.edges):
+        return False
+
+    order = [e.id for e in g1.edges]
+    m = len(order)
+    unit = {eid: 1 << (m - 1 - j) for j, eid in enumerate(order)}
+    t1 = sum(unit[e.id] for e in g1.edges if e.twist)
+    orbit = span_elements(page_gauge_vectors(g1, order))
+    groups1: dict[tuple[str, str], list[str]] = {}
+    for e in g1.edges:
+        groups1.setdefault((e.low, e.high), []).append(e.id)
+    keys = sorted(groups1)
+    crit_map = {crit0[r].id: crit1[r].id for r in crit0}
+
+    for bd_perm in itertools.permutations(bd1):
+        vmap = {**crit_map, **dict(zip(bd0, bd_perm))}
+        groups0: dict[tuple[str, str], list[int]] = {}
+        for e in g0.edges:
+            groups0.setdefault((vmap[e.low], vmap[e.high]), []).append(e.twist)
+        if any(len(groups0.get(k, ())) != len(ids) for k, ids in groups1.items()):
+            continue
+        for perms in itertools.product(*[itertools.permutations(groups1[k]) for k in keys]):
+            t0 = 0
+            for k, perm in zip(keys, perms):
+                for twist, eid in zip(groups0[k], perm):
+                    if twist:
+                        t0 |= unit[eid]
+            if t0 ^ t1 in orbit:
+                return True
+    return False
 
 
 def below_above(graph: LabeledReebGraph) -> dict[str, tuple[int, int]]:

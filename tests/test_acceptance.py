@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from oracles import below_above
+from oracles import below_above, brute_force_isomorphic
 
 import roundfold as rf
 from roundfold import (
@@ -23,7 +23,6 @@ from roundfold import (
     Trivial,
     TwistedS2S2,
 )
-from roundfold.census import brute_force_isomorphic
 
 
 def _report(name: str, started: float, budget: float) -> None:

@@ -1,16 +1,19 @@
-"""Enumeration completeness, census tables, and the brute-force oracle."""
+"""Enumeration completeness, one page per class, census tables, and the
+brute-force oracle."""
 
 from __future__ import annotations
 
 import concurrent.futures
 import hashlib
 import itertools
+import time
 import warnings
 
 import pytest
 from oracles import (
     all_skeletons,
     all_valid_pages,
+    brute_force_isomorphic,
     census_rows,
     gf2_rank,
     graph_from_skeleton,
@@ -18,12 +21,13 @@ from oracles import (
     named_edges,
     page_gauge_vectors,
     partition_by,
+    skeleton_bucket,
     skeleton_connected,
 )
 
 import roundfold as rf
 from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, gf2, pages
-from roundfold.census import _kind_sequences, _skeletons, brute_force_isomorphic
+from roundfold.census import _kind_sequences, _skeletons
 from roundfold.cli import main
 
 
@@ -367,12 +371,46 @@ def test_census_table_argument_errors():
             rf.census_table(*args, **kwargs)
 
 
+# per stratum s, the skeleton buckets of its pages and the pairs of pages
+# that share a bucket; the buckets are the 1, 3, 8, 37, 233, 1920, 19630
+# connected skeletons
+SEPARATION = {1: (1, 0), 2: (3, 0), 3: (8, 1), 4: (37, 6), 5: (233, 61), 6: (1920, 663), 7: (19630, 9618)}
+
+
+def assert_one_page_per_class(s_max: int, seconds: float) -> None:
+    """No two pages of one stratum of ``enumerate_pages(s_max)`` are
+    isomorphic by the test oracle, which compares only pages of one skeleton
+    bucket (pages of two buckets are never isomorphic); within ``seconds``.
+    With the Burnside class counts, this shows exactly one page per class."""
+    started = time.perf_counter()
+    pages = list(rf.enumerate_pages(s_max))
+    encodings = {rf.canonical_page_encoding(g) for g in pages}
+    assert len(encodings) == len(pages)
+    buckets: dict[tuple, list[rf.LabeledReebGraph]] = {}
+    for g in pages:
+        buckets.setdefault(skeleton_bucket(g), []).append(g)
+    found: dict[int, tuple[int, int]] = {}
+    for (kinds, _), same in buckets.items():
+        count, pairs = found.get(len(kinds), (0, 0))
+        for g0, g1 in itertools.combinations(same, 2):
+            assert not brute_force_isomorphic(g0, g1), (rf.serialize_page(g0), rf.serialize_page(g1))
+            pairs += 1
+        found[len(kinds)] = (count + 1, pairs)
+    assert found == {s: SEPARATION[s] for s in range(1, s_max + 1)}
+    elapsed = time.perf_counter() - started
+    assert elapsed < seconds, f"separation up to s = {s_max} took {elapsed:.1f} s"
+
+
 def test_no_two_emitted_pages_isomorphic():
-    pages = list(rf.enumerate_pages(4))
-    encodings = [rf.canonical_page_encoding(g) for g in pages]
-    assert len(set(encodings)) == len(encodings)
-    for g0, g1 in itertools.combinations(pages[:25], 2):
-        assert not brute_force_isomorphic(g0, g1)
+    # 0.5 s on a shared 2-core Xeon VM under Python 3.11
+    assert_one_page_per_class(6, seconds=20.0)
+
+
+@pytest.mark.slow
+def test_no_two_emitted_pages_isomorphic_at_s7():
+    # 5 to 9 s on a shared 2-core Xeon VM under Python 3.11, half of it in
+    # enumerate_pages(7); 9,618 pairs share a bucket at s = 7
+    assert_one_page_per_class(7, seconds=120.0)
 
 
 def test_enumeration_complete_against_generate_all_oracle():
@@ -533,10 +571,25 @@ def test_oracle_detects_relabeled_copies():
     assert brute_force_isomorphic(rf.klein_page(), rf.klein_page())
 
 
-def test_oracle_size_limit():
+def test_library_oracle_is_a_deprecated_shim():
+    # the one test that calls roundfold.brute_force_isomorphic: it checks its
+    # pages and its size limit as before, then warns and answers as
+    # page_isomorphic, which agrees with the test oracle
+    invalid = rf.LabeledReebGraph.of(
+        [("b0", "boundary", 0), ("v1", "max", 1), ("v2", "max", 2)], [("e0", "b0", "v1", 0)]
+    )
+    for args in ((invalid, rf.annulus_page()), (rf.annulus_page(), invalid)):
+        with pytest.raises(rf.InvalidPageError) as info:
+            rf.brute_force_isomorphic(*args)
+        assert info.value.report.violations == rf.validate_page(invalid).violations
     big = rf.directed_page(rf.ORACLE_S_LIMIT + 1)
     with pytest.raises(rf.OracleLimitError):
-        brute_force_isomorphic(big, big)
+        rf.brute_force_isomorphic(big, big)
+    pages = list(rf.enumerate_pages(3))
+    for g0, g1 in itertools.combinations_with_replacement(pages, 2):
+        with pytest.warns(DeprecationWarning, match="brute_force_isomorphic is deprecated; use page_isomorphic"):
+            answer = rf.brute_force_isomorphic(g0, g1)
+        assert answer == brute_force_isomorphic(g0, g1)
 
 
 def test_the_enumeration_ceiling_has_one_digit():

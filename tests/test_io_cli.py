@@ -470,6 +470,21 @@ def test_svg_refuses_surrogate_and_noncharacter_ids():
             render_reeb(page, "svg")
 
 
+@pytest.mark.parametrize("what, vertex, edge", [("vertex", "b\ud800", "e0"), ("edge", "b0", "e\udfff")])
+def test_dot_refuses_a_lone_surrogate_id(what, vertex, edge, tmp_path, capsys):
+    # UTF-8 cannot encode one: the drawing is refused before any file opens
+    page = rf.LabeledReebGraph.of([(vertex, "boundary", 0), ("v1", "max", 1)], [(edge, vertex, "v1", 0)])
+    message = f"{what} id {(vertex if what == 'vertex' else edge)!r} holds a lone surrogate"
+    with pytest.raises(rf.RoundFoldError, match=re.escape(message)):
+        render_reeb(page, "dot")
+    path, dot = tmp_path / "page.json", tmp_path / "page.dot"
+    path.write_text(rf.serialize_page(page), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert main(["render", str(path), "--kind", "reeb", "--format", "dot", "--out", str(dot)]) == 2
+    assert message in capsys.readouterr().err
+    assert not dot.exists()
+
+
 # -- CLI ----------------------------------------------------------------------
 
 @pytest.fixture

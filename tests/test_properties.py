@@ -9,11 +9,16 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import graph_from_skeleton, saddle_b_sensitive, swap_sensitive, valid_skeletons
+from oracles import (
+    brute_force_isomorphic,
+    graph_from_skeleton,
+    saddle_b_sensitive,
+    swap_sensitive,
+    valid_skeletons,
+)
 
 import roundfold as rf
 from roundfold import Edge, LabeledReebGraph, Vertex, VertexKind
-from roundfold.census import brute_force_isomorphic
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -16,7 +16,6 @@ from oracles import graph_from_skeleton, valid_skeletons
 
 import roundfold as rf
 from roundfold import census, gf2, pages
-from roundfold.census import brute_force_isomorphic
 from roundfold.cli import main
 from roundfold.render import render_critical_values, render_reeb
 
@@ -188,8 +187,6 @@ PAGE_CALLS = [
     lambda g: rf.page_isomorphic(g, VALID),
     lambda g: rf.page_isomorphic(VALID, g),
     render_reeb,
-    lambda g: brute_force_isomorphic(g, VALID),
-    lambda g: brute_force_isomorphic(VALID, g),
 ]
 
 DESCRIPTOR_CALLS = [

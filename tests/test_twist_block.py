@@ -19,6 +19,7 @@ from oracles import (
     matrix_class_count,
     min_over_orderings_twist_block,
     page_gauge_vectors,
+    span_elements,
     swap_sensitive,
     valid_skeletons,
     xor_basis,
@@ -97,7 +98,7 @@ def test_coset_representative_is_the_coset_minimum():
         width = rnd.randint(1, 8)
         gens = [rnd.getrandbits(width) for _ in range(rnd.randint(0, 6))]
         v = rnd.getrandbits(width)
-        least = min(v ^ x for x in gf2.subspace_elements(gens))
+        least = min(v ^ x for x in span_elements(gens))
         assert gf2.coset_representative(v, gf2.rref(gens)) == least, (gens, v)
 
 
