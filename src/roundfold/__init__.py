@@ -5,10 +5,8 @@ Morse functions."""
 from .census import (
     MAX_CLUTCHING,
     MAX_ENUMERATION_S,
-    ORACLE_S_LIMIT,
     CensusRow,
     CensusTable,
-    brute_force_isomorphic,
     census_table,
     enumerate_pages,
 )
@@ -19,7 +17,6 @@ from .errors import (
     ManifoldSpecError,
     NonOrientableError,
     OpenBookUnsupportedError,
-    OracleLimitError,
     PageFormatError,
     RoundFoldError,
 )
@@ -97,4 +94,4 @@ from .pages import (
 )
 from .render import render_critical_values, render_reeb
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -33,20 +33,18 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import gf2, pages
 from .classify import _form_prefix
-from .errors import OracleLimitError, RoundFoldError
+from .errors import RoundFoldError
 from .foldmaps import _total_space
 from .manifolds import ManifoldDescriptor, describe
 from .pages import LabeledReebGraph, VertexKind, page_orientable
 
 MAX_ENUMERATION_S = 7
 MAX_CLUTCHING = 1000
-ORACLE_S_LIMIT = 5  # deprecated, with brute_force_isomorphic
 # A census part is a run of kind sequences of one stratum, adjacent in
 # canonical order, with skeleton walks of this total size (see
 # ``_kind_sequences``) unless it is one sequence.  The 68 parts of s = 7
@@ -352,19 +350,13 @@ def enumerate_pages(
     s_max: int,
     allow_nonorientable: bool = True,
     allow_closed: bool = True,
-    workers: int = 1,
 ):
     """Iterate over one representative per page isomorphism class, s <= s_max.
 
     Output is deterministic: strata in increasing s, each sorted by canonical
     encoding.  Pages are built lazily in this process, one per class yielded.
-    ``workers`` is deprecated and has no effect; :func:`census_table` is the
-    function that spreads the work over processes.
     """
     _check_int("s_max", s_max, 1, MAX_ENUMERATION_S)
-    if workers != 1:
-        message = "enumerate_pages ignores the deprecated workers; census_table spreads the work"
-        warnings.warn(message, DeprecationWarning, stacklevel=2)
     return _pages(s_max, allow_nonorientable, allow_closed)
 
 
@@ -503,20 +495,3 @@ def census_table(n: int, s_max: int, k_max: int = 3, workers: int = 1) -> Census
     parts in this process and starts no process.
     """
     return CensusTable(n, s_max, k_max, tuple(_run_census(n, s_max, k_max, workers)))
-
-
-# ---------------------------------------------------------------------------
-# deprecated, removed at the next major version with ORACLE_S_LIMIT and
-# OracleLimitError
-# ---------------------------------------------------------------------------
-
-def brute_force_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:
-    """Deprecated: :func:`pages.page_isomorphic` for pages with
-    s <= ORACLE_S_LIMIT.  The exhaustive search is a test oracle
-    (``tests/oracles.py``)."""
-    pages.require_valid(g0)
-    pages.require_valid(g1)
-    if g0.s > ORACLE_S_LIMIT or g1.s > ORACLE_S_LIMIT:
-        raise OracleLimitError(f"brute-force oracle supports s <= {ORACLE_S_LIMIT}")
-    warnings.warn("brute_force_isomorphic is deprecated; use page_isomorphic", DeprecationWarning, stacklevel=2)
-    return pages.page_isomorphic(g0, g1)

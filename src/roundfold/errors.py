@@ -50,8 +50,3 @@ class PageFormatError(RoundFoldError):
 
 class ManifoldSpecError(RoundFoldError):
     """A textual manifold spec does not match the mini-grammar."""
-
-
-class OracleLimitError(RoundFoldError):
-    """Deprecated, with ``brute_force_isomorphic``: it was asked for a page
-    above ``ORACLE_S_LIMIT``."""

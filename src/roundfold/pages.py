@@ -27,7 +27,6 @@ over GF(2).
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -178,15 +177,6 @@ class LabeledReebGraph:
     def s(self) -> int:
         """Number of critical vertices."""
         return sum(1 for v in self.vertices if v.kind is not VertexKind.BOUNDARY)
-
-    def vertex(self, vid: str) -> Vertex:
-        """The vertex with this id.  Deprecated: it scans every vertex, and
-        nothing in the package needs it."""
-        warnings.warn("LabeledReebGraph.vertex is deprecated; search graph.vertices", DeprecationWarning, stacklevel=2)
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
 
     def critical_by_rank(self) -> dict[int, Vertex]:
         return {v.rank: v for v in self.vertices if v.kind is not VertexKind.BOUNDARY}

@@ -10,11 +10,11 @@ gauge vectors and GF(2) rank; summed over the matrix skeletons, it checks
 the published class counts without the census's top-down skeleton walk.
 ``page_gauge_vectors`` builds a page's gauge generators vertex by vertex
 from its vertices and edges, and ``xor_basis`` gives the pivots of their
-span.  ``brute_force_isomorphic``, the search that the deprecated
-``roundfold.brute_force_isomorphic`` ran, decides page isomorphism over
-every vertex and edge bijection and the whole gauge orbit, reading only a
-page's vertices and edges: no validation, no page view, no cached property
-and no ``roundfold.gf2``.  ``skeleton_bucket`` groups pages by what an
+span.  ``brute_force_isomorphic``, the exhaustive search that checks
+``page_isomorphic``, decides page isomorphism over every vertex and edge
+bijection and the whole gauge orbit, reading only a page's vertices and
+edges: no validation, no page view, no cached property and no
+``roundfold.gf2``.  ``skeleton_bucket`` groups pages by what an
 isomorphism keeps, so that a separation check compares only pages of one
 bucket.
 ``swap_sensitive`` and ``saddle_b_sensitive`` pick the skeletons on which a

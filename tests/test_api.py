@@ -4,6 +4,8 @@ change which adds or drops one fails here first."""
 from __future__ import annotations
 
 import inspect
+import re
+from pathlib import Path
 
 import roundfold
 from roundfold import pages
@@ -26,12 +28,12 @@ def test_package_public_names():
     assert public_names(roundfold) == [
         "CensusRow", "CensusTable", "Direction", "Edge", "FreeGroup", "HandleSum",
         "InvalidDescriptorError", "InvalidPageError", "LabeledReebGraph", "MAX_CLUTCHING",
-        "MAX_ENUMERATION_S", "ManifoldSpecError", "NonOrientableError", "ORACLE_S_LIMIT",
-        "OpenBookDescriptor", "OpenBookUnsupportedError", "OracleLimitError", "PageFormatError",
+        "MAX_ENUMERATION_S", "ManifoldSpecError", "NonOrientableError",
+        "OpenBookDescriptor", "OpenBookUnsupportedError", "PageFormatError",
         "RoundFoldDescriptor", "RoundFoldError", "Sphere", "SurfaceGroup", "SurfaceProduct",
         "SurfaceType", "Trivial", "TwistClass", "TwistedS2S2", "ValidationReport", "Vertex",
         "VertexKind", "Violation", "a_equivalent", "admits_directed", "admits_round_fold",
-        "annulus_page", "boundary_count", "brute_force_isomorphic", "build_total_space",
+        "annulus_page", "boundary_count", "build_total_space",
         "canonical_form", "canonical_page_encoding", "census_jsonl", "census_table",
         "census_text", "component_directions", "describe", "directed_page", "disk_page",
         "enumerate_pages", "equivalent", "euler_characteristic", "euler_via_folds",
@@ -57,3 +59,9 @@ def test_page_module_public_names():
         "regular_fiber_counts", "require_valid", "sphere_page", "standard_page", "surface_type",
         "twist_class", "twist_equivalent", "validate_page",
     ]
+
+
+def test_version_is_stated_once():
+    # a regex, not tomllib: requires-python is 3.10, and tomllib is 3.11
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.MULTILINE) == [roundfold.__version__]

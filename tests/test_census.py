@@ -7,7 +7,6 @@ import concurrent.futures
 import hashlib
 import itertools
 import time
-import warnings
 
 import pytest
 from oracles import (
@@ -306,15 +305,6 @@ def test_census_rows_match_the_rows_of_the_public_functions(n, s_max):
     assert list(rf.census_table(n, s_max, k_max=3).rows) == expected
 
 
-def test_enumerate_pages_workers_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="workers") as record:
-        iterator = rf.enumerate_pages(4, workers=2)
-    assert [w.filename for w in record] == [__file__]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert list(iterator) == list(rf.enumerate_pages(4, workers=1))
-
-
 def test_s1_is_the_disk():
     (g,) = stratum(1)
     assert rf.page_isomorphic(g, rf.disk_page())
@@ -569,23 +559,6 @@ def test_oracle_detects_relabeled_copies():
     assert brute_force_isomorphic(ann, swapped)
     assert not brute_force_isomorphic(rf.orientable_closed_page(1), rf.klein_page())
     assert brute_force_isomorphic(rf.klein_page(), rf.klein_page())
-
-
-def test_oracle_size_limit():
-    big = rf.directed_page(rf.ORACLE_S_LIMIT + 1)
-    with pytest.raises(rf.OracleLimitError):
-        rf.brute_force_isomorphic(big, big)
-
-
-def test_library_oracle_is_a_deprecated_shim():
-    # roundfold.brute_force_isomorphic still checks its pages (see
-    # test_report) and its size limit (above), then warns and answers as
-    # page_isomorphic, which agrees with the test oracle
-    pages = list(rf.enumerate_pages(3))
-    for g0, g1 in itertools.combinations_with_replacement(pages, 2):
-        with pytest.warns(DeprecationWarning, match="brute_force_isomorphic is deprecated; use page_isomorphic"):
-            answer = rf.brute_force_isomorphic(g0, g1)
-        assert answer == brute_force_isomorphic(g0, g1)
 
 
 def test_the_enumeration_ceiling_has_one_digit():

@@ -474,15 +474,6 @@ def test_serialization_order_independence():
     assert g0 == g1
 
 
-def test_vertex_lookup_is_deprecated():
-    g = rf.disk_page()
-    with pytest.warns(DeprecationWarning, match="LabeledReebGraph.vertex") as record:
-        assert g.vertex("v1") == g.vertices[1]
-    assert [w.filename for w in record] == [__file__]
-    with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
-        g.vertex("nope")
-
-
 def test_page_items_are_records():
     assert rf.Vertex._fields == ("id", "kind", "rank")
     assert rf.Edge._fields == ("id", "low", "high", "twist")

@@ -187,8 +187,6 @@ PAGE_CALLS = [
     lambda g: rf.page_isomorphic(g, VALID),
     lambda g: rf.page_isomorphic(VALID, g),
     render_reeb,
-    lambda g: rf.brute_force_isomorphic(g, VALID),
-    lambda g: rf.brute_force_isomorphic(VALID, g),
 ]
 
 DESCRIPTOR_CALLS = [
