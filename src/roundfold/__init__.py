@@ -94,4 +94,4 @@ from .pages import (
 )
 from .render import render_critical_values, render_reeb
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -221,7 +221,7 @@ class LabeledReebGraph:
     def canonical_encoding(self) -> bytes:
         """The :func:`canonical_page_encoding` bytes of this page, computed
         once per object."""
-        return _encode_page(self)
+        return self._view.layout.encode(self.twist_labeling())
 
     @cached_property
     def _surface(self) -> SurfaceType:
@@ -366,11 +366,13 @@ class _PageView:
     """A valid page without its twists: the kind of its critical vertex of
     each rank 1..s, the rank of every vertex and the (id, low, high) of every
     edge, in the page's edge order.  The invariants that do not depend on the
-    twists are computed when the view is built, except the encoding layout
-    and the gauge echelon form, which are cached properties.  A page reads it
-    through ``LabeledReebGraph._view`` and a descriptor through
-    ``RoundFoldDescriptor._view``; the census builds none, since its walk
-    derives the same invariants.  Nothing changes a view once it is built.
+    twists are computed when the view is built, except the encoding layout,
+    a cached property that holds the encoding edge order and the page's one
+    echelon form of the gauge span, which :func:`twist_class` reads too.  A
+    page reads the view through ``LabeledReebGraph._view`` and a descriptor
+    through ``RoundFoldDescriptor._view``; the census builds none, since its
+    walk derives the same invariants.  Nothing changes a view once it is
+    built.
 
     ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
     by fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex
@@ -405,14 +407,6 @@ class _PageView:
     def layout(self) -> EncodingLayout:
         return _encoding_layout(self)
 
-    @cached_property
-    def gauge_pivots(self) -> dict[int, int]:
-        """Echelon form of the gauge span with the edges in this view's
-        order (see :func:`gauge_generators`)."""
-        rank_of, m = self.rank_of, len(self.edges)
-        edges = [(rank_of[low], rank_of[high], m - 1 - j) for j, (_, low, high) in enumerate(self.edges)]
-        return gf2.rref(_gauge_vectors(self.kinds, edges))
-
 
 # ---------------------------------------------------------------------------
 # surface invariants
@@ -433,21 +427,6 @@ def page_euler(graph: LabeledReebGraph) -> int:
 def boundary_count(graph: LabeledReebGraph) -> int:
     """Number of binding circles, i.e. boundary circles of the page."""
     return graph._view.b
-
-
-def gauge_generators(graph: LabeledReebGraph, edge_order: Sequence[str]) -> list[int]:
-    """Generating move vectors of the twist gauge group of a valid page, as
-    bitmasks.
-
-    The flip of each critical vertex by rank (toggle all incident edges),
-    then the flip of each boundary vertex (a unit vector on its one edge) and
-    one unit vector per edge incident to a saddle_b vertex.  Coordinate j of
-    ``edge_order`` sits at bit (m - 1 - j).
-    """
-    view = graph._view
-    m, rank_of = len(edge_order), view.rank_of
-    bit = {eid: m - 1 - j for j, eid in enumerate(edge_order)}
-    return _gauge_vectors(view.kinds, [(rank_of[low], rank_of[high], bit[eid]) for eid, low, high in view.edges])
 
 
 def _gauge_vectors(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> list[int]:
@@ -502,22 +481,25 @@ def twist_equivalent(
 
 @dataclass(frozen=True)
 class TwistClass:
-    """Gauge class of a twist labeling: edge order plus the canonical coset
-    representative (zero on every pivot coordinate of the gauge span)."""
+    """Gauge class of a twist labeling: the page's encoding edge order (see
+    :class:`EncodingLayout`) plus the canonical coset representative, as
+    bits of that order (zero on every pivot coordinate of the gauge span).
+    The representative is 0 iff the labeling is gauge-trivial."""
 
     edge_ids: tuple[str, ...]
     representative: int
 
 
 def twist_class(graph: LabeledReebGraph, labeling: Mapping[str, int] | None = None) -> TwistClass:
-    view = graph._view
+    """The gauge class of ``labeling`` (by default the page's own twists),
+    read on the page's encoding layout, whose edge order and gauge echelon
+    form the canonical encoding shares."""
+    layout = graph._view.layout
     if labeling is None:
         labeling = graph.twist_labeling()
     else:
         _check_labeling_domain(graph, labeling)
-    order = tuple(e.id for e in graph.edges)
-    rep = gf2.coset_representative(_labeling_bits(labeling, order), view.gauge_pivots)
-    return TwistClass(order, rep)
+    return TwistClass(layout.order, gf2.coset_representative(_labeling_bits(labeling, layout.order), layout.gauge))
 
 
 def page_orientable(graph: LabeledReebGraph) -> bool:
@@ -668,11 +650,6 @@ def _encoding_layout(view: _PageView) -> EncodingLayout:
         pairs=tuple(pairs),
         gauge=gf2.rref(gauge),
     )
-
-
-def _encode_page(graph: LabeledReebGraph) -> bytes:
-    """The body of :func:`canonical_page_encoding`."""
-    return graph._view.layout.encode(graph.twist_labeling())
 
 
 def page_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:

@@ -53,7 +53,7 @@ def test_page_module_public_names():
         "Edge", "EncodingLayout", "InvalidPageError", "LabeledReebGraph", "RoundFoldError",
         "SurfaceType", "TwistClass", "ValidationReport", "Vertex", "VertexKind", "Violation",
         "annulus_page", "boundary_count", "canonical_page_encoding", "directed_page",
-        "disk_page", "gauge_generators", "handle_page", "klein_page", "moebius_page",
+        "disk_page", "handle_page", "klein_page", "moebius_page",
         "nonorientable_closed_page", "nonorientable_surface", "orientable_closed_page",
         "orientable_surface", "page_euler", "page_isomorphic", "page_orientable",
         "regular_fiber_counts", "require_valid", "sphere_page", "standard_page", "surface_type",

@@ -235,9 +235,9 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         order = own.layout.order
         assert [rank_pairs[order[m - 1 - bit]] for _, _, bit in edges] == [(low, high) for low, high, _ in edges]
         # the candidates are the labelings of the free coordinates of the
-        # public gauge generators over e0..e{m-1}, in order, with their
+        # oracle's gauge generators over e0..e{m-1}, in order, with their
         # twists as bits of the edges from critical vertices
-        pivots = gf2.rref(pages.gauge_generators(skeleton, ids))
+        pivots = gf2.rref(page_gauge_vectors(skeleton, ids))
         free = [eid for j, eid in enumerate(ids) if m - 1 - j not in pivots]
         expected = [
             {**dict.fromkeys(ids, 0), **dict(zip(free, picks))} for picks in itertools.product((0, 1), repeat=len(free))

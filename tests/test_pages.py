@@ -8,17 +8,21 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     below_above,
+    coset_minimum,
     euler_nonorientable,
     euler_orientable,
     fiber_counts_by_levels,
+    page_gauge_vectors,
     subset_xor_member,
+    xor_basis,
 )
 
 import roundfold as rf
 from roundfold import LabeledReebGraph, VertexKind, pages
-from roundfold.pages import gauge_generators
 
 
 def torus_page():
@@ -211,7 +215,7 @@ def test_twist_equivalent_torus_examples():
     one = dict(zero, **{parallel[0]: 1})
     # oracle: exhaustive subset XOR over the move vectors
     order = _edge_order(g)
-    gens = gauge_generators(g, order)
+    gens = page_gauge_vectors(g, order)
 
     def bits(lab):
         return sum(1 << (len(order) - 1 - j) for j, eid in enumerate(order) if lab[eid])
@@ -225,7 +229,7 @@ def test_twist_equivalent_torus_examples():
 def test_twist_equivalent_agrees_with_subset_xor_everywhere():
     for g in rf.enumerate_pages(3):
         order = _edge_order(g)
-        gens = gauge_generators(g, order)
+        gens = page_gauge_vectors(g, order)
         m = len(order)
         for t0_bits, t1_bits in itertools.product(range(2**m), repeat=2):
             t0 = {eid: (t0_bits >> (m - 1 - j)) & 1 for j, eid in enumerate(order)}
@@ -245,12 +249,41 @@ def test_gauge_moves_preserve_orientability_and_surface_type():
         m = len(order)
         labeling = g.twist_labeling()
         base_bits = sum(1 << (m - 1 - j) for j, eid in enumerate(order) if labeling[eid])
-        for gen in gauge_generators(g, order)[:6]:
+        for gen in page_gauge_vectors(g, order):
             moved = base_bits ^ gen
             t = {eid: (moved >> (m - 1 - j)) & 1 for j, eid in enumerate(order)}
             g2 = g.with_twists(t)
             assert rf.page_orientable(g2) == rf.page_orientable(g)
             assert rf.surface_type(g2) == rf.surface_type(g)
+
+
+# pages beyond the reach of the enumerations, up to 41 critical vertices
+LARGE_PAGES = st.one_of(
+    st.integers(1, 11).map(rf.orientable_closed_page),
+    st.integers(1, 10).map(rf.nonorientable_closed_page),
+    st.tuples(st.integers(0, 30), st.integers(0, 10)).map(lambda ab: rf.handle_page(*ab)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_orientability_of_large_pages_follows_the_per_vertex_gauge_rule(data):
+    g = data.draw(LARGE_PAGES)
+    ids = _edge_order(g)
+    m = len(ids)
+    gens = page_gauge_vectors(g, ids)
+    if data.draw(st.booleans()):
+        bits = data.draw(st.integers(0, 2**m - 1))
+    else:  # a gauge move of the untwisted labeling, so that both answers come up
+        picks = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+        bits = 0
+        for gen, pick in zip(gens, picks):
+            bits ^= gen if pick else 0
+    page = g.with_twists({eid: bits >> (m - 1 - j) & 1 for j, eid in enumerate(ids)})
+    saddle_b = any(v.kind is VertexKind.SADDLE_B for v in g.vertices)
+    orientable = not saddle_b and coset_minimum(bits, xor_basis(gens)) == 0
+    assert rf.page_orientable(page) == orientable
+    assert rf.surface_type(page).orientable == orientable
 
 
 def _interlocked_cycles(twists):

@@ -1,13 +1,15 @@
 """What each page caches: its validation report, its validated view (with
-the gauge pivots), its canonical encoding and its surface type are computed
-once per page object; the census lays out each skeleton once, unvalidated,
-in its walk, with no view and no page; a descriptor computes its report
-once per object; and every public function gives the same errors on an
-invalid page or descriptor."""
+its encoding layout, which holds the page's one gauge elimination), its
+canonical encoding and its surface type are computed once per page object;
+the census lays out each skeleton once, unvalidated, in its walk, with no
+view and no page; a descriptor computes its report once per object; and
+every public function gives the same errors on an invalid page or
+descriptor."""
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -72,7 +74,7 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
 
     monkeypatch.setattr(census, "_candidates", counting_candidates)
     views = count_calls(monkeypatch, "__init__", pages._PageView)
-    page_encodings = count_calls(monkeypatch, "_encode_page", pages)
+    page_encodings = count_calls(monkeypatch, "encode", pages.EncodingLayout)
     built_pages = count_calls(monkeypatch, "__post_init__", pages.LabeledReebGraph)
     assert len(rf.census_table(5, 6).rows) == 2823
     connected_skeletons = 1 + 3 + 8 + 37 + 233 + 1920
@@ -109,14 +111,26 @@ def test_census_row_classifies_its_surface_once(monkeypatch):
     assert len(surfaces) == len({(r.s, r.summary.split("; ")[-2]) for r in rows})
 
 
-def test_gauge_pivots_computed_once_per_page(monkeypatch):
-    g = rf.klein_page()
+def test_one_gauge_elimination_per_page(monkeypatch):
+    g = rf.orientable_closed_page(3)
+    m = len(g.edges)
     calls = count_calls(monkeypatch, "rref", gf2)
-    assert rf.surface_type(g) == rf.nonorientable_surface(2)
-    assert not rf.page_orientable(g)
-    assert rf.twist_class(g).representative != 0
-    assert rf.twist_class(g, {e.id: 0 for e in g.edges}).representative == 0
+    assert rf.surface_type(g) == rf.orientable_surface(3)
+    assert rf.page_orientable(g)
+    assert rf.twist_class(g).representative == 0
+    assert rf.twist_class(g, {e.id: 1 for e in g.edges}).representative == 0
+    assert rf.canonical_page_encoding(g).endswith(b";T=" + b"0" * m)
+    # the twist class and the encoding read the one echelon form of the
+    # page's encoding layout
     assert len(calls) == 1
+    # so with no unequally twisted parallel pair to swap, the T block is
+    # the twist class's representative, in the same (encoding) edge order
+    rnd = random.Random(28)
+    for page in SKELETON_PAGES:
+        by_ends: dict = {}
+        twisted = page.with_twists({e.id: by_ends.setdefault((e.low, e.high), rnd.randint(0, 1)) for e in page.edges})
+        rep = rf.twist_class(twisted).representative
+        assert rf.canonical_page_encoding(twisted).split(b";T=")[1] == f"{rep:0{len(page.edges)}b}".encode()
 
 
 def test_surface_type_computed_once_per_page(monkeypatch):
@@ -133,11 +147,11 @@ def test_surface_type_computed_once_per_page(monkeypatch):
 
 def test_encoding_kept_on_the_page(monkeypatch):
     g = rf.orientable_closed_page(3)
-    calls = count_calls(monkeypatch, "_encode_page", pages)
+    calls = count_calls(monkeypatch, "encode", pages.EncodingLayout)
     d = rf.RoundFoldDescriptor(5, g)
     assert rf.canonical_form(d).endswith(rf.canonical_page_encoding(g))
     assert rf.page_isomorphic(g, g)
-    assert calls == [g]
+    assert calls == [g._view.layout]
 
 
 SKELETON_PAGES = [

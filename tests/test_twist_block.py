@@ -1,7 +1,8 @@
 """The closed-form twist block of the canonical encoding against the search
-over parallel-edge orderings, plus the size gate it makes reachable, and
-the gauge span of every page view, layout and edge order against the
-per-vertex rule of the oracles."""
+over parallel-edge orderings, plus the size gate it makes reachable, the
+gauge span of every page's encoding layout against the per-vertex rule of
+the oracles, and the GF(2) coset representative against the coset minimum
+in any edge order."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from oracles import (
 
 import roundfold as rf
 from roundfold import gf2
-from roundfold.pages import gauge_generators
 
 
 def twist_block(graph: rf.LabeledReebGraph) -> str:
@@ -142,19 +142,16 @@ def test_view_and_layout_gauge_spans_follow_the_per_vertex_rule():
     assert len(GAUGE_PAGES) == 9 + 1 + 3 + 8 + 37 + 233
     for g in GAUGE_PAGES:
         view = g._view
-        assert set(view.gauge_pivots) == oracle_pivots(g, [e.id for e in g.edges]), g
         assert set(view.layout.gauge) == oracle_pivots(g, view.layout.order), g
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
-def test_gauge_generators_follow_the_per_vertex_rule_in_any_edge_order(data):
+def test_coset_representative_is_the_coset_minimum_in_any_edge_order(data):
     g = data.draw(st.sampled_from(GAUGE_PAGES))
     order = data.draw(st.permutations([e.id for e in g.edges]))
-    gens = gauge_generators(g, order)
     oracle = page_gauge_vectors(g, order)
-    assert sorted(gens) == sorted(oracle)
-    pivots, basis = gf2.rref(gens), xor_basis(oracle)
+    pivots, basis = gf2.rref(oracle), xor_basis(oracle)
     assert set(pivots) == {b.bit_length() - 1 for b in basis}
     for t in data.draw(st.lists(st.integers(0, 2 ** len(order) - 1), min_size=1, max_size=4)):
         assert gf2.coset_representative(t, pivots) == coset_minimum(t, basis)
