@@ -86,7 +86,6 @@ from .pages import (
     page_orientable,
     regular_fiber_counts,
     sphere_page,
-    standard_page,
     surface_type,
     twist_class,
     twist_equivalent,
@@ -94,4 +93,4 @@ from .pages import (
 )
 from .render import render_critical_values, render_reeb
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

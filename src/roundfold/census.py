@@ -41,7 +41,7 @@ from .classify import _form_prefix
 from .errors import RoundFoldError
 from .foldmaps import _total_space
 from .manifolds import ManifoldDescriptor, describe
-from .pages import LabeledReebGraph, VertexKind, page_orientable
+from .pages import LabeledReebGraph, VertexKind
 
 MAX_ENUMERATION_S = 7
 MAX_CLUTCHING = 1000
@@ -171,14 +171,15 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     edges and keep candidates otherwise.
 
     Each dangling end carries the label of its component (``comp`` maps the
-    rank of the vertex an end hangs from to that label), and the walk counts
-    the components of its open ends.  Only a split joins components, and it
-    consumes two open ends, so a component whose last open end a min closes
-    can never be joined again.  Before it places a vertex's edges the walk
-    checks that the (open ends, components) they leave can still reach a
-    connected end by the rule of :func:`_moves`, which allows no such min
-    unless nothing else is left to place; so every branch it enters ends in
-    a connected skeleton.
+    rank of the vertex an end hangs from to that label; it and ``trees``
+    below are lists that every step but a split writes in place), and the
+    walk counts the components of its open ends.  Only a split joins
+    components, and it consumes two open ends, so a component whose last
+    open end a min closes can never be joined again.  Before it places a
+    vertex's edges the walk checks that the (open ends, components) they
+    leave can still reach a connected end by the rule of :func:`_moves`,
+    which allows no such min unless nothing else is left to place; so every
+    branch it enters ends in a connected skeleton.
 
     The encoding order is the boundary edges by target rank, then the edges
     from ranks 1..s-1, each rank's by high rank: the walk's order of ranks,
@@ -235,12 +236,14 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
             # c_(rank - 1) is the number of ends left open below this vertex
             d = len(dangling) - consume + open_
             below = f"{d},{fibers}", (open_ > consume, *inward)
+            # each step writes its own rank before a lower rank reads it and
+            # reads only the ranks of dangling ends, above its own: so only a
+            # split, which relabels those, builds new comp and trees lists
             if consume == 0:
                 if (d, c + 1) in live:
-                    labels, forest = comp.copy(), trees.copy()
-                    labels[rank] = forest[rank] = rank
+                    comp[rank] = trees[rank] = rank
                     ends = dangling + (rank,) * open_
-                    yield from rec(rank - 1, ends, c + 1, labels, forest, edges, free, keys, pairs, *below)
+                    yield from rec(rank - 1, ends, c + 1, comp, trees, edges, free, keys, pairs, *below)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
@@ -251,14 +254,13 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                     closes = not open_ and label not in [comp[h] for h in rest]
                     if (d, c - closes) not in live:
                         continue
-                    labels, forest = comp.copy(), trees.copy()
-                    labels[rank] = label
+                    comp[rank] = label
                     unit = kinds[rank] is saddle_b or kinds[high] is saddle_b
-                    forest[rank] = rank if unit else trees[high]
+                    trees[rank] = rank if unit else trees[high]
                     edges.append((rank, high, placed))
                     above = f",{pages._edge_key(rank, high)}{keys}"
                     ends = (*rest, *(rank,) * open_)
-                    yield from rec(rank - 1, ends, c - closes, labels, forest, edges, free, above, pairs, *below)
+                    yield from rec(rank - 1, ends, c - closes, comp, trees, edges, free, above, pairs, *below)
                     edges.pop()
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
@@ -329,7 +331,7 @@ def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable) -> list[tuple
     return [(enc, *found[enc]) for enc in sorted(found)]
 
 
-def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
+def _pages(s_max: int):
     for s in range(1, s_max + 1):
         for kinds, _ in _kind_sequences(s):
             critical = [(f"v{r}", kind, r) for r, kind in kinds.items()]
@@ -342,22 +344,17 @@ def _pages(s_max: int, allow_nonorientable: bool, allow_closed: bool):
                 )
                 # its skeleton is valid, and 0/1 twists never affect validity
                 object.__setattr__(g, "report", pages._VALID)
-                if (allow_nonorientable or page_orientable(g)) and (allow_closed or g.boundary_vertices()):
-                    yield g
+                yield g
 
 
-def enumerate_pages(
-    s_max: int,
-    allow_nonorientable: bool = True,
-    allow_closed: bool = True,
-):
+def enumerate_pages(s_max: int):
     """Iterate over one representative per page isomorphism class, s <= s_max.
 
     Output is deterministic: strata in increasing s, each sorted by canonical
     encoding.  Pages are built lazily in this process, one per class yielded.
     """
     _check_int("s_max", s_max, 1, MAX_ENUMERATION_S)
-    return _pages(s_max, allow_nonorientable, allow_closed)
+    return _pages(s_max)
 
 
 def _check_int(name: str, value: int, low: int, high: int | None = None) -> None:

@@ -178,12 +178,6 @@ class LabeledReebGraph:
         """Number of critical vertices."""
         return sum(1 for v in self.vertices if v.kind is not VertexKind.BOUNDARY)
 
-    def critical_by_rank(self) -> dict[int, Vertex]:
-        return {v.rank: v for v in self.vertices if v.kind is not VertexKind.BOUNDARY}
-
-    def boundary_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if v.kind is VertexKind.BOUNDARY)
-
     def with_twists(self, labeling: Mapping[str, int]) -> "LabeledReebGraph":
         """Copy of this graph with edge twists replaced by ``labeling``.  The
         copy of a valid page shares its report and its view, since 0/1
@@ -371,8 +365,8 @@ class _PageView:
     echelon form of the gauge span, which :func:`twist_class` reads too.  A
     page reads the view through ``LabeledReebGraph._view`` and a descriptor
     through ``RoundFoldDescriptor._view``; the census builds none, since its
-    walk derives the same invariants.  Nothing changes a view once it is
-    built.
+    walk derives the same invariants, and neither does ``render_reeb``.
+    Nothing changes a view once it is built.
 
     ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
     by fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex
@@ -781,23 +775,3 @@ def klein_page() -> LabeledReebGraph:
     # e1 and e2 are the torus page's parallel pair, from v2 up to v3
     return g.with_twists({**g.twist_labeling(), "e2": 1})
 
-
-_BUILDERS = {
-    "disk": disk_page,
-    "sphere": sphere_page,
-    "annulus": annulus_page,
-    "moebius": moebius_page,
-    "directed": directed_page,
-    "orientable_closed": orientable_closed_page,
-    "nonorientable_closed": nonorientable_closed_page,
-    "handle_page": handle_page,
-}
-
-
-def standard_page(kind: str, *params: int) -> LabeledReebGraph:
-    """Dispatch to a named builder: disk | sphere | annulus | moebius |
-    directed(s) | orientable_closed(g) | nonorientable_closed(k) |
-    handle_page(a, b)."""
-    if kind not in _BUILDERS:
-        raise RoundFoldError(f"unknown standard page kind {kind!r}")
-    return _BUILDERS[kind](*params)

@@ -10,7 +10,7 @@ from collections import Counter
 
 from .errors import RoundFoldError
 from .foldmaps import RoundFoldDescriptor
-from .pages import LabeledReebGraph, VertexKind, page_orientable
+from .pages import LabeledReebGraph, VertexKind, page_orientable, require_valid
 
 _R_STEP = 48  # px between consecutive critical circles
 
@@ -94,8 +94,8 @@ _GLYPHS = {
 
 def render_reeb(graph: LabeledReebGraph, format: str = "svg") -> str:
     """Rank-layered drawing of the page graph; twist-1 edges dashed and each
-    vertex kind drawn with its own glyph."""
-    s = graph._view.s
+    vertex kind drawn with its own glyph; it builds no page view."""
+    require_valid(graph)
     # the vertex ids of each rank, in the graph's (rank, id) order
     by_rank: dict[int, list[str]] = {}
     for v in graph.vertices:
@@ -103,7 +103,8 @@ def render_reeb(graph: LabeledReebGraph, format: str = "svg") -> str:
     if format == "dot":
         return _reeb_dot(graph, by_rank)
     if format == "svg":
-        return _reeb_svg(graph, s, by_rank)
+        # a valid page ranks its critical vertices 1..s, so s is the top rank
+        return _reeb_svg(graph, max(by_rank), by_rank)
     raise RoundFoldError(f"unsupported reeb format {format!r}")
 
 

@@ -7,6 +7,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import roundfold
 from roundfold import pages
 
@@ -43,7 +45,7 @@ def test_package_public_names():
         "orientable_closed_page", "orientable_surface", "page_euler", "page_isomorphic",
         "page_orientable", "parse_manifold_spec", "parse_page", "r_equivalent_standard",
         "regular_fiber_counts", "render_critical_values", "render_reeb", "serialize_page",
-        "sphere_page", "standard_page", "surface_type", "twist_class", "twist_equivalent",
+        "sphere_page", "surface_type", "twist_class", "twist_equivalent",
         "validate_descriptor", "validate_page",
     ]
 
@@ -56,7 +58,7 @@ def test_page_module_public_names():
         "disk_page", "handle_page", "klein_page", "moebius_page",
         "nonorientable_closed_page", "nonorientable_surface", "orientable_closed_page",
         "orientable_surface", "page_euler", "page_isomorphic", "page_orientable",
-        "regular_fiber_counts", "require_valid", "sphere_page", "standard_page", "surface_type",
+        "regular_fiber_counts", "require_valid", "sphere_page", "surface_type",
         "twist_class", "twist_equivalent", "validate_page",
     ]
 
@@ -65,3 +67,16 @@ def test_version_is_stated_once():
     # a regex, not tomllib: requires-python is 3.10, and tomllib is 3.11
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'^version = "(.*)"$', pyproject, re.MULTILINE) == [roundfold.__version__]
+
+
+def test_removed_in_0_4_0():
+    # each removed entry point only restated another public call; README's
+    # "Removed in 0.4.0" gives the call that replaces it
+    for keyword in ("allow_nonorientable", "allow_closed"):
+        with pytest.raises(TypeError):
+            roundfold.enumerate_pages(2, **{keyword: False})
+    assert not hasattr(roundfold, "standard_page")
+    assert not hasattr(pages, "standard_page")
+    assert not hasattr(pages, "_BUILDERS")
+    assert not hasattr(pages.LabeledReebGraph, "critical_by_rank")
+    assert not hasattr(pages.LabeledReebGraph, "boundary_vertices")

@@ -111,7 +111,7 @@ def test_is_directed():
     assert rf.is_directed(RoundFoldDescriptor(5, rf.annulus_page()))
     assert not rf.is_directed(RoundFoldDescriptor(5, rf.sphere_page()))
     # equivalent condition: innermost fiber count equals the fold sphere count
-    for g in rf.enumerate_pages(4, allow_nonorientable=False):
+    for g in filter(rf.page_orientable, rf.enumerate_pages(4)):
         rfd = RoundFoldDescriptor(6, g)
         assert rf.is_directed(rfd) == (rf.regular_fiber_counts(g)[0] == g.s)
 

@@ -23,6 +23,7 @@ from oracles import reference_page_problems
 import roundfold as rf
 from roundfold import cli, jsonio
 from roundfold.cli import main
+from roundfold.pages import _PageView
 from roundfold.render import render_critical_values, render_reeb
 
 DISK_JSON = """{
@@ -85,10 +86,10 @@ def test_builders_keep_their_bytes():
         "19d3238fcc77c44cbe7b8984924730ec1b4da049d7dd5a6ae74fcb0a3ae939c6"
     )
     named = [
-        ("disk",), ("sphere",), ("annulus",), ("moebius",), ("directed", 3), ("orientable_closed", 2),
-        ("nonorientable_closed", 2), ("handle_page", 2, 1),
+        rf.disk_page(), rf.sphere_page(), rf.annulus_page(), rf.moebius_page(), rf.directed_page(3),
+        rf.orientable_closed_page(2), rf.nonorientable_closed_page(2), rf.handle_page(2, 1),
     ]
-    assert sha256(rf.serialize_page(rf.standard_page(*args)) for args in named) == (
+    assert sha256(map(rf.serialize_page, named)) == (
         "4b15b003d360151d1ab40614d13caa2b9a35369a0e40d33206896e2628281758"
     )
 
@@ -409,6 +410,16 @@ def test_render_reeb_svg():
     assert "<path" in doc  # bowed parallel edges are visible
     doc = render_reeb(rf.klein_page(), format="svg")
     assert "stroke-dasharray" in doc
+
+
+def test_render_reeb_builds_no_page_view(monkeypatch):
+    page = rf.handle_page(3, 1)
+    views = []
+    init = _PageView.__init__
+    monkeypatch.setattr(_PageView, "__init__", lambda view, *args: views.append(args) or init(view, *args))
+    for format in ("svg", "dot"):
+        render_reeb(page, format)
+    assert views == []
 
 
 # a disk page whose ids need escaping in XML text and in DOT quoted strings

@@ -373,7 +373,7 @@ def test_fiber_count_steps():
     # one step per critical rank: size 1 except at a saddle_b, where it is 0
     for g in rf.enumerate_pages(4):
         counts = rf.regular_fiber_counts(g)
-        crit = g.critical_by_rank()
+        crit = {v.rank: v for v in g.vertices if v.kind is not VertexKind.BOUNDARY}
         for r in range(1, g.s + 1):
             step = abs(counts[r] - counts[r - 1])
             expected = 0 if crit[r].kind is VertexKind.SADDLE_B else 1
@@ -465,14 +465,6 @@ def test_builder_param_errors():
         rf.orientable_closed_page(-1)
     with pytest.raises(rf.RoundFoldError):
         rf.nonorientable_closed_page(0)
-    with pytest.raises(rf.RoundFoldError):
-        rf.standard_page("nonsense")
-
-
-def test_standard_page_dispatch():
-    assert rf.page_isomorphic(rf.standard_page("disk"), rf.disk_page())
-    assert rf.page_isomorphic(rf.standard_page("directed", 3), rf.directed_page(3))
-    assert rf.page_isomorphic(rf.standard_page("handle_page", 1, 1), rf.handle_page(1, 1))
 
 
 def test_directed_shape_equivalence():
