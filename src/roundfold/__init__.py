@@ -30,11 +30,9 @@ from .foldmaps import (
     component_directions,
     euler_via_folds,
     fold_counts,
-    height_critical_counts,
     is_directed,
     is_sphere_page,
     open_book,
-    validate_descriptor,
 )
 from .jsonio import (
     census_jsonl,
@@ -81,7 +79,6 @@ from .pages import (
     nonorientable_surface,
     orientable_closed_page,
     orientable_surface,
-    page_euler,
     page_isomorphic,
     page_orientable,
     regular_fiber_counts,
@@ -93,4 +90,4 @@ from .pages import (
 )
 from .render import render_critical_values, render_reeb
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

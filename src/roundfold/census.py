@@ -22,7 +22,8 @@ encodes the twist candidates, one per coset of the gauge span, at one ``T``
 block each; it builds no page and no page view.  The classes of a sequence
 are their distinct encodings, sorted (``_classes``), and ``enumerate_pages``
 builds a page of each class.  A class's row depends only on its encoding, its
-clutching and on whether its candidate is twisted.  The canonical forms of
+clutching, its skeleton's fiber counts and on whether its candidate is
+twisted.  The canonical forms of
 one stratum sort by kind sequence first, so ``census_table`` runs parts of
 adjacent sequences, in a process pool or in turn, and writes each part's
 rows as soon as the parts before it are done.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -318,7 +320,9 @@ def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, pairs: tu
 def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable) -> list[tuple]:
     """(encoding, keep(skeleton), t) of the first candidate of each class of
     the skeletons of this kind sequence, sorted by encoding, with ``keep``
-    called once on each record of :func:`_skeletons`, while the walk waits.
+    called once on each record of :func:`_skeletons`, while the walk waits:
+    the census keeps each record's (ends, fibers, inward), and
+    :func:`enumerate_pages` its edges and ends.
     The encodings of one sequence share their text up to the ``K`` block,
     and every ``K`` text of a stratum has the same length, so the sorted
     classes of the sequences in ``K`` order are the sorted classes of the
@@ -371,31 +375,6 @@ def _check_int(name: str, value: int, low: int, high: int | None = None) -> None
 # census tables
 # ---------------------------------------------------------------------------
 
-def _row_fields(kinds: dict[int, VertexKind]) -> Callable:
-    """The ``keep`` of :func:`_classes` for the census of this kind
-    sequence: what the rows of the classes of a skeleton share, from its
-    record.  That is its kinds text, where a saddle_p is a merge if its
-    critical sphere is inward-directed; its fiber counts text; χ; b; whether
-    it has a saddle_b; and whether every critical sphere is inward-directed,
-    as :func:`foldmaps.is_directed` asks.  The kinds texts are kept by
-    inward pattern, so each is written once."""
-    chi, saddle_b = pages._euler_by_kinds(kinds), VertexKind.SADDLE_B in kinds.values()
-    shapes: dict[tuple[bool, ...], str] = {}
-
-    def fields(skeleton: tuple) -> tuple[str, str, int, int, bool, bool]:
-        _, ends, fibers, inward, _ = skeleton
-        shape = shapes.get(inward)
-        if shape is None:
-            names = [
-                ("merge" if inward[r - 1] else "split") if kinds[r] is VertexKind.SADDLE_P else kinds[r].value
-                for r in range(1, len(inward) + 1)
-            ]
-            shape = shapes[inward] = " ".join([f"{name}@{r}" for r, name in enumerate(names, start=1)])
-        return shape, fibers, chi, len(ends), saddle_b, all(inward)
-
-    return fields
-
-
 def _census_part(
     n: int,
     s: int,
@@ -407,28 +386,45 @@ def _census_part(
     these kind sequences of stratum s.  The rows are in canonical order if
     the sequences are adjacent in ``K`` order and the clutchings are in the
     order of their ``_form_prefix`` bytes.  No class is met in two
-    skeletons, so the parts of a census share no row.  With a module-level
-    ``finish``, each row is replaced by ``finish(row, text)``, where ``text``
-    is the :func:`manifolds.describe` of its manifold, computed once per
-    manifold object.  It returns no pages, and rows with the same surface and
-    clutching share their objects, so a worker process sends back only small
-    objects."""
-    classes = [c for kinds in sequences for c in _classes(s, kinds, _row_fields(kinds))]
+    skeletons, so the parts of a census share no row.  Each sequence is
+    walked once, keeping each skeleton's (ends, fibers, inward).  A row's
+    summary (whose kinds text names a saddle_p a merge if its critical
+    sphere is inward-directed), manifold and directed flag (as
+    :func:`foldmaps.is_directed` asks) are made once per clutching,
+    sequence, fiber counts and orientability, and rows share them, so a
+    worker process sends back only small objects and no page.  With a
+    module-level ``finish``, each row is replaced by ``finish(row, text)``,
+    where ``text`` is the :func:`manifolds.describe` of its manifold."""
+    walked = [(kinds, _classes(s, kinds, operator.itemgetter(1, 2, 3))) for kinds in sequences]
     rows = []
     for k in clutchings:
         prefix, spaces = _form_prefix(n, k), {}
-        for enc, (shape, fibers, chi, b, saddle_b, inward), t in classes:
-            # a candidate lies in the gauge span iff its twists are all 0, and
-            # a page is orientable iff its twists do and it has no saddle_b
-            orientable = not saddle_b and not t
-            key = (chi, b, orientable)
-            if key not in spaces:
-                surface = pages._surface_of(*key)
-                manifold = _total_space(n, surface, k)
-                spaces[key] = (surface.describe(), manifold, describe(manifold))
-            text, manifold, name = spaces[key]
-            row = CensusRow(prefix + enc, s, k, f"{shape}; {text}; c=[{fibers}]", manifold, orientable and inward)
-            rows.append(row if finish is None else finish(row, name))
+        for kinds, classes in walked:
+            chi, saddle_b = pages._euler_by_kinds(kinds), VertexKind.SADDLE_B in kinds.values()
+            # the fiber counts c_0..c_s fix b = c_0 and the inward pattern
+            fields: dict[tuple[str, bool], tuple] = {}
+            for enc, (ends, fibers, inward), t in classes:
+                # a candidate lies in the gauge span iff its twists are all 0,
+                # and a page is orientable iff its twists do and it has no
+                # saddle_b
+                orientable = not saddle_b and not t
+                if (fibers, orientable) not in fields:
+                    key = (chi, len(ends), orientable)
+                    if key not in spaces:
+                        surface = pages._surface_of(*key)
+                        manifold = _total_space(n, surface, k)
+                        spaces[key] = (surface.describe(), manifold, describe(manifold))
+                    text, manifold, name = spaces[key]
+                    names = [
+                        ("merge" if inward[r - 1] else "split") if kinds[r] is VertexKind.SADDLE_P else kinds[r].value
+                        for r in range(1, s + 1)
+                    ]
+                    shape = " ".join([f"{kind}@{r}" for r, kind in enumerate(names, start=1)])
+                    summary = f"{shape}; {text}; c=[{fibers}]"
+                    fields[fibers, orientable] = (summary, manifold, name, orientable and all(inward))
+                summary, manifold, name, directed = fields[fibers, orientable]
+                row = CensusRow(prefix + enc, s, k, summary, manifold, directed)
+                rows.append(row if finish is None else finish(row, name))
     return rows
 
 

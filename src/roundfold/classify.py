@@ -12,19 +12,14 @@ from __future__ import annotations
 import warnings
 
 from .foldmaps import RoundFoldDescriptor
-from .pages import canonical_page_encoding, page_isomorphic
+from .pages import canonical_page_encoding
 
 
 def a_equivalent(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) -> bool:
-    """Decide equivalence by diffeomorphisms of source and target."""
-    rf0._view, rf1._view  # raise InvalidDescriptorError on an invalid descriptor
-    if rf0.n != rf1.n:
-        return False
-    if not page_isomorphic(rf0.page, rf1.page):
-        return False
-    if rf0.n == 4:
-        return abs(rf0.clutching) == abs(rf1.clutching)
-    return True
+    """Decide equivalence by diffeomorphisms of source and target: equal
+    canonical forms.  Each descriptor is checked first, and an invalid one
+    raises :class:`InvalidDescriptorError`."""
+    return canonical_form(rf0) == canonical_form(rf1)
 
 
 def r_equivalent_standard(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) -> bool:
@@ -44,7 +39,8 @@ def r_equivalent_standard(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) ->
 
 
 def canonical_form(rf: RoundFoldDescriptor) -> bytes:
-    """Deterministic byte encoding with equality iff :func:`a_equivalent`.
+    """Deterministic byte encoding of the A-equivalence class: equal for two
+    descriptors iff they have the same n and |clutching| and isomorphic pages.
 
     Layout (ASCII): ``RF1;n=<n>;k=<|clutching|>;`` followed by the canonical
     page encoding (version tag, rank/kind table, boundary targets, edge table,

@@ -105,12 +105,6 @@ def is_sphere_page(graph: LabeledReebGraph) -> bool:
     return len(kinds) == 2 and set(kinds) == {VertexKind.MIN, VertexKind.MAX}
 
 
-def validate_descriptor(rf: RoundFoldDescriptor) -> ValidationReport:
-    """The descriptor's :attr:`RoundFoldDescriptor.report`: page validity
-    plus the clutching constraints."""
-    return rf.report
-
-
 def build_total_space(rf: RoundFoldDescriptor) -> ManifoldDescriptor:
     """Total space of the open book construction over the descriptor's page.
 
@@ -215,13 +209,6 @@ def euler_via_folds(rf: RoundFoldDescriptor) -> int:
     if rf.n % 2 != 0:
         raise RoundFoldError(f"fold-count Euler characteristic needs even dimension, got n={rf.n}")
     return 2 * view.chi  # n0 - n1 = chi
-
-
-def height_critical_counts(rf: RoundFoldDescriptor) -> tuple[int, int]:
-    """(even-index, odd-index) critical point counts of a height function
-    composed with the map: twice the fold counts."""
-    view = rf._view
-    return view.s + view.chi, view.s - view.chi
 
 
 def open_book(rf: RoundFoldDescriptor) -> OpenBookDescriptor:

@@ -413,11 +413,6 @@ def _euler_by_kinds(kinds: Mapping[int, VertexKind]) -> int:
     return 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - len(kind_list)
 
 
-def page_euler(graph: LabeledReebGraph) -> int:
-    """Euler characteristic of the page, by fiberwise Morse counting."""
-    return graph._view.chi
-
-
 def boundary_count(graph: LabeledReebGraph) -> int:
     """Number of binding circles, i.e. boundary circles of the page."""
     return graph._view.b

@@ -82,7 +82,7 @@ def test_criterion_3_realization_round_trip():
     t0 = time.time()
     for d in _all_descriptors(range(4, 8), 4):
         w = rf.admits_round_fold(d)
-        assert rf.validate_descriptor(w).ok
+        assert w.report.ok
         assert rf.equivalent(rf.build_total_space(w), d)
     for k in range(-4, 5):
         d = rf.build_total_space(RoundFoldDescriptor(4, rf.sphere_page(), k))
@@ -186,7 +186,7 @@ def test_criterion_6_clutching_classes_at_n4():
             assert got == (abs(k0) == abs(k1))
     for k in range(-5, 6):
         if k != 0:
-            assert not rf.validate_descriptor(RoundFoldDescriptor(4, rf.disk_page(), k)).ok
+            assert not RoundFoldDescriptor(4, rf.disk_page(), k).report.ok
         built = rf.build_total_space(RoundFoldDescriptor(4, sp, k))
         if k % 2 == 0:
             assert built == SurfaceProduct(4, rf.orientable_surface(0))

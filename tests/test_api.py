@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import roundfold
-from roundfold import pages
+from roundfold import foldmaps, pages
 
 
 def public_names(module) -> list[str]:
@@ -39,14 +39,13 @@ def test_package_public_names():
         "canonical_form", "canonical_page_encoding", "census_jsonl", "census_table",
         "census_text", "component_directions", "describe", "directed_page", "disk_page",
         "enumerate_pages", "equivalent", "euler_characteristic", "euler_via_folds",
-        "fold_counts", "fundamental_group", "handle_page", "height_critical_counts",
-        "is_directed", "is_orientable_manifold", "is_sphere_page", "klein_page", "moebius_page",
+        "fold_counts", "fundamental_group", "handle_page", "is_directed",
+        "is_orientable_manifold", "is_sphere_page", "klein_page", "moebius_page",
         "nonorientable_closed_page", "nonorientable_surface", "normalize", "open_book",
-        "orientable_closed_page", "orientable_surface", "page_euler", "page_isomorphic",
+        "orientable_closed_page", "orientable_surface", "page_isomorphic",
         "page_orientable", "parse_manifold_spec", "parse_page", "r_equivalent_standard",
         "regular_fiber_counts", "render_critical_values", "render_reeb", "serialize_page",
-        "sphere_page", "surface_type", "twist_class", "twist_equivalent",
-        "validate_descriptor", "validate_page",
+        "sphere_page", "surface_type", "twist_class", "twist_equivalent", "validate_page",
     ]
 
 
@@ -57,7 +56,7 @@ def test_page_module_public_names():
         "annulus_page", "boundary_count", "canonical_page_encoding", "directed_page",
         "disk_page", "handle_page", "klein_page", "moebius_page",
         "nonorientable_closed_page", "nonorientable_surface", "orientable_closed_page",
-        "orientable_surface", "page_euler", "page_isomorphic", "page_orientable",
+        "orientable_surface", "page_isomorphic", "page_orientable",
         "regular_fiber_counts", "require_valid", "sphere_page", "surface_type",
         "twist_class", "twist_equivalent", "validate_page",
     ]
@@ -80,3 +79,13 @@ def test_removed_in_0_4_0():
     assert not hasattr(pages, "_BUILDERS")
     assert not hasattr(pages.LabeledReebGraph, "critical_by_rank")
     assert not hasattr(pages.LabeledReebGraph, "boundary_vertices")
+
+
+def test_removed_in_0_5_0():
+    # each removed call only restated another public call; README's "Removed
+    # in 0.5.0" gives the call that replaces it
+    for name in ("page_euler", "height_critical_counts", "validate_descriptor"):
+        assert not hasattr(roundfold, name)
+    assert not hasattr(pages, "page_euler")
+    assert not hasattr(foldmaps, "height_critical_counts")
+    assert not hasattr(foldmaps, "validate_descriptor")

@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from oracles import brute_force_isomorphic
 
 import roundfold as rf
 from roundfold import RoundFoldDescriptor
@@ -48,11 +49,37 @@ def _census_descriptors(n, s_max, k_max=2):
     return out
 
 
+def _relabeled_gauge_moved(g: rf.LabeledReebGraph, rank: int) -> rf.LabeledReebGraph:
+    """A copy of the page under new vertex and edge ids, listed in reverse,
+    with the twists of the edges at its critical vertex of this rank
+    flipped: a gauge move."""
+    vmap = {v.id: f"x{i}" for i, v in enumerate(reversed(g.vertices))}
+    moved = {v.id for v in g.vertices if v.rank == rank and v.kind is not rf.VertexKind.BOUNDARY}
+    return rf.LabeledReebGraph.of(
+        [(vmap[v.id], v.kind, v.rank) for v in g.vertices],
+        [
+            (f"y{i}", vmap[e.low], vmap[e.high], e.twist ^ (e.low in moved or e.high in moved))
+            for i, e in enumerate(reversed(g.edges))
+        ],
+    )
+
+
 def test_canonical_form_equality_matches_a_equivalence():
-    for n in (4, 5):
-        ds = _census_descriptors(n, 3)
-        for d0, d1 in itertools.combinations_with_replacement(ds, 2):
-            assert (rf.canonical_form(d0) == rf.canonical_form(d1)) == rf.a_equivalent(d0, d1)
+    # a_equivalent against its rule, checked by code that shares nothing
+    # with the encoder: the same n, at n = 4 the same |clutching|, and pages
+    # isomorphic by the exhaustive search of the oracles
+    sp, torus, klein = rf.sphere_page(), rf.orientable_closed_page(1), rf.klein_page()
+    ds = [RoundFoldDescriptor(n, g) for n in (4, 5) for g in rf.enumerate_pages(3)]
+    ds += [RoundFoldDescriptor(4, sp, k) for k in (-2, -1, 1, 2)]
+    ds += [RoundFoldDescriptor(5, g) for g in (torus, klein)]
+    ds += [RoundFoldDescriptor(5, _relabeled_gauge_moved(g, 2)) for g in (torus, klein)]
+    for d0, d1 in itertools.combinations_with_replacement(ds, 2):
+        rule = d0.n == d1.n and (d0.n != 4 or abs(d0.clutching) == abs(d1.clutching))
+        assert rf.a_equivalent(d0, d1) == (rule and brute_force_isomorphic(d0.page, d1.page))
+    # the moved copies are twisted, and each is equivalent to its page alone
+    pairs = itertools.product(ds[-4:-2], ds[-2:])
+    assert [rf.a_equivalent(d0, d1) for d0, d1 in pairs] == [True, False, False, True]
+    assert any(e.twist for e in ds[-2].page.edges)
 
 
 def test_canonical_form_examples():

@@ -16,13 +16,13 @@ from roundfold import (
 
 
 def test_validate_descriptor_clutching_rules():
-    assert rf.validate_descriptor(RoundFoldDescriptor(4, rf.sphere_page(), 3)).ok
-    assert not rf.validate_descriptor(RoundFoldDescriptor(5, rf.sphere_page(), 1)).ok
-    assert not rf.validate_descriptor(RoundFoldDescriptor(4, rf.disk_page(), 1)).ok
-    assert not rf.validate_descriptor(RoundFoldDescriptor(3, rf.disk_page())).ok
-    assert rf.validate_descriptor(RoundFoldDescriptor(4, rf.disk_page(), 0)).ok
+    assert RoundFoldDescriptor(4, rf.sphere_page(), 3).report.ok
+    assert not RoundFoldDescriptor(5, rf.sphere_page(), 1).report.ok
+    assert not RoundFoldDescriptor(4, rf.disk_page(), 1).report.ok
+    assert not RoundFoldDescriptor(3, rf.disk_page()).report.ok
+    assert RoundFoldDescriptor(4, rf.disk_page(), 0).report.ok
     for clutching in (True, 1.0):
-        report = rf.validate_descriptor(RoundFoldDescriptor(4, rf.sphere_page(), clutching))
+        report = RoundFoldDescriptor(4, rf.sphere_page(), clutching).report
         assert [v.code for v in report.violations] == ["clutching_type"]
 
 
@@ -133,13 +133,6 @@ def test_euler_via_folds():
     assert rf.euler_characteristic(rf.build_total_space(rfd)) == -2
     with pytest.raises(rf.RoundFoldError):
         rf.euler_via_folds(RoundFoldDescriptor(5, rf.disk_page()))
-
-
-def test_height_critical_counts():
-    rfd = RoundFoldDescriptor(6, rf.orientable_closed_page(1))
-    even, odd = rf.height_critical_counts(rfd)
-    assert (even, odd) == (4, 4)
-    assert even - odd == rf.euler_via_folds(rfd)
 
 
 def test_orientability_coherence():

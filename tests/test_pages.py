@@ -134,20 +134,20 @@ def test_duplicate_ids_reported_in_linear_time():
 # -- euler characteristic ---------------------------------------------------
 
 def test_page_euler_disk():
-    assert rf.page_euler(rf.disk_page()) == 1
+    assert rf.surface_type(rf.disk_page()).euler == 1
 
 
 def test_page_euler_torus_matches_handle_count():
-    assert rf.page_euler(torus_page()) == euler_orientable(genus=1, boundary=0)
+    assert rf.surface_type(torus_page()).euler == euler_orientable(genus=1, boundary=0)
 
 
 def test_page_euler_moebius():
     # Moebius band: one crosscap, one boundary circle
-    assert rf.page_euler(rf.moebius_page()) == euler_nonorientable(1, 1)
+    assert rf.surface_type(rf.moebius_page()).euler == euler_nonorientable(1, 1)
 
 
 def test_page_euler_projective_plane():
-    assert rf.page_euler(rf.nonorientable_closed_page(1)) == euler_nonorientable(1, 0)
+    assert rf.surface_type(rf.nonorientable_closed_page(1)).euler == euler_nonorientable(1, 0)
 
 
 # -- boundary count ---------------------------------------------------------
@@ -165,10 +165,10 @@ def test_boundary_counts():
 def test_page_orientable():
     torus = torus_page()
     assert rf.page_orientable(torus)
-    assert rf.page_euler(torus) == euler_orientable(1, 0)
+    assert rf.surface_type(torus).euler == euler_orientable(1, 0)
     klein = rf.klein_page()
     assert not rf.page_orientable(klein)
-    assert rf.page_euler(klein) == euler_nonorientable(2, 0)
+    assert rf.surface_type(klein).euler == euler_nonorientable(2, 0)
     assert not rf.page_orientable(rf.moebius_page())
 
 
@@ -186,7 +186,10 @@ def test_surface_types():
 def test_surface_euler_consistency_everywhere():
     for g in rf.enumerate_pages(4):
         st = rf.surface_type(g)
-        assert st.euler == rf.page_euler(g)
+        # fiberwise Morse counting: each min and max adds 1, each saddle takes 1
+        critical = [v.kind for v in g.vertices if v.kind is not VertexKind.BOUNDARY]
+        extrema = [kind in (VertexKind.MIN, VertexKind.MAX) for kind in critical]
+        assert st.euler == 2 * sum(extrema) - len(extrema)
         assert st.boundary_circles == rf.boundary_count(g)
         assert st.closed == (rf.boundary_count(g) == 0)
 
@@ -441,7 +444,7 @@ def test_orientable_closed_builder():
 
 def test_nonorientable_closed_builder():
     g = rf.nonorientable_closed_page(1)
-    assert rf.page_euler(g) == 1  # projective plane
+    assert rf.surface_type(g).euler == 1  # projective plane
     for k in range(1, 5):
         st = rf.surface_type(rf.nonorientable_closed_page(k))
         assert st == rf.nonorientable_surface(k)
