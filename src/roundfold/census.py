@@ -22,8 +22,9 @@ encodes the twist candidates, one per coset of the gauge span, at one ``T``
 block each; it builds no page and no page view.  The classes of a sequence
 are their distinct encodings, sorted (``_classes``), and ``enumerate_pages``
 builds a page of each class.  A class's row depends only on its encoding, its
-clutching, its skeleton's fiber counts and on whether its candidate is
-twisted.  The canonical forms of
+clutching, its skeleton's fiber counts c_0..c_s (which give b = c_0 and the
+inward-directed spheres) and on whether its candidate is twisted, so the
+census keeps only the fiber counts of each skeleton.  The canonical forms of
 one stratum sort by kind sequence first, so ``census_table`` runs parts of
 adjacent sequences, in a process pool or in turn, and writes each part's
 rows as soon as the parts before it are done.
@@ -155,7 +156,7 @@ def _parts(s: int) -> list[list[dict[int, VertexKind]]]:
 
 
 def _skeletons(s: int, kinds: dict[int, VertexKind]):
-    """Yield a record (edges, ends, fibers, inward, candidates) for every
+    """Yield a record (edges, ends, fibers, candidates) for every
     connected degree-correct shape with these kinds of ranks s..1, with
     vertices tracked by rank (0 for a boundary vertex).  ``edges`` holds
     the (low rank, high rank, bit) of the edges from critical vertices, e0,
@@ -163,14 +164,15 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     reader that keeps it copies it.  ``ends`` holds the high ranks of the
     edges from the boundary vertices b0, b1, ..., which come next as
     e{len(edges)}, ...; ``fibers`` is the text of the fiber counts
-    c_0..c_s; ``inward`` tells for each rank 1..s whether c_(r-1) > c_r;
-    and ``candidates`` are the (t, encoding) of :func:`_candidates`.  The
-    order is that of a walk over every kind sequence with the kinds of each
-    rank taken in ``_SHAPES`` order and the ends each vertex takes in order
-    of their ranks, less the skeletons of other sequences.  Ranks sort as
-    the names v1..vs of their vertices only for one-digit s: from s = 10 on,
-    a walk over names would take ends in another order, and so number the
-    edges and keep candidates otherwise.
+    c_0..c_s, from which b = c_0 and the inward-directed spheres (those of
+    the ranks r with c_(r-1) > c_r) follow; and ``candidates`` are the (t,
+    encoding) of :func:`_candidates`.  The order is that of a walk over
+    every kind sequence with the kinds of each rank taken in ``_SHAPES``
+    order and the ends each vertex takes in order of their ranks, less the
+    skeletons of other sequences.  Ranks sort as the names v1..vs of their
+    vertices only for one-digit s: from s = 10 on, a walk over names would
+    take ends in another order, and so number the edges and keep candidates
+    otherwise.
 
     Each dangling end carries the label of its component (``comp`` maps the
     rank of the vertex an end hangs from to that label; it and ``trees``
@@ -223,21 +225,21 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
             if (c_after <= 1 if rank == 1 else ahead(rank - 1, d_after, c_after))
         }
 
-    def rec(rank, dangling, c, comp, trees, edges, free, keys, pairs, fibers, inward):
+    def rec(rank, dangling, c, comp, trees, edges, free, keys, pairs, fibers):
         if rank == 0:
             targets = tuple(sorted(dangling))
             start = starts.get(targets)
             if start is None:
                 start = starts[targets] = pages._layout_start(kinds, targets)
             prefix = pages._layout_prefix(start, keys)
-            yield edges, dangling, fibers, inward, _candidates(kinds, prefix, edges, targets, pairs, free)
+            yield edges, dangling, fibers, _candidates(kinds, prefix, edges, targets, pairs, free)
             return
         placed = len(edges)
         live = ahead(rank, len(dangling), c)
         for consume, open_ in _SHAPES[kinds[rank]]:
             # c_(rank - 1) is the number of ends left open below this vertex
             d = len(dangling) - consume + open_
-            below = f"{d},{fibers}", (open_ > consume, *inward)
+            below = f"{d},{fibers}"
             # each step writes its own rank before a lower rank reads it and
             # reads only the ranks of dangling ends, above its own: so only a
             # split, which relabels those, builds new comp and trees lists
@@ -245,7 +247,7 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                 if (d, c + 1) in live:
                     comp[rank] = trees[rank] = rank
                     ends = dangling + (rank,) * open_
-                    yield from rec(rank - 1, ends, c + 1, comp, trees, edges, free, keys, pairs, *below)
+                    yield from rec(rank - 1, ends, c + 1, comp, trees, edges, free, keys, pairs, below)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
@@ -262,7 +264,7 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                     edges.append((rank, high, placed))
                     above = f",{pages._edge_key(rank, high)}{keys}"
                     ends = (*rest, *(rank,) * open_)
-                    yield from rec(rank - 1, ends, c - closes, comp, trees, edges, free, above, pairs, *below)
+                    yield from rec(rank - 1, ends, c - closes, comp, trees, edges, free, above, pairs, below)
                     edges.pop()
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
@@ -288,10 +290,10 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                     parallel = (*pairs, 3 << placed) if h1 == h2 else pairs
                     cycle = (*free, 1 << placed) if tree == other else free
                     ends = (*rest, *(rank,) * open_)
-                    yield from rec(rank - 1, ends, c - joins, labels, forest, edges, cycle, above, parallel, *below)
+                    yield from rec(rank - 1, ends, c - joins, labels, forest, edges, cycle, above, parallel, below)
                     del edges[-2:]
 
-    yield from rec(s - 1, (s,), 1, [0] * s + [s], [0] * s + [s], [], (), "", (), "1,0", (True,))
+    yield from rec(s - 1, (s,), 1, [0] * s + [s], [0] * s + [s], [], (), "", (), "1,0")
 
 
 def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, pairs: tuple, free: tuple) -> list:
@@ -321,8 +323,8 @@ def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable) -> list[tuple
     """(encoding, keep(skeleton), t) of the first candidate of each class of
     the skeletons of this kind sequence, sorted by encoding, with ``keep``
     called once on each record of :func:`_skeletons`, while the walk waits:
-    the census keeps each record's (ends, fibers, inward), and
-    :func:`enumerate_pages` its edges and ends.
+    the census keeps each record's fiber text, and :func:`enumerate_pages`
+    its edges and ends.
     The encodings of one sequence share their text up to the ``K`` block,
     and every ``K`` text of a stratum has the same length, so the sorted
     classes of the sequences in ``K`` order are the sorted classes of the
@@ -330,7 +332,7 @@ def _classes(s: int, kinds: dict[int, VertexKind], keep: Callable) -> list[tuple
     found: dict[bytes, tuple] = {}
     for skeleton in _skeletons(s, kinds):
         kept = keep(skeleton)
-        for t, enc in skeleton[4]:
+        for t, enc in skeleton[3]:
             found.setdefault(enc, (kept, t))
     return [(enc, *found[enc]) for enc in sorted(found)]
 
@@ -387,41 +389,40 @@ def _census_part(
     the sequences are adjacent in ``K`` order and the clutchings are in the
     order of their ``_form_prefix`` bytes.  No class is met in two
     skeletons, so the parts of a census share no row.  Each sequence is
-    walked once, keeping each skeleton's (ends, fibers, inward).  A row's
-    summary (whose kinds text names a saddle_p a merge if its critical
-    sphere is inward-directed), manifold and directed flag (as
-    :func:`foldmaps.is_directed` asks) are made once per clutching,
-    sequence, fiber counts and orientability, and rows share them, so a
-    worker process sends back only small objects and no page.  With a
-    module-level ``finish``, each row is replaced by ``finish(row, text)``,
-    where ``text`` is the :func:`manifolds.describe` of its manifold."""
-    walked = [(kinds, _classes(s, kinds, operator.itemgetter(1, 2, 3))) for kinds in sequences]
+    walked once, keeping each skeleton's fiber counts c_0..c_s.  A row's
+    summary, manifold and directed flag (as :func:`foldmaps.is_directed`
+    asks) are made once per clutching, sequence, fiber counts and
+    orientability, and rows share them, so a worker process sends back only
+    small objects and no page.  The counts give b = c_0 and the kinds text
+    of the summary, which names a saddle_p of rank r a merge iff its
+    critical sphere is inward-directed, c_(r-1) > c_r.  Each rank moves c
+    by at most 1 and c_s = 0, so every sphere is inward-directed iff
+    c_0 = s.  With a module-level ``finish``, each row is replaced by
+    ``finish(row, text)``, where ``text`` is the :func:`manifolds.describe`
+    of its manifold."""
+    walked = [(kinds, _classes(s, kinds, operator.itemgetter(2))) for kinds in sequences]
     rows = []
     for k in clutchings:
-        prefix, spaces = _form_prefix(n, k), {}
+        prefix = _form_prefix(n, k)
         for kinds, classes in walked:
             chi, saddle_b = pages._euler_by_kinds(kinds), VertexKind.SADDLE_B in kinds.values()
-            # the fiber counts c_0..c_s fix b = c_0 and the inward pattern
             fields: dict[tuple[str, bool], tuple] = {}
-            for enc, (ends, fibers, inward), t in classes:
+            for enc, fibers, t in classes:
                 # a candidate lies in the gauge span iff its twists are all 0,
                 # and a page is orientable iff its twists do and it has no
                 # saddle_b
                 orientable = not saddle_b and not t
                 if (fibers, orientable) not in fields:
-                    key = (chi, len(ends), orientable)
-                    if key not in spaces:
-                        surface = pages._surface_of(*key)
-                        manifold = _total_space(n, surface, k)
-                        spaces[key] = (surface.describe(), manifold, describe(manifold))
-                    text, manifold, name = spaces[key]
+                    c = [int(count) for count in fibers.split(",")]
+                    surface = pages._surface_of(chi, c[0], orientable)
+                    manifold = _total_space(n, surface, k)
                     names = [
-                        ("merge" if inward[r - 1] else "split") if kinds[r] is VertexKind.SADDLE_P else kinds[r].value
+                        ("merge" if c[r - 1] > c[r] else "split") if kinds[r] is VertexKind.SADDLE_P else kinds[r].value
                         for r in range(1, s + 1)
                     ]
                     shape = " ".join([f"{kind}@{r}" for r, kind in enumerate(names, start=1)])
-                    summary = f"{shape}; {text}; c=[{fibers}]"
-                    fields[fibers, orientable] = (summary, manifold, name, orientable and all(inward))
+                    summary = f"{shape}; {surface.describe()}; c=[{fibers}]"
+                    fields[fibers, orientable] = (summary, manifold, describe(manifold), orientable and c[0] == s)
                 summary, manifold, name, directed = fields[fibers, orientable]
                 row = CensusRow(prefix + enc, s, k, summary, manifold, directed)
                 rows.append(row if finish is None else finish(row, name))

@@ -106,9 +106,10 @@ def test_census_row_classifies_its_surface_once(monkeypatch):
     surfaces = count_calls(monkeypatch, "_surface_of", pages)
     rows = rf.census_table(5, 5).rows
     # a row's orientability comes from its skeleton's saddle_b count and its
-    # twist picks, and each stratum classifies each of its surfaces once
+    # twist picks, and its surface is classified once per row key: its
+    # sequence, fiber counts and orientability, which its summary names
     assert classifications == []
-    assert len(surfaces) == len({(r.s, r.summary.split("; ")[-2]) for r in rows})
+    assert len(surfaces) == len({r.summary for r in rows})
 
 
 def test_one_gauge_elimination_per_page(monkeypatch):
