@@ -12,8 +12,10 @@ indent, vertices sorted by (rank, id), edges by id, trailing newline), so
 parse and serialize are mutually inverse on valid documents.  It writes the
 bytes of ``json.dumps(..., indent=2)`` directly, one f-string per item, and
 ``admits`` nests the same text in its witness.  ``parse_page`` accepts an
-item by one compound test and explains, field by field, only an item that
-fails it.
+item by one compound test, and only an item that fails it goes to the one
+explainer, ``_item_problems``, which writes a problem for each field that
+fails its test in the item kind's field table (``_VERTEX_FIELDS`` or
+``_EDGE_FIELDS``).
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
             if not problems:
                 vertices.append(tuple.__new__(Vertex, (vid, _KINDS[kind], rank)))
         else:
-            problems += _vertex_problems(f"$.vertices[{i}]", item)
+            problems += _item_problems(f"$.vertices[{i}]", item, _VERTEX_FIELDS)
 
     edges: list[Edge] = []
     for i, item in enumerate(data["edges"]):
@@ -107,7 +109,7 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
             if not problems:
                 edges.append(tuple.__new__(Edge, (eid, low, high, twist)))
         else:
-            problems += _edge_problems(f"$.edges[{i}]", item)
+            problems += _item_problems(f"$.edges[{i}]", item, _EDGE_FIELDS)
 
     if problems:
         raise PageFormatError(problems)
@@ -117,46 +119,30 @@ def parse_page(text: str, validate: bool = True) -> LabeledReebGraph:
     return graph
 
 
-def _vertex_problems(path: str, item: object) -> list[str]:
-    """What is wrong with a vertex item that :func:`parse_page` does not
-    accept, field by field."""
-    if not isinstance(item, dict):
-        return [f"{path}: must be an object"]
-    problems = []
-    vid = item.get("id")
-    kind = item.get("kind")
-    rank = item.get("rank")
-    if not isinstance(vid, str) or not vid:
-        problems.append(f"{path}.id: must be a non-empty string")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        problems.append(f"{path}.kind: must be one of {sorted(_KINDS)}")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        problems.append(f"{path}.rank: must be a non-negative integer")
-    extra = set(item) - {"id", "kind", "rank"}
-    if extra:
-        problems.append(f"{path}: unexpected keys {sorted(extra)}")
-    return problems
+# each field of an item kind, in the order its problems are written, with
+# the test its value must pass and the rule a value that fails it breaks
+_VERTEX_FIELDS = {
+    "id": (lambda v: isinstance(v, str) and v != "", "must be a non-empty string"),
+    "kind": (lambda v: isinstance(v, str) and v in _KINDS, f"must be one of {sorted(_KINDS)}"),
+    "rank": (lambda v: type(v) is int and v >= 0, "must be a non-negative integer"),
+}
+_END_FIELD = (lambda v: isinstance(v, str), "must be a vertex id string")
+_EDGE_FIELDS = {
+    "id": _VERTEX_FIELDS["id"],
+    "low": _END_FIELD,
+    "high": _END_FIELD,
+    "twist": (lambda v: type(v) is int and v in (0, 1), "must be 0 or 1"),
+}
 
 
-def _edge_problems(path: str, item: object) -> list[str]:
-    """What is wrong with an edge item that :func:`parse_page` does not
-    accept, field by field."""
+def _item_problems(path: str, item: object, fields: dict) -> list[str]:
+    """What is wrong with an item that :func:`parse_page` does not accept:
+    one problem per field of ``fields`` that fails its test, in table order,
+    then the keys the table does not name."""
     if not isinstance(item, dict):
         return [f"{path}: must be an object"]
-    problems = []
-    eid = item.get("id")
-    low = item.get("low")
-    high = item.get("high")
-    twist = item.get("twist")
-    if not isinstance(eid, str) or not eid:
-        problems.append(f"{path}.id: must be a non-empty string")
-    if not isinstance(low, str):
-        problems.append(f"{path}.low: must be a vertex id string")
-    if not isinstance(high, str):
-        problems.append(f"{path}.high: must be a vertex id string")
-    if type(twist) is not int or twist not in (0, 1):
-        problems.append(f"{path}.twist: must be 0 or 1")
-    extra = set(item) - {"id", "low", "high", "twist"}
+    problems = [f"{path}.{field}: {rule}" for field, (test, rule) in fields.items() if not test(item.get(field))]
+    extra = item.keys() - fields.keys()
     if extra:
         problems.append(f"{path}: unexpected keys {sorted(extra)}")
     return problems

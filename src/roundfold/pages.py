@@ -251,26 +251,39 @@ def _validate_page_data(
     """The :func:`validate_page` report of the page with these (id, kind,
     rank) vertices and (id, low, high, twist) edges, in this order.
 
-    Duplicate ids are reported alone, and so are unknown endpoints and bad
-    twists; otherwise the violations come in the order no_critical,
-    boundary_rank, rank_bijection, edge_direction, degree, disconnected,
-    top_not_max.  One pass over the edges checks their ends, twists and
-    directions, counts the degrees and joins the pieces of a union-find over
-    the vertices (path halving, union by size), so the time is linear in the
+    Duplicate ids are reported alone.  Then the bad_id (an id that is not a
+    non-empty str) and bad_rank (a rank whose type is not int, so not a bool
+    either) of each vertex, followed by the bad_id, unknown_endpoint and
+    bad_twist of each edge, are reported alone, before any rank is compared;
+    otherwise the violations come in the order no_critical, boundary_rank,
+    rank_bijection, edge_direction, degree, disconnected, top_not_max.  One
+    pass over the vertices indexes them and checks their ids and ranks; one
+    pass over the edges checks their ids, ends, twists and directions,
+    counts the degrees and joins the pieces of a union-find over the
+    vertices (path halving, union by size), so the time is linear in the
     size of the page."""
-    index = {vid: k for k, (vid, _, _) in enumerate(vertices)}
+    index: dict[str, int] = {}
+    ranks: list[int] = []
+    bad: list[Violation] = []
+    for k, (vid, _, rank) in enumerate(vertices):
+        index[vid] = k
+        ranks.append(rank)
+        if type(vid) is not str or not vid:
+            bad.append(Violation("bad_id", f"vertex id {vid!r} must be a non-empty string", (vid,)))
+        if type(rank) is not int:
+            bad.append(Violation("bad_rank", f"vertex {vid} rank must be an int, got {rank!r}", (vid,)))
     if len(index) < len(vertices) or len({e[0] for e in edges}) < len(edges):
         return _duplicate_ids(vertices, edges)
 
     n = len(vertices)
-    ranks = [rank for _, _, rank in vertices]
     below, above = [0] * n, [0] * n
     parent, size = list(range(n)), [1] * n
     pieces = n
-    bad: list[Violation] = []
     upward: list[Violation] = []
     for eid, low, high, twist in edges:
         i, j = index.get(low), index.get(high)
+        if type(eid) is not str or not eid:
+            bad.append(Violation("bad_id", f"edge id {eid!r} must be a non-empty string", (eid,)))
         if i is None:
             bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {low}", (eid, low)))
         if j is None:

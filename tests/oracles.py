@@ -568,8 +568,15 @@ def reference_validate_page_data(vertices, edges) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
+    for vid, _, rank in vertices:
+        if type(vid) is not str or len(vid) == 0:
+            bad.append(Violation("bad_id", f"vertex id {vid!r} must be a non-empty string", (vid,)))
+        if type(rank) is not int:
+            bad.append(Violation("bad_rank", f"vertex {vid} rank must be an int, got {rank!r}", (vid,)))
     rank_of = {vid: rank for vid, _, rank in vertices}
     for eid, low, high, twist in edges:
+        if type(eid) is not str or len(eid) == 0:
+            bad.append(Violation("bad_id", f"edge id {eid!r} must be a non-empty string", (eid,)))
         for end in (low, high):
             if end not in rank_of:
                 bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {end}", (eid, end)))

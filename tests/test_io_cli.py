@@ -149,6 +149,26 @@ def test_a_library_page_with_a_non_int_twist_is_invalid(twist):
         rf.canonical_page_encoding(g)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, violations",
+    [
+        # a bool rank would encode as "True"; a float rank made the page view raise TypeError
+        ([("v1", "min", True), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
+        ([("v1", "min", 1), ("v2", "max", 2.0)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v2",))]),
+        # render_reeb raised TypeError on int ids; serialize_page would write "" that parse_page rejects
+        ([(1, "min", 1), (2, "max", 2)], [(0, 1, 2, 0)], [("bad_id", (1,)), ("bad_id", (2,)), ("bad_id", (0,))]),
+        ([("", "min", 1), ("v2", "max", 2)], [("e0", "", "v2", 0)], [("bad_id", ("",))]),
+    ],
+    ids=["bool rank", "float rank", "int ids", "empty id"],
+)
+def test_a_library_page_with_a_non_int_rank_or_a_non_str_id_is_invalid(vertices, edges, violations):
+    g = rf.LabeledReebGraph.of(vertices, edges)
+    assert [(v.code, v.ids) for v in g.report.violations] == violations
+    for call in (rf.canonical_page_encoding, rf.surface_type, render_reeb):
+        with pytest.raises(rf.InvalidPageError):
+            call(g)
+
+
 @pytest.mark.parametrize("twist", [0, 1])
 def test_a_library_page_round_trips_through_its_json(twist):
     g = rf.LabeledReebGraph.of([("v1", "min", 1), ("v2", "max", 2)], [("e0", "v1", "v2", twist)])
