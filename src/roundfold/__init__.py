@@ -10,7 +10,7 @@ from .census import (
     census_table,
     enumerate_pages,
 )
-from .classify import a_equivalent, canonical_form, r_equivalent_standard
+from .classify import a_equivalent, canonical_form
 from .errors import (
     InvalidDescriptorError,
     InvalidPageError,
@@ -68,7 +68,6 @@ from .pages import (
     VertexKind,
     Violation,
     annulus_page,
-    boundary_count,
     canonical_page_encoding,
     directed_page,
     disk_page,
@@ -85,9 +84,8 @@ from .pages import (
     sphere_page,
     surface_type,
     twist_class,
-    twist_equivalent,
     validate_page,
 )
 from .render import render_critical_values, render_reeb
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

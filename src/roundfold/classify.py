@@ -9,8 +9,6 @@ spheres carry opposite self-intersections, determined up to order).
 
 from __future__ import annotations
 
-import warnings
-
 from .foldmaps import RoundFoldDescriptor
 from .pages import canonical_page_encoding
 
@@ -20,22 +18,6 @@ def a_equivalent(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) -> bool:
     canonical forms.  Each descriptor is checked first, and an invalid one
     raises :class:`InvalidDescriptorError`."""
     return canonical_form(rf0) == canonical_form(rf1)
-
-
-def r_equivalent_standard(rf0: RoundFoldDescriptor, rf1: RoundFoldDescriptor) -> bool:
-    """Equivalence by a source diffeomorphism alone, for maps already in
-    standard form; decided by the same page comparison.
-
-    For n = 4 this delegates to :func:`a_equivalent` (the page-only statement
-    is native to n >= 5) and says so with a warning.
-    """
-    rf0._view, rf1._view  # raise InvalidDescriptorError on an invalid descriptor
-    if rf0.n == 4 or rf1.n == 4:
-        warnings.warn(
-            "standard-form comparison at n = 4 is delegated to the full equivalence test",
-            stacklevel=2,
-        )
-    return a_equivalent(rf0, rf1)
 
 
 def canonical_form(rf: RoundFoldDescriptor) -> bytes:

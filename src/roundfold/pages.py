@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import gf2
 from .errors import InvalidPageError, RoundFoldError
@@ -161,8 +161,8 @@ class LabeledReebGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=itemgetter(2, 0))))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=itemgetter(0))))
+        object.__setattr__(self, "vertices", _sorted(self.vertices, itemgetter(2, 0)))
+        object.__setattr__(self, "edges", _sorted(self.edges, itemgetter(0)))
 
     @classmethod
     def of(
@@ -226,6 +226,16 @@ class LabeledReebGraph:
         return _surface_of(view.chi, view.b, orientable)
 
 
+def _sorted(items: Iterable[tuple], key: Callable[[tuple], object]) -> tuple:
+    """``items`` sorted by ``key``; where two keys do not compare, as an id
+    or a rank of another type (which validation reports) may not, sorted by
+    the text of their keys instead."""
+    try:
+        return tuple(sorted(items, key=key))
+    except TypeError:
+        return tuple(sorted(items, key=lambda item: repr(key(item))))
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -251,11 +261,13 @@ def _validate_page_data(
     """The :func:`validate_page` report of the page with these (id, kind,
     rank) vertices and (id, low, high, twist) edges, in this order.
 
-    Duplicate ids are reported alone.  Then the bad_id (an id that is not a
-    non-empty str) and bad_rank (a rank whose type is not int, so not a bool
-    either) of each vertex, followed by the bad_id, unknown_endpoint and
-    bad_twist of each edge, are reported alone, before any rank is compared;
-    otherwise the violations come in the order no_critical, boundary_rank,
+    Duplicate ids, counted among the ids of type str, are reported alone.
+    Then the bad_id (an id that is not a non-empty str, which is never
+    hashed or compared) and bad_rank (a rank whose type is not int, so not a
+    bool either) of each vertex, followed by the bad_id, unknown_endpoint
+    (an end that is not the str id of a vertex) and bad_twist of each edge,
+    are reported alone, before any rank is compared; otherwise the
+    violations come in the order no_critical, boundary_rank,
     rank_bijection, edge_direction, degree, disconnected, top_not_max.  One
     pass over the vertices indexes them and checks their ids and ranks; one
     pass over the edges checks their ids, ends, twists and directions,
@@ -266,14 +278,13 @@ def _validate_page_data(
     ranks: list[int] = []
     bad: list[Violation] = []
     for k, (vid, _, rank) in enumerate(vertices):
-        index[vid] = k
         ranks.append(rank)
+        if type(vid) is str:
+            index[vid] = k
         if type(vid) is not str or not vid:
             bad.append(Violation("bad_id", f"vertex id {vid!r} must be a non-empty string", (vid,)))
         if type(rank) is not int:
             bad.append(Violation("bad_rank", f"vertex {vid} rank must be an int, got {rank!r}", (vid,)))
-    if len(index) < len(vertices) or len({e[0] for e in edges}) < len(edges):
-        return _duplicate_ids(vertices, edges)
 
     n = len(vertices)
     below, above = [0] * n, [0] * n
@@ -281,13 +292,14 @@ def _validate_page_data(
     pieces = n
     upward: list[Violation] = []
     for eid, low, high, twist in edges:
-        i, j = index.get(low), index.get(high)
         if type(eid) is not str or not eid:
             bad.append(Violation("bad_id", f"edge id {eid!r} must be a non-empty string", (eid,)))
-        if i is None:
-            bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {low}", (eid, low)))
-        if j is None:
-            bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {high}", (eid, high)))
+        try:
+            i, j = index[low], index[high]
+        except (KeyError, TypeError):  # an end that is no vertex id, perhaps not even hashable
+            for end in (low, high):
+                if not isinstance(end, str) or end not in index:
+                    bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {end}", (eid, end)))
         if type(twist) is not int or twist not in (0, 1):
             bad.append(Violation("bad_twist", f"edge {eid} twist must be 0 or 1", (eid,)))
         if bad:
@@ -308,8 +320,16 @@ def _validate_page_data(
             parent[j] = i
             size[i] += size[j]
             pieces -= 1
-    if bad:
-        return ValidationReport(tuple(bad))
+    # with no bad id every id is a str, safe to hash, and the sizes tell
+    # whether one repeats; else only the str ids are counted
+    if bad or len(index) < n or len({e[0] for e in edges}) < len(edges):
+        repeated = []
+        for code, what, items in (("duplicate_vertex_id", "vertex", vertices), ("duplicate_edge_id", "edge", edges)):
+            counts = Counter([item[0] for item in items if type(item[0]) is str])
+            twice = sorted(i for i, count in counts.items() if count > 1)
+            if twice:
+                repeated.append(Violation(code, f"duplicate {what} ids {twice}", tuple(twice)))
+        return ValidationReport(tuple(repeated or bad))
 
     criticals = []
     boundary: list[Violation] = []
@@ -346,22 +366,6 @@ def _validate_page_data(
                 Violation("top_not_max", f"the rank-{s} vertex must be a max (outermost fold is definite)", (top_id,))
             )
     return ValidationReport(tuple(bad)) if bad else _VALID
-
-
-def _duplicate_ids(
-    vertices: Sequence[tuple[str, VertexKind, int]], edges: Sequence[tuple[str, str, str, int]]
-) -> ValidationReport:
-    """The report of a page with a repeated vertex or edge id."""
-    bad = []
-    for code, what, items in (
-        ("duplicate_vertex_id", "vertex", vertices),
-        ("duplicate_edge_id", "edge", edges),
-    ):
-        counts = Counter([x[0] for x in items])
-        if len(counts) < len(items):
-            dupes = sorted(i for i, n in counts.items() if n > 1)
-            bad.append(Violation(code, f"duplicate {what} ids {dupes}", tuple(dupes)))
-    return ValidationReport(tuple(bad))
 
 
 def require_valid(graph: LabeledReebGraph) -> None:
@@ -426,11 +430,6 @@ def _euler_by_kinds(kinds: Mapping[int, VertexKind]) -> int:
     return 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - len(kind_list)
 
 
-def boundary_count(graph: LabeledReebGraph) -> int:
-    """Number of binding circles, i.e. boundary circles of the page."""
-    return graph._view.b
-
-
 def _gauge_vectors(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> list[int]:
     """The gauge generators of the valid page whose critical vertex of each
     rank 1..s has these kinds and whose edges are these (low rank, high
@@ -474,13 +473,6 @@ def _labeling_bits(labeling: Mapping[str, int], edge_order: Sequence[str]) -> in
     return v
 
 
-def twist_equivalent(
-    graph: LabeledReebGraph, t0: Mapping[str, int], t1: Mapping[str, int]
-) -> bool:
-    """Decide whether two twist labelings differ by gauge moves."""
-    return twist_class(graph, t0) == twist_class(graph, t1)
-
-
 @dataclass(frozen=True)
 class TwistClass:
     """Gauge class of a twist labeling: the page's encoding edge order (see
@@ -492,16 +484,14 @@ class TwistClass:
     representative: int
 
 
-def twist_class(graph: LabeledReebGraph, labeling: Mapping[str, int] | None = None) -> TwistClass:
-    """The gauge class of ``labeling`` (by default the page's own twists),
-    read on the page's encoding layout, whose edge order and gauge echelon
-    form the canonical encoding shares."""
+def twist_class(graph: LabeledReebGraph) -> TwistClass:
+    """The gauge class of the page's twists, read on the page's encoding
+    layout, whose edge order and gauge echelon form the canonical encoding
+    shares.  The class of another labeling t is that of
+    ``graph.with_twists(t)``."""
     layout = graph._view.layout
-    if labeling is None:
-        labeling = graph.twist_labeling()
-    else:
-        _check_labeling_domain(graph, labeling)
-    return TwistClass(layout.order, gf2.coset_representative(_labeling_bits(labeling, layout.order), layout.gauge))
+    bits = _labeling_bits(graph.twist_labeling(), layout.order)
+    return TwistClass(layout.order, gf2.coset_representative(bits, layout.gauge))
 
 
 def page_orientable(graph: LabeledReebGraph) -> bool:

@@ -554,14 +554,16 @@ def census_rows(n: int, graph: LabeledReebGraph, k_max: int) -> list[CensusRow]:
 def reference_validate_page_data(vertices, edges) -> ValidationReport:
     """The report of ``pages._validate_page_data`` on these (id, kind, rank)
     vertices and (id, low, high, twist) edges, one pass per invariant, with a
-    graph search for connectivity."""
+    graph search for connectivity.  Only ids of type str are counted for
+    repeats or named by an edge end; an id or an end that is no str is never
+    hashed."""
     bad: list[Violation] = []
 
     for code, what, items in (
         ("duplicate_vertex_id", "vertex", vertices),
         ("duplicate_edge_id", "edge", edges),
     ):
-        ids = [x[0] for x in items]
+        ids = [x[0] for x in items if type(x[0]) is str]
         if len(set(ids)) < len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             bad.append(Violation(code, f"duplicate {what} ids {dupes}", tuple(dupes)))
@@ -573,12 +575,12 @@ def reference_validate_page_data(vertices, edges) -> ValidationReport:
             bad.append(Violation("bad_id", f"vertex id {vid!r} must be a non-empty string", (vid,)))
         if type(rank) is not int:
             bad.append(Violation("bad_rank", f"vertex {vid} rank must be an int, got {rank!r}", (vid,)))
-    rank_of = {vid: rank for vid, _, rank in vertices}
+    rank_of = {vid: rank for vid, _, rank in vertices if type(vid) is str}
     for eid, low, high, twist in edges:
         if type(eid) is not str or len(eid) == 0:
             bad.append(Violation("bad_id", f"edge id {eid!r} must be a non-empty string", (eid,)))
         for end in (low, high):
-            if end not in rank_of:
+            if not isinstance(end, str) or end not in rank_of:
                 bad.append(Violation("unknown_endpoint", f"edge {eid} references unknown vertex {end}", (eid, end)))
         if type(twist) is not int or twist not in (0, 1):
             bad.append(Violation("bad_twist", f"edge {eid} twist must be 0 or 1", (eid,)))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import roundfold
-from roundfold import foldmaps, pages
+from roundfold import classify, foldmaps, pages
 
 
 def public_names(module) -> list[str]:
@@ -35,7 +35,7 @@ def test_package_public_names():
         "RoundFoldDescriptor", "RoundFoldError", "Sphere", "SurfaceGroup", "SurfaceProduct",
         "SurfaceType", "Trivial", "TwistClass", "TwistedS2S2", "ValidationReport", "Vertex",
         "VertexKind", "Violation", "a_equivalent", "admits_directed", "admits_round_fold",
-        "annulus_page", "boundary_count", "build_total_space",
+        "annulus_page", "build_total_space",
         "canonical_form", "canonical_page_encoding", "census_jsonl", "census_table",
         "census_text", "component_directions", "describe", "directed_page", "disk_page",
         "enumerate_pages", "equivalent", "euler_characteristic", "euler_via_folds",
@@ -43,9 +43,9 @@ def test_package_public_names():
         "is_orientable_manifold", "is_sphere_page", "klein_page", "moebius_page",
         "nonorientable_closed_page", "nonorientable_surface", "normalize", "open_book",
         "orientable_closed_page", "orientable_surface", "page_isomorphic",
-        "page_orientable", "parse_manifold_spec", "parse_page", "r_equivalent_standard",
+        "page_orientable", "parse_manifold_spec", "parse_page",
         "regular_fiber_counts", "render_critical_values", "render_reeb", "serialize_page",
-        "sphere_page", "surface_type", "twist_class", "twist_equivalent", "validate_page",
+        "sphere_page", "surface_type", "twist_class", "validate_page",
     ]
 
 
@@ -53,12 +53,12 @@ def test_page_module_public_names():
     assert public_names(pages) == [
         "Edge", "EncodingLayout", "InvalidPageError", "LabeledReebGraph", "RoundFoldError",
         "SurfaceType", "TwistClass", "ValidationReport", "Vertex", "VertexKind", "Violation",
-        "annulus_page", "boundary_count", "canonical_page_encoding", "directed_page",
+        "annulus_page", "canonical_page_encoding", "directed_page",
         "disk_page", "handle_page", "klein_page", "moebius_page",
         "nonorientable_closed_page", "nonorientable_surface", "orientable_closed_page",
         "orientable_surface", "page_isomorphic", "page_orientable",
         "regular_fiber_counts", "require_valid", "sphere_page", "surface_type",
-        "twist_class", "twist_equivalent", "validate_page",
+        "twist_class", "validate_page",
     ]
 
 
@@ -89,3 +89,17 @@ def test_removed_in_0_5_0():
     assert not hasattr(pages, "page_euler")
     assert not hasattr(foldmaps, "height_critical_counts")
     assert not hasattr(foldmaps, "validate_descriptor")
+
+
+def test_removed_in_0_6_0():
+    # each removed call only restated another public call; README's "Removed
+    # in 0.6.0" gives the call that replaces it
+    for name in ("twist_equivalent", "boundary_count", "r_equivalent_standard"):
+        assert not hasattr(roundfold, name)
+    assert not hasattr(pages, "twist_equivalent")
+    assert not hasattr(pages, "boundary_count")
+    assert not hasattr(classify, "r_equivalent_standard")
+    assert not hasattr(classify, "warnings")
+    g = pages.klein_page()
+    with pytest.raises(TypeError):
+        pages.twist_class(g, g.twist_labeling())

@@ -71,6 +71,15 @@ def test_canonical_form_equality_matches_a_equivalence():
     sp, torus, klein = rf.sphere_page(), rf.orientable_closed_page(1), rf.klein_page()
     ds = [RoundFoldDescriptor(n, g) for n in (4, 5) for g in rf.enumerate_pages(3)]
     ds += [RoundFoldDescriptor(4, sp, k) for k in (-2, -1, 1, 2)]
+    # standard forms: pairs of one page under two builders, two pages, and
+    # one page built twice
+    standard = [
+        RoundFoldDescriptor(n, g)
+        for n, g in [(5, rf.directed_page(2)), (5, rf.annulus_page()), (5, rf.disk_page()), (5, sp)]
+        + [(6, rf.orientable_closed_page(1)), (6, rf.orientable_closed_page(1))]
+    ]
+    assert [rf.a_equivalent(*standard[i : i + 2]) for i in (0, 2, 4)] == [True, False, True]
+    ds += standard
     ds += [RoundFoldDescriptor(5, g) for g in (torus, klein)]
     ds += [RoundFoldDescriptor(5, _relabeled_gauge_moved(g, 2)) for g in (torus, klein)]
     for d0, d1 in itertools.combinations_with_replacement(ds, 2):
@@ -127,26 +136,6 @@ def test_same_manifold_does_not_imply_equivalence():
         rf.surface_type(d0.page) == disk_surface == rf.surface_type(d1.page)
         for d0, d1 in witnesses
     )
-
-
-def test_r_equivalent_standard():
-    assert rf.r_equivalent_standard(
-        RoundFoldDescriptor(5, rf.directed_page(2)), RoundFoldDescriptor(5, rf.annulus_page())
-    )
-    assert not rf.r_equivalent_standard(
-        RoundFoldDescriptor(5, rf.disk_page()), RoundFoldDescriptor(5, rf.sphere_page())
-    )
-    assert rf.r_equivalent_standard(
-        RoundFoldDescriptor(6, rf.orientable_closed_page(1)),
-        RoundFoldDescriptor(6, rf.orientable_closed_page(1)),
-    )
-
-
-def test_r_equivalent_standard_warns_at_n4():
-    with pytest.warns(UserWarning):
-        assert rf.r_equivalent_standard(
-            RoundFoldDescriptor(4, rf.sphere_page(), 1), RoundFoldDescriptor(4, rf.sphere_page(), -1)
-        )
 
 
 def golden_pages() -> list[rf.LabeledReebGraph]:

@@ -18,7 +18,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_page_problems
+from oracles import reference_page_problems, reference_validate_page_data
 
 import roundfold as rf
 from roundfold import cli, jsonio
@@ -156,14 +156,31 @@ def test_a_library_page_with_a_non_int_twist_is_invalid(twist):
         ([("v1", "min", True), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
         ([("v1", "min", 1), ("v2", "max", 2.0)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v2",))]),
         # render_reeb raised TypeError on int ids; serialize_page would write "" that parse_page rejects
-        ([(1, "min", 1), (2, "max", 2)], [(0, 1, 2, 0)], [("bad_id", (1,)), ("bad_id", (2,)), ("bad_id", (0,))]),
+        (
+            [(1, "min", 1), (2, "max", 2)],
+            [(0, 1, 2, 0)],
+            [("bad_id", (1,)), ("bad_id", (2,)), ("bad_id", (0,))]
+            + [("unknown_endpoint", (0, 1)), ("unknown_endpoint", (0, 2))],
+        ),
         ([("", "min", 1), ("v2", "max", 2)], [("e0", "", "v2", 0)], [("bad_id", ("",))]),
+        # each raised TypeError: sorting the vertices by (rank, id), sorting the
+        # repeated ids, or hashing an id or an end
+        ([("v1", "min", "1"), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
+        ([("v1", "min", None), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
+        ([(0, "min", 1), ("a", "max", 1)], [], [("bad_id", (0,))]),
+        ([(0, "min", 1), (0, "max", 2), ("", "min", 3), ("", "max", 4)], [], [("duplicate_vertex_id", ("",))]),
+        ([(["a"], "max", 1)], [], [("bad_id", (["a"],))]),
+        ([("v1", "min", 1), ("v2", "max", 2)], [("e0", ["v1"], "v1", 0)], [("unknown_endpoint", ("e0", ["v1"]))]),
     ],
-    ids=["bool rank", "float rank", "int ids", "empty id"],
+    ids=[
+        "bool rank", "float rank", "int ids", "empty id", "str rank", "None rank", "int and str ids at one rank",
+        "repeated int and empty ids", "list id", "list end",
+    ],
 )
 def test_a_library_page_with_a_non_int_rank_or_a_non_str_id_is_invalid(vertices, edges, violations):
     g = rf.LabeledReebGraph.of(vertices, edges)
     assert [(v.code, v.ids) for v in g.report.violations] == violations
+    assert g.report == reference_validate_page_data(g.vertices, g.edges)
     for call in (rf.canonical_page_encoding, rf.surface_type, render_reeb):
         with pytest.raises(rf.InvalidPageError):
             call(g)

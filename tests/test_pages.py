@@ -153,11 +153,11 @@ def test_page_euler_projective_plane():
 # -- boundary count ---------------------------------------------------------
 
 def test_boundary_counts():
-    assert rf.boundary_count(rf.disk_page()) == 1
-    assert rf.boundary_count(torus_page()) == 0
+    assert rf.surface_type(rf.disk_page()).boundary_circles == 1
+    assert rf.surface_type(torus_page()).boundary_circles == 0
     # telescoping: the innermost fiber count of the directed page equals s
     g = rf.directed_page(3)
-    assert rf.boundary_count(g) == fiber_counts_by_levels(g)[0] == 3
+    assert rf.surface_type(g).boundary_circles == fiber_counts_by_levels(g)[0] == 3
 
 
 # -- orientability ----------------------------------------------------------
@@ -190,8 +190,9 @@ def test_surface_euler_consistency_everywhere():
         critical = [v.kind for v in g.vertices if v.kind is not VertexKind.BOUNDARY]
         extrema = [kind in (VertexKind.MIN, VertexKind.MAX) for kind in critical]
         assert st.euler == 2 * sum(extrema) - len(extrema)
-        assert st.boundary_circles == rf.boundary_count(g)
-        assert st.closed == (rf.boundary_count(g) == 0)
+        boundary = [v for v in g.vertices if v.kind is VertexKind.BOUNDARY]
+        assert st.boundary_circles == len(boundary)
+        assert st.closed == (not boundary)
 
 
 # -- twist gauge classes ----------------------------------------------------
@@ -202,8 +203,7 @@ def _edge_order(g):
 
 def test_twist_equivalent_reflexive():
     for g in ALL_BUILDERS:
-        t = g.twist_labeling()
-        assert rf.twist_equivalent(g, t, t)
+        assert rf.twist_class(g.with_twists(g.twist_labeling())) == rf.twist_class(g)
 
 
 def test_twist_equivalent_torus_examples():
@@ -225,8 +225,8 @@ def test_twist_equivalent_torus_examples():
 
     assert subset_xor_member(gens, bits(zero) ^ bits(both))
     assert not subset_xor_member(gens, bits(zero) ^ bits(one))
-    assert rf.twist_equivalent(g, zero, both)
-    assert not rf.twist_equivalent(g, zero, one)
+    assert rf.twist_class(g.with_twists(zero)) == rf.twist_class(g.with_twists(both))
+    assert rf.twist_class(g.with_twists(zero)) != rf.twist_class(g.with_twists(one))
 
 
 def test_twist_equivalent_agrees_with_subset_xor_everywhere():
@@ -234,16 +234,18 @@ def test_twist_equivalent_agrees_with_subset_xor_everywhere():
         order = _edge_order(g)
         gens = page_gauge_vectors(g, order)
         m = len(order)
+        classes = [
+            rf.twist_class(g.with_twists({eid: (bits >> (m - 1 - j)) & 1 for j, eid in enumerate(order)}))
+            for bits in range(2**m)
+        ]
         for t0_bits, t1_bits in itertools.product(range(2**m), repeat=2):
-            t0 = {eid: (t0_bits >> (m - 1 - j)) & 1 for j, eid in enumerate(order)}
-            t1 = {eid: (t1_bits >> (m - 1 - j)) & 1 for j, eid in enumerate(order)}
-            assert rf.twist_equivalent(g, t0, t1) == subset_xor_member(gens, t0_bits ^ t1_bits)
+            assert (classes[t0_bits] == classes[t1_bits]) == subset_xor_member(gens, t0_bits ^ t1_bits)
 
 
 def test_twist_labeling_domain_mismatch_rejected():
     g = rf.disk_page()
     with pytest.raises(rf.RoundFoldError):
-        rf.twist_equivalent(g, {"e0": 0}, {"bogus": 0})
+        g.with_twists({"bogus": 0})
 
 
 def test_gauge_moves_preserve_orientability_and_surface_type():
@@ -330,7 +332,7 @@ def test_twist_class_values():
     assert rf.twist_class(g).representative == 0
     klein = rf.klein_page()
     assert rf.twist_class(klein).representative != 0
-    assert rf.twist_class(g, klein.twist_labeling()) == rf.twist_class(klein)
+    assert rf.twist_class(g.with_twists(klein.twist_labeling())) == rf.twist_class(klein)
     assert rf.twist_class(rf.moebius_page()).representative == 0
 
 
@@ -355,7 +357,7 @@ def test_saddle_b_does_not_kill_distant_cycle_classes():
     )
     twisted = base.with_twists({"e0": 0, "e1": 0, "e2": 1, "e3": 0, "e4": 0})
     assert rf.surface_type(base) == rf.surface_type(twisted)
-    assert not rf.twist_equivalent(base, base.twist_labeling(), twisted.twist_labeling())
+    assert rf.twist_class(base) != rf.twist_class(twisted)
     assert not rf.page_isomorphic(base, twisted)
 
 
@@ -381,7 +383,7 @@ def test_fiber_count_steps():
             step = abs(counts[r] - counts[r - 1])
             expected = 0 if crit[r].kind is VertexKind.SADDLE_B else 1
             assert step == expected
-        assert counts[0] == rf.boundary_count(g)
+        assert counts[0] == rf.surface_type(g).boundary_circles
         assert counts[-1] == 0
 
 

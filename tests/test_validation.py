@@ -76,7 +76,8 @@ def single_edits(vertices: list, edges: list) -> list[tuple[list, list]]:
     vertex's kind or rank changed (a rank possibly to True or 2.0), an edge
     or a vertex dropped, an edge or a vertex added (under a new id or a
     taken one, an edge possibly to an unknown vertex), an edge's twist set
-    to 2, or an edge's or a vertex's id set to "" or 0."""
+    to 2, an edge's low end set to an unhashable list, or an edge's or a
+    vertex's id set to "", 0 or an unhashable list."""
     ids = [vid for vid, _, _ in vertices]
     ranks = range(-1, len(vertices) + 2)
     found = []
@@ -84,13 +85,14 @@ def single_edits(vertices: list, edges: list) -> list[tuple[list, list]]:
         found.append((vertices, [*edges[:k], (eid, high, low, twist), *edges[k + 1 :]]))
         found.append((vertices, [*edges[:k], (eid, low, high, 2), *edges[k + 1 :]]))
         found.append((vertices, edges[:k] + edges[k + 1 :]))
-        found += [(vertices, [*edges[:k], (new, low, high, twist), *edges[k + 1 :]]) for new in ("", 0)]
+        found.append((vertices, [*edges[:k], (eid, [low], high, twist), *edges[k + 1 :]]))
+        found += [(vertices, [*edges[:k], (new, low, high, twist), *edges[k + 1 :]]) for new in ("", 0, ["x"])]
     for k, (vid, kind, rank) in enumerate(vertices):
         others = vertices[:k] + vertices[k + 1 :]
         found += [([*others[:k], (vid, new, rank), *others[k:]], edges) for new in VertexKind if new is not kind]
         found += [([*others[:k], (vid, kind, new), *others[k:]], edges) for new in ranks if new != rank]
         found += [([*others[:k], (vid, kind, new), *others[k:]], edges) for new in (True, 2.0)]
-        found += [([*others[:k], (new, kind, rank), *others[k:]], edges) for new in ("", 0)]
+        found += [([*others[:k], (new, kind, rank), *others[k:]], edges) for new in ("", 0, ["x"])]
         found.append((others, edges))
     for vid in ["x", *ids[:1]]:
         found += [([*vertices, (vid, kind, rank)], edges) for kind in VertexKind for rank in (0, 1, len(vertices))]
