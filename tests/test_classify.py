@@ -64,6 +64,23 @@ def _relabeled_gauge_moved(g: rf.LabeledReebGraph, rank: int) -> rf.LabeledReebG
     )
 
 
+# standard forms: one page under two builders, two pages, and one page
+# built twice
+STANDARD_PAIRS = [
+    (RoundFoldDescriptor(5, rf.directed_page(2)), RoundFoldDescriptor(5, rf.annulus_page())),
+    (RoundFoldDescriptor(5, rf.disk_page()), RoundFoldDescriptor(5, rf.sphere_page())),
+    (
+        RoundFoldDescriptor(6, rf.orientable_closed_page(1)),
+        RoundFoldDescriptor(6, rf.orientable_closed_page(1)),
+    ),
+]
+
+
+def test_r_equivalent_standard():
+    # R-equivalence of standard forms is decided by a_equivalent
+    assert [rf.a_equivalent(d0, d1) for d0, d1 in STANDARD_PAIRS] == [True, False, True]
+
+
 def test_canonical_form_equality_matches_a_equivalence():
     # a_equivalent against its rule, checked by code that shares nothing
     # with the encoder: the same n, at n = 4 the same |clutching|, and pages
@@ -71,15 +88,7 @@ def test_canonical_form_equality_matches_a_equivalence():
     sp, torus, klein = rf.sphere_page(), rf.orientable_closed_page(1), rf.klein_page()
     ds = [RoundFoldDescriptor(n, g) for n in (4, 5) for g in rf.enumerate_pages(3)]
     ds += [RoundFoldDescriptor(4, sp, k) for k in (-2, -1, 1, 2)]
-    # standard forms: pairs of one page under two builders, two pages, and
-    # one page built twice
-    standard = [
-        RoundFoldDescriptor(n, g)
-        for n, g in [(5, rf.directed_page(2)), (5, rf.annulus_page()), (5, rf.disk_page()), (5, sp)]
-        + [(6, rf.orientable_closed_page(1)), (6, rf.orientable_closed_page(1))]
-    ]
-    assert [rf.a_equivalent(*standard[i : i + 2]) for i in (0, 2, 4)] == [True, False, True]
-    ds += standard
+    ds += [d for pair in STANDARD_PAIRS for d in pair]
     ds += [RoundFoldDescriptor(5, g) for g in (torus, klein)]
     ds += [RoundFoldDescriptor(5, _relabeled_gauge_moved(g, 2)) for g in (torus, klein)]
     for d0, d1 in itertools.combinations_with_replacement(ds, 2):

@@ -192,6 +192,7 @@ LABELING = {e.id: 0 for e in INVALID.edges}
 PAGE_CALLS = [
     rf.page_orientable,
     rf.surface_type,
+    lambda g: rf.surface_type(g).boundary_circles,
     rf.regular_fiber_counts,
     rf.twist_class,
     lambda g: rf.twist_class(g.with_twists(LABELING)),
