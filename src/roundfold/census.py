@@ -16,18 +16,19 @@ rank and builds, as it descends, what a skeleton's encoding layout shares
 with its siblings: each edge's bit in the encoding order, the ``E`` keys of
 the ranks above, the parallel pairs and the fiber counts, and which twists
 the gauge span leaves free, by union-find over the edges it places (see
-``_skeletons``).  At rank 0 it sorts only the boundary targets, eliminates
-the gauge span once in the encoding order if some twist is free, and
-encodes the twist candidates, one per coset of the gauge span, at one ``T``
-block each; it builds no page and no page view.  The classes of a sequence
-are their distinct encodings, sorted (``_classes``), and ``enumerate_pages``
-builds a page of each class.  A class's row depends only on its encoding, its
-clutching, its skeleton's fiber counts c_0..c_s (which give b = c_0 and the
-inward-directed spheres) and on whether its candidate is twisted, so the
-census keeps only the fiber counts of each skeleton.  The canonical forms of
-one stratum sort by kind sequence first, so ``census_table`` runs parts of
-adjacent sequences, in a process pool or in turn, and writes each part's
-rows as soon as the parts before it are done.
+``_skeletons``).  At rank 0 it sorts only the boundary targets, lists the
+edges of the gauge graph H once in the encoding order if some twist is
+free, and encodes the twist candidates, one per coset of the gauge span, at
+one ``T`` block each, read off one pass of a parity union-find
+(``pages._reduce``); it builds no page and no page view.  The classes of a
+sequence are their distinct encodings, sorted (``_classes``), and
+``enumerate_pages`` builds a page of each class.  A class's row depends only
+on its encoding, its clutching, its skeleton's fiber counts c_0..c_s (which
+give b = c_0 and the inward-directed spheres) and on whether its candidate is
+twisted, so the census keeps only the fiber counts of each skeleton.  The
+canonical forms of one stratum sort by kind sequence first, so
+``census_table`` runs parts of adjacent sequences, in a process pool or in
+turn, and writes each part's rows as soon as the parts before it are done.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from . import gf2, pages
+from . import pages
 from .classify import _form_prefix
 from .errors import RoundFoldError
 from .foldmaps import _total_space
@@ -200,17 +201,17 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     flips restricted to the other edges, those of the graph H of edges
     between critical vertices other than saddle_b.  Those restricted flips
     span the cut space of H, whose matroid is the graphic matroid of H.
-    Elimination in any edge order therefore pivots on every unit edge and on
-    the greedy (Kruskal) spanning forest of H in that order, and leaves free
-    exactly the H edges that close a cycle of H as they come.  In the order
-    the walk places edges, each vertex's first edge joins a vertex that had
-    no edge yet, so only a split's second edge, up to h2, can close a cycle:
-    when h2 already lies in the H-tree of h1, and so of the split
-    (``trees`` maps each rank to the label of its H-tree, and a parallel
-    pair, h1 == h2, is one).  A vertex joined only by a unit edge starts a
-    tree of its own, so a saddle_b, whose edges are all unit edges, never
-    shares a label while it has an open end.  ``free`` holds the bits of
-    the free edges in the order they are placed."""
+    In any edge order the pivots of S are therefore every unit edge and
+    the greedy (Kruskal) spanning forest of H in that order, and the free
+    coordinates are exactly the H edges that close a cycle of H as they
+    come.  In the order the walk places edges, each vertex's first edge
+    joins a vertex that had no edge yet, so only a split's second edge, up
+    to h2, can close a cycle: when h2 already lies in the H-tree of h1, and
+    so of the split (``trees`` maps each rank to the label of its H-tree,
+    and a parallel pair, h1 == h2, is one).  A vertex joined only by a unit
+    edge starts a tree of its own, so a saddle_b, whose edges are all unit
+    edges, never shares a label while it has an open end.  ``free`` holds
+    the bits of the free edges in the order they are placed."""
     starts: dict[tuple[int, ...], str] = {}
     saddle_b = VertexKind.SADDLE_B
 
@@ -305,17 +306,17 @@ def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, pairs: tu
     found (see :func:`_skeletons`), in lexicographic order of their picks,
     and every other twist is 0, so the first candidate is untwisted.  If no
     edge is free, the gauge span is everything and the one candidate's ``T``
-    block is all zeros; otherwise the span is eliminated in encoding order,
-    for the coset minima."""
+    block is all zeros; otherwise the skeleton's edges of H, those between
+    critical vertices other than saddle_b, are listed once in encoding
+    order (descending bit), for the coset minima of :func:`pages._reduce`."""
     m = len(edges) + len(targets)
     if not free:
         return [(0, f"{prefix}T={'0' * m}".encode("ascii"))]
-    boundary = [(0, high, m - 1 - j) for j, high in enumerate(targets)]
-    gauge = gf2.rref(pages._gauge_vectors(kinds, [*edges, *boundary]))
+    h_edges = pages._h_edges(kinds, sorted(edges, key=operator.itemgetter(2), reverse=True))
     found = []
     for picks in itertools.product((0, 1), repeat=len(free)):
         t = sum([x for x, pick in zip(free, picks) if pick])
-        found.append((t, pages._encode_bits(prefix, t, m, pairs, gauge)))
+        found.append((t, pages._encode_bits(prefix, t, m, pairs, h_edges)))
     return found
 
 

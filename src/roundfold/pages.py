@@ -20,8 +20,8 @@ Vertex kinds match the surface pieces the critical points cut out:
 Twist labelings are considered up to gauge: flipping the chosen fiber
 orientation over a vertex piece toggles every incident edge, and the
 non-orientable piece at a ``SaddleB`` admits symmetries reversing each of its
-incident edges individually.  Gauge classes are decided by linear algebra
-over GF(2).
+incident edges individually.  Gauge classes are decided by one pass of a
+union-find over the ranks that keeps each rank's parity (see ``_reduce``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from . import gf2
 from .errors import InvalidPageError, RoundFoldError
 
 
@@ -226,7 +225,7 @@ class LabeledReebGraph:
         return _surface_of(view.chi, view.b, orientable)
 
 
-def _sorted(items: Iterable[tuple], key: Callable[[tuple], object]) -> tuple:
+def _sorted(items: Iterable, key: Callable[[object], object]) -> tuple:
     """``items`` sorted by ``key``; where two keys do not compare, as an id
     or a rank of another type (which validation reports) may not, sorted by
     the text of their keys instead."""
@@ -378,8 +377,8 @@ class _PageView:
     each rank 1..s, the rank of every vertex and the (id, low, high) of every
     edge, in the page's edge order.  The invariants that do not depend on the
     twists are computed when the view is built, except the encoding layout,
-    a cached property that holds the encoding edge order and the page's one
-    echelon form of the gauge span, which :func:`twist_class` reads too.  A
+    a cached property that holds the encoding edge order and the edges of
+    the gauge graph H, which :func:`twist_class` reads too.  A
     page reads the view through ``LabeledReebGraph._view`` and a descriptor
     through ``RoundFoldDescriptor._view``; the census builds none, since its
     walk derives the same invariants, and neither does ``render_reeb``.
@@ -430,34 +429,13 @@ def _euler_by_kinds(kinds: Mapping[int, VertexKind]) -> int:
     return 2 * (kind_list.count(VertexKind.MIN) + kind_list.count(VertexKind.MAX)) - len(kind_list)
 
 
-def _gauge_vectors(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> list[int]:
-    """The gauge generators of the valid page whose critical vertex of each
-    rank 1..s has these kinds and whose edges are these (low rank, high
-    rank, coordinate bit) triples: the edges at the critical vertex of each
-    rank 1..s, then a unit for the one edge of each boundary vertex and one
-    for each edge at a saddle_b vertex."""
-    incident = [0] * (len(kinds) + 1)
-    units = []
-    saddle_b = VertexKind.SADDLE_B
-    has_saddle_b = saddle_b in kinds.values()
-    for low, high, bit in edges:
-        x = 1 << bit
-        incident[high] |= x
-        if low:
-            incident[low] |= x
-        else:
-            units.append(x)
-        if has_saddle_b and (kinds.get(low) is saddle_b or kinds[high] is saddle_b):
-            units.append(x)
-    return [*incident[1:], *units]
-
-
 def _check_labeling_domain(graph: LabeledReebGraph, labeling: Mapping[str, int]) -> None:
     want = {e.id for e in graph.edges}
     got = set(labeling)
     if want != got:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
+        # ids of other types may not compare, so sort as _sorted does
+        missing = list(_sorted(want - got, lambda eid: eid))
+        extra = list(_sorted(got - want, lambda eid: eid))
         raise RoundFoldError(f"labeling edge set mismatch: missing {missing}, extra {extra}")
     for eid, t in labeling.items():
         if t not in (0, 1):
@@ -486,12 +464,12 @@ class TwistClass:
 
 def twist_class(graph: LabeledReebGraph) -> TwistClass:
     """The gauge class of the page's twists, read on the page's encoding
-    layout, whose edge order and gauge echelon form the canonical encoding
-    shares.  The class of another labeling t is that of
+    layout, whose edge order and edges of H the canonical encoding shares
+    (see :func:`_reduce`).  The class of another labeling t is that of
     ``graph.with_twists(t)``."""
     layout = graph._view.layout
     bits = _labeling_bits(graph.twist_labeling(), layout.order)
-    return TwistClass(layout.order, gf2.coset_representative(bits, layout.gauge))
+    return TwistClass(layout.order, _reduce(layout.h_edges, (), bits))
 
 
 def page_orientable(graph: LabeledReebGraph) -> bool:
@@ -549,9 +527,9 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     keeps the gauge span S and maps the labeling t to
     t + (t_e + t_f)(1_e + 1_f).  These swaps commute, so the union of the
     cosets over all orderings is t + S + span{1_e + 1_f : t_e != t_f}, whose
-    least point is one coset representative over one elimination in the
-    fixed edge order.  A pair with a saddle_b endpoint would add nothing,
-    since 1_e and 1_f already lie in S.
+    least point one pass over the edges reads off (see :func:`_reduce`).  A
+    pair with a saddle_b endpoint would add nothing, since 1_e and 1_f
+    already lie in S.
 
     Two valid pages are isomorphic (kind-, rank- and incidence-preserving
     bijection with gauge-equivalent twists) iff their encodings are equal.
@@ -564,30 +542,87 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
 class EncodingLayout:
     """What the canonical encodings of a page and of all its twisted copies
     share: the ``P1;s=;K=;B=;E=`` text, the encoding edge order, the
-    parallel-pair vectors 1_e + 1_f and an echelon form of the gauge span S
-    in that order.  Only the ``T`` block depends on the twists."""
+    parallel-pair vectors 1_e + 1_f and the (low rank, high rank, bit) of
+    the edges of H (see :func:`_reduce`), in that order.  Only the ``T``
+    block depends on the twists."""
 
     prefix: str
     order: tuple[str, ...]
     pairs: tuple[int, ...]
-    gauge: dict[int, int]
+    h_edges: tuple[tuple[int, int, int], ...]
 
     def encode(self, labeling: Mapping[str, int]) -> bytes:
         """The encoding of the copy with these twists (an edge missing from
         ``labeling`` has twist 0)."""
         t = _labeling_bits(labeling, self.order)
-        return _encode_bits(self.prefix, t, len(self.order), self.pairs, self.gauge)
+        return _encode_bits(self.prefix, t, len(self.order), self.pairs, self.h_edges)
 
 
-def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[int], gauge: dict[int, int]) -> bytes:
+def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[int], h_edges: Sequence[tuple[int, int, int]]) -> bytes:
     """The encoding with this prefix of the twists ``t``, as bits of the
-    encoding edge order of width m with these parallel-pair vectors and this
-    echelon form of the gauge span S: the prefix, then the ``T`` block, the
-    least point of t + S + span{1_e + 1_f : t_e != t_f} (see
-    :func:`canonical_page_encoding`)."""
-    swaps = [pair for pair in pairs if t & pair not in (0, pair)]
-    pivots = gf2.rref([*gauge.values(), *swaps]) if swaps else gauge
-    return f"{prefix}T={gf2.coset_representative(t, pivots):0{m}b}".encode("ascii")
+    encoding edge order of width m with these parallel-pair vectors and
+    these edges of H: the prefix, then the ``T`` block, the least point of
+    t + S + span{1_e + 1_f : t_e != t_f} (see :func:`_reduce`)."""
+    return f"{prefix}T={_reduce(h_edges, pairs, t):0{m}b}".encode("ascii")
+
+
+def _h_edges(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> tuple:
+    """The edges of H among these (low rank, high rank, bit) edges between
+    critical vertices with these kinds by rank, in their order: those with
+    no saddle_b end."""
+    return tuple([edge for edge in edges if VertexKind.SADDLE_B not in (kinds[edge[0]], kinds[edge[1]])])
+
+
+def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[int], t: int) -> int:
+    """The least point of t + S + span{1_e + 1_f : t_e != t_f}, over the
+    parallel pairs (e, f) whose vectors 1_e + 1_f are ``pairs``, for the
+    twists ``t`` as bits of the encoding order (the first edge at the
+    highest bit).  ``h_edges`` holds the (low rank, high rank, bit) of the
+    edges of H, the graph of the edges between critical vertices other
+    than saddle_b, in encoding order.
+
+    An edge from a boundary vertex or at a saddle_b vertex, a unit edge,
+    is not in H: S holds its unit vector, so its bit is 0.  S is those
+    units plus the vertex flips restricted to H, the cut space of H; every
+    vector of it and every pair vector has equal bits on both edges of a
+    pair, so an unequal pair has one odd edge in every point of the union,
+    and the pair vector moves it to either edge, leaving the other bits
+    alone.  So the first edge of an unequal pair gets 0, the second gets 1,
+    and the pair leaves H.  On what is left, the least point of t plus its
+    cut space vanishes on the greedy spanning forest in encoding order, and
+    an edge that closes a cycle keeps t summed around that cycle.  One
+    union-find over the ranks reads both off: each rank keeps its parity,
+    the twist sum along the forest path to its parent, a find sums them up
+    to the root, and a forest edge hangs the smaller tree under the root of
+    the larger (union by size) at the parity that makes its own sum 0.  So
+    no path is longer than log2 of the ranks, and the time is O(|H| log s)."""
+    least = skip = 0
+    for pair in pairs:
+        if t & pair not in (0, pair):
+            skip |= pair
+            least |= pair & -pair  # the second edge, at the lower bit
+    n = 1 + max([high for _, high, _ in h_edges], default=0)
+    parent, parity, size = list(range(n)), [0] * n, [1] * n
+    for i, j, bit in h_edges:
+        if skip >> bit & 1:
+            continue
+        # x becomes the twist sum from the root of i through the edge to
+        # the root of j
+        x = t >> bit & 1
+        while parent[i] != i:
+            x ^= parity[i]
+            i = parent[i]
+        while parent[j] != j:
+            x ^= parity[j]
+            j = parent[j]
+        if i == j:
+            least |= x << bit
+        else:
+            if size[i] < size[j]:
+                i, j = j, i
+            parent[j], parity[j] = i, x
+            size[i] += size[j]
+    return least
 
 
 def _edge_key(low: int, high: int, j: int = 0) -> str:
@@ -635,12 +670,12 @@ def _encoding_layout(view: _PageView) -> EncodingLayout:
             before = (low_r, high_r)
         else:
             targets.append(high_r)
-    gauge = _gauge_vectors(view.kinds, [(low_r, high_r, m - 1 - j) for j, (low_r, high_r, _, _) in enumerate(keyed)])
+    critical = [(low_r, high_r, m - 1 - j) for j, (low_r, high_r, _, _) in enumerate(keyed) if low_r]
     return EncodingLayout(
         prefix=_layout_prefix(_layout_start(view.kinds, targets), "".join(keys)),
         order=tuple([eid for _, _, _, eid in keyed]),
         pairs=tuple(pairs),
-        gauge=gf2.rref(gauge),
+        h_edges=_h_edges(view.kinds, critical),
     )
 
 

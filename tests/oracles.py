@@ -13,8 +13,8 @@ from its vertices and edges, and ``xor_basis`` gives the pivots of their
 span.  ``brute_force_isomorphic``, the exhaustive search that checks
 ``page_isomorphic``, decides page isomorphism over every vertex and edge
 bijection and the whole gauge orbit, reading only a page's vertices and
-edges: no validation, no page view, no cached property and no
-``roundfold.gf2``.  ``skeleton_bucket`` groups pages by what an
+edges: no validation, no page view, no cached property and none of the
+encoder's gauge reduction.  ``skeleton_bucket`` groups pages by what an
 isomorphism keeps, so that a separation check compares only pages of one
 bucket.
 ``swap_sensitive`` and ``saddle_b_sensitive`` pick the skeletons on which a
@@ -47,7 +47,6 @@ from roundfold import (
     VertexKind,
     build_total_space,
     canonical_form,
-    gf2,
     is_directed,
     is_sphere_page,
     page_orientable,
@@ -169,7 +168,8 @@ def partition_by(items, same) -> list[list]:
 def min_over_orderings_twist_block(graph: LabeledReebGraph) -> str:
     """The ``T=`` block by search: the least canonical gauge-coset
     representative over every ordering of every parallel-edge class, one
-    elimination per ordering (2^g eliminations on a genus-g page)."""
+    ``xor_basis`` elimination per ordering (2^g eliminations on a genus-g
+    page)."""
     rank_of = {v.id: v.rank for v in graph.vertices}
     target = {e.low: rank_of[e.high] for e in graph.edges if rank_of[e.low] == 0}
     bd_index = {b: i for i, b in enumerate(sorted(target, key=lambda b: (target[b], b)))}
@@ -184,7 +184,7 @@ def min_over_orderings_twist_block(graph: LabeledReebGraph) -> str:
     for combo in itertools.product(*(itertools.permutations(sorted(groups[k])) for k in sorted(groups))):
         order = [eid for perm in combo for eid in perm]
         t = sum(1 << (m - 1 - j) for j, eid in enumerate(order) if labeling[eid])
-        rep = gf2.coset_representative(t, gf2.rref(page_gauge_vectors(graph, order)))
+        rep = coset_minimum(t, xor_basis(page_gauge_vectors(graph, order)))
         if best is None or rep < best:
             best = rep
     return format(best, f"0{m}b") if m else ""

@@ -3,6 +3,8 @@ change which adds or drops one fails here first."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -103,3 +105,13 @@ def test_removed_in_0_6_0():
     g = pages.klein_page()
     with pytest.raises(TypeError):
         pages.twist_class(g, g.twist_labeling())
+
+
+def test_changed_in_0_7_0():
+    # README's "Changed in 0.7.0": the gauge step needs no GF(2) module, and
+    # the encoding layout holds the edges of the gauge graph H
+    with pytest.raises(ImportError):
+        importlib.import_module("roundfold.gf2")
+    fields = [field.name for field in dataclasses.fields(pages.EncodingLayout)]
+    assert fields == ["prefix", "order", "pairs", "h_edges"]
+    assert pages.klein_page()._view.layout.h_edges == ((1, 2, 3), (2, 3, 2), (2, 3, 1), (3, 4, 0))

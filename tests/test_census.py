@@ -22,10 +22,11 @@ from oracles import (
     partition_by,
     skeleton_bucket,
     skeleton_connected,
+    xor_basis,
 )
 
 import roundfold as rf
-from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, gf2, pages
+from roundfold import HandleSum, Sphere, SurfaceProduct, TwistedS2S2, census, pages
 from roundfold.census import _kind_sequences, _skeletons
 from roundfold.cli import main
 
@@ -248,7 +249,7 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         # the candidates are the labelings of the free coordinates of the
         # oracle's gauge generators over e0..e{m-1}, in order, with their
         # twists as bits of the edges from critical vertices
-        pivots = gf2.rref(page_gauge_vectors(skeleton, ids))
+        pivots = {b.bit_length() - 1 for b in xor_basis(page_gauge_vectors(skeleton, ids))}
         free = [eid for j, eid in enumerate(ids) if m - 1 - j not in pivots]
         expected = [
             {**dict.fromkeys(ids, 0), **dict(zip(free, picks))} for picks in itertools.product((0, 1), repeat=len(free))

@@ -248,6 +248,19 @@ def test_twist_labeling_domain_mismatch_rejected():
         g.with_twists({"bogus": 0})
 
 
+def test_twist_labeling_mismatch_with_ids_that_do_not_compare_is_rejected():
+    # the mismatched ids are listed sorted by their text where they do not
+    # compare: an int id next to a str one, in the labeling or on the page
+    with pytest.raises(rf.RoundFoldError, match=r"^labeling edge set mismatch: missing \[\], extra \['x', 1\]$"):
+        rf.sphere_page().with_twists({"e0": 0, 1: 0, "x": 0})
+    g = rf.LabeledReebGraph.of(
+        [("v1", "min", 1), ("v2", "saddle_b", 2), ("v3", "max", 3)],
+        [(0, "v1", "v2", 0), ("e1", "v2", "v3", 0)],
+    )
+    with pytest.raises(rf.RoundFoldError, match=r"^labeling edge set mismatch: missing \['e1', 0\], extra \['x'\]$"):
+        g.with_twists({"x": 0})
+
+
 def test_gauge_moves_preserve_orientability_and_surface_type():
     for g in rf.enumerate_pages(4):
         order = _edge_order(g)

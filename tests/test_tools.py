@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,16 @@ def test_bench_census_writes_its_summary(tmp_path):
     assert summary["runs"] == len(summary["wall_s"]) == len(summary["cpu_s"]) == 2
     assert summary["wall_q1_s"] <= summary["wall_median_s"] <= summary["wall_q3_s"] <= summary["wall_p95_s"]
     assert summary["peak_rss_mb"] > 0
+
+
+def test_bench_census_writes_the_bytecode_cache_its_runs_read(tmp_path):
+    # with PYTHONDONTWRITEBYTECODE set here, the untimed import must still
+    # write the cache, or every timed run compiles the package
+    cache = tmp_path / "pycache"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(cache))
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--runs", "2", "--s-max", "3", "--out", str(tmp_path / "BENCH_census.json")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert [path.name for path in cache.rglob("census.*.pyc")] == [f"census.{sys.implementation.cache_tag}.pyc"]

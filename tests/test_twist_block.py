@@ -1,7 +1,8 @@
 """The closed-form twist block of the canonical encoding against the search
 over parallel-edge orderings, plus the size gate it makes reachable, the
-gauge span of every page's encoding layout against the per-vertex rule of
-the oracles, and the GF(2) coset representative against the coset minimum
+gauge graph H of every page's encoding layout against the pivots of the
+per-vertex rule of the oracles, the oracles' coset minimum against the
+exhaustive span, and the union-find reduction against that coset minimum
 in any edge order."""
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import (
     burnside_stratum_count,
     coset_minimum,
@@ -27,7 +26,7 @@ from oracles import (
 )
 
 import roundfold as rf
-from roundfold import gf2
+from roundfold import pages
 
 
 def twist_block(graph: rf.LabeledReebGraph) -> str:
@@ -92,14 +91,54 @@ def test_genus_60_encodes_within_bound():
     assert block.count("1") == odd_handles > 0
 
 
+def comb_page(n: int) -> rf.LabeledReebGraph:
+    """A min under a tree of n - 1 splits, whose n top ends each merge with
+    a fresh merge of two boundary circles, then a chain of merges up to the
+    max.  In encoding order every fresh merge's edge joins it to the tree
+    of all the ranks below it."""
+    vertices, edges = [("v1", "min", 1)], []
+    ends, rank = [1], 1
+    for _ in range(n - 1):
+        rank += 1
+        vertices.append((f"v{rank}", "saddle_p", rank))
+        edges.append((f"v{ends.pop(0)}", f"v{rank}"))
+        ends += [rank, rank]
+    for i, end in enumerate(ends):
+        fresh, rank = rank + 1, rank + 2
+        circles = [f"b{2 * i}", f"b{2 * i + 1}"]
+        vertices += [(f"v{fresh}", "saddle_p", fresh), (f"v{rank}", "saddle_p", rank)]
+        vertices += [(b, "boundary", 0) for b in circles]
+        edges += [(b, f"v{fresh}") for b in circles] + [(f"v{end}", f"v{rank}"), (f"v{fresh}", f"v{rank}")]
+        if i:
+            vertices.append((f"v{rank + 1}", "saddle_p", rank + 1))
+            edges += [(f"v{below}", f"v{rank + 1}"), (f"v{rank}", f"v{rank + 1}")]
+            rank += 1
+        below = rank
+    vertices.append((f"v{rank + 1}", "max", rank + 1))
+    edges.append((f"v{below}", f"v{rank + 1}"))
+    return rf.LabeledReebGraph.of(vertices, [(f"e{k}", low, high, 0) for k, (low, high) in enumerate(edges)])
+
+
+def test_twist_class_stays_near_linear_when_each_new_rank_joins_the_large_tree():
+    # hanging the larger tree under each fresh rank would make every find
+    # walk the whole chain of them; union by size keeps the paths short
+    g = comb_page(8000)
+    assert rf.surface_type(g) == rf.orientable_surface(7999, 16000)
+    t0 = time.perf_counter()
+    assert rf.twist_class(g.with_twists({e.id: 1 for e in g.edges})).representative > 0
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_coset_representative_is_the_coset_minimum():
+    # the oracles' coset representative, which the reduction is checked
+    # against below, is the least point of the exhaustive coset
     rnd = random.Random(2111)
     for _ in range(500):
         width = rnd.randint(1, 8)
         gens = [rnd.getrandbits(width) for _ in range(rnd.randint(0, 6))]
         v = rnd.getrandbits(width)
         least = min(v ^ x for x in span_elements(gens))
-        assert gf2.coset_representative(v, gf2.rref(gens)) == least, (gens, v)
+        assert coset_minimum(v, xor_basis(gens)) == least, (gens, v)
 
 
 @pytest.mark.parametrize("s, classes", [(1, 1), (2, 3), (3, 9), (4, 43), (5, 287), (6, 2480)])
@@ -138,20 +177,78 @@ def oracle_pivots(graph: rf.LabeledReebGraph, order) -> set[int]:
     return {b.bit_length() - 1 for b in xor_basis(page_gauge_vectors(graph, order))}
 
 
+def forest_bits(h_edges) -> set[int]:
+    """The bits of the greedy spanning forest of these (low, high, bit)
+    edges in their order: those that join two components as they come."""
+    component: dict[int, set[int]] = {}
+    bits = set()
+    for low, high, bit in h_edges:
+        a, b = component.setdefault(low, {low}), component.setdefault(high, {high})
+        if a is not b:
+            a |= b
+            component.update(dict.fromkeys(b, a))
+            bits.add(bit)
+    return bits
+
+
 def test_view_and_layout_gauge_spans_follow_the_per_vertex_rule():
+    # the per-vertex rule pivots on every edge outside H and on the greedy
+    # spanning forest of H in encoding order
     assert len(GAUGE_PAGES) == 9 + 1 + 3 + 8 + 37 + 233
     for g in GAUGE_PAGES:
-        view = g._view
-        assert set(view.layout.gauge) == oracle_pivots(g, view.layout.order), g
+        layout = g._view.layout
+        m = len(layout.order)
+        ranks = {v.id: v.rank for v in g.vertices}
+        ends = {e.id: (ranks[e.low], ranks[e.high]) for e in g.edges}
+        h = layout.h_edges
+        assert [bit for *_, bit in h] == sorted([bit for *_, bit in h], reverse=True), g
+        assert all(ends[layout.order[m - 1 - bit]] == (low, high) for low, high, bit in h), g
+        outside = set(range(m)) - {bit for *_, bit in h}
+        assert outside | forest_bits(h) == oracle_pivots(g, layout.order), g
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.data())
-def test_coset_representative_is_the_coset_minimum_in_any_edge_order(data):
-    g = data.draw(st.sampled_from(GAUGE_PAGES))
-    order = data.draw(st.permutations([e.id for e in g.edges]))
-    oracle = page_gauge_vectors(g, order)
-    pivots, basis = gf2.rref(oracle), xor_basis(oracle)
-    assert set(pivots) == {b.bit_length() - 1 for b in basis}
-    for t in data.draw(st.lists(st.integers(0, 2 ** len(order) - 1), min_size=1, max_size=4)):
-        assert gf2.coset_representative(t, pivots) == coset_minimum(t, basis)
+def h_edges_and_pairs(graph: rf.LabeledReebGraph, order) -> tuple[list, list]:
+    """The (low rank, high rank, bit) of the edges of H, between critical
+    vertices other than saddle_b, with bits of ``order`` (coordinate j at
+    bit m - 1 - j), sorted by bit from the highest, and the vectors
+    1_e + 1_f of the pairs of parallel edges, from the vertices and edges
+    alone."""
+    m = len(order)
+    vertex = {v.id: v for v in graph.vertices}
+    edge = {e.id: e for e in graph.edges}
+    outside = (rf.VertexKind.BOUNDARY, rf.VertexKind.SADDLE_B)
+    h_edges, parallel = [], {}
+    for j, eid in enumerate(order):
+        low, high = vertex[edge[eid].low], vertex[edge[eid].high]
+        if low.kind not in outside and high.kind not in outside:
+            h_edges.append((low.rank, high.rank, m - 1 - j))
+        parallel.setdefault((low.id, high.id), []).append(1 << (m - 1 - j))
+    return h_edges, [sum(bits) for bits in parallel.values() if len(bits) == 2]
+
+
+def assert_reduction_is_the_coset_minimum(graph: rf.LabeledReebGraph, rnd: random.Random, labelings: int) -> None:
+    order = [e.id for e in graph.edges]
+    rnd.shuffle(order)
+    h_edges, pairs = h_edges_and_pairs(graph, order)
+    gauge = page_gauge_vectors(graph, order)
+    basis = xor_basis(gauge)
+    for _ in range(labelings):
+        t = rnd.getrandbits(len(order))
+        swaps = [pair for pair in pairs if t & pair not in (0, pair)]
+        assert pages._reduce(h_edges, (), t) == coset_minimum(t, basis), (graph, order, t)
+        assert pages._reduce(h_edges, pairs, t) == coset_minimum(t, xor_basis(gauge + swaps)), (graph, order, t)
+
+
+def test_coset_representative_is_the_coset_minimum_in_any_edge_order():
+    # the union-find reduction, fed a page's H edges and parallel pairs with
+    # the bits of a shuffled edge order, is the least point of the coset of
+    # the per-vertex gauge span, with and without the unequal pairs' vectors
+    rnd = random.Random(36)
+    for g in rf.enumerate_pages(6):
+        assert_reduction_is_the_coset_minimum(g, rnd, 2)
+    families = [rf.orientable_closed_page(genus) for genus in (1, 2, 5, 20, 100)]
+    families += [rf.nonorientable_closed_page(k) for k in (1, 4, 150)]
+    families += [rf.directed_page(s) for s in (2, 150)] + [rf.handle_page(60, 40), rf.klein_page()]
+    assert max(len(g.edges) for g in families) == 301
+    for g in families:
+        assert_reduction_is_the_coset_minimum(g, rnd, 3)

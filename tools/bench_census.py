@@ -6,7 +6,9 @@ Runs ``python -m roundfold census --n 5 --s-max S --format jsonl`` N times
 (default 15 runs at S = 7), each in a fresh interpreter, with the default
 workers and PYTHONHASHSEED=0 as the benchmark sets it.  The sha256 of
 stdout is checked on every run.  One untimed ``import roundfold`` writes the
-bytecode cache first.  The summary goes to PATH, by default
+bytecode cache first; the children run without PYTHONDONTWRITEBYTECODE, so
+that it is written, and read by every timed run, even where the variable is
+set.  The summary goes to PATH, by default
 ``BENCH_census.json`` at the repository root: the machine, the Python
 version, the commit, each run's wall and CPU time, the median, quartiles and
 p95 wall time, the median CPU time and the largest peak RSS.
@@ -94,6 +96,7 @@ def main(args: list[str] | None = None) -> int:
         parser.error("--runs must be at least 2")
 
     env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     command = ["-m", "roundfold", "census", "--n", "5", "--s-max", str(opts.s_max), "--format", "jsonl"]
     expected = EXPECTED_SHA256[opts.s_max]
