@@ -88,4 +88,4 @@ from .pages import (
 )
 from .render import render_critical_values, render_reeb
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -203,18 +203,14 @@ class LabeledReebGraph:
         page function reads it, so on an invalid page each raises
         :class:`InvalidPageError` with the page's report."""
         require_valid(self)
-        boundary = VertexKind.BOUNDARY  # an Enum member costs a class lookup each time it is named
-        return _PageView(
-            {v.rank: v.kind for v in self.vertices if v.kind is not boundary},
-            {v.id: v.rank for v in self.vertices},
-            tuple([(e.id, e.low, e.high) for e in self.edges]),
-        )
+        return _PageView(self)
 
     @cached_property
     def canonical_encoding(self) -> bytes:
         """The :func:`canonical_page_encoding` bytes of this page, computed
         once per object."""
-        return self._view.layout.encode(self.twist_labeling())
+        view = self._view
+        return _encode_bits(view.prefix, view.twist_bits(self), len(view.order), view.pairs, view.h_edges)
 
     @cached_property
     def _surface(self) -> SurfaceType:
@@ -262,8 +258,9 @@ def _validate_page_data(
 
     Duplicate ids, counted among the ids of type str, are reported alone.
     Then the bad_id (an id that is not a non-empty str, which is never
-    hashed or compared) and bad_rank (a rank whose type is not int, so not a
-    bool either) of each vertex, followed by the bad_id, unknown_endpoint
+    hashed or compared), bad_kind (a kind whose type is not VertexKind, so
+    not its str value either) and bad_rank (a rank whose type is not int, so
+    not a bool either) of each vertex, followed by the bad_id, unknown_endpoint
     (an end that is not the str id of a vertex) and bad_twist of each edge,
     are reported alone, before any rank is compared; otherwise the
     violations come in the order no_critical, boundary_rank,
@@ -276,12 +273,14 @@ def _validate_page_data(
     index: dict[str, int] = {}
     ranks: list[int] = []
     bad: list[Violation] = []
-    for k, (vid, _, rank) in enumerate(vertices):
+    for k, (vid, kind, rank) in enumerate(vertices):
         ranks.append(rank)
         if type(vid) is str:
             index[vid] = k
         if type(vid) is not str or not vid:
             bad.append(Violation("bad_id", f"vertex id {vid!r} must be a non-empty string", (vid,)))
+        if type(kind) is not VertexKind:
+            bad.append(Violation("bad_kind", f"vertex {vid} kind must be a VertexKind, got {kind!r}", (vid,)))
         if type(rank) is not int:
             bad.append(Violation("bad_rank", f"vertex {vid} rank must be an int, got {rank!r}", (vid,)))
 
@@ -373,49 +372,83 @@ def require_valid(graph: LabeledReebGraph) -> None:
 
 
 class _PageView:
-    """A valid page without its twists: the kind of its critical vertex of
-    each rank 1..s, the rank of every vertex and the (id, low, high) of every
-    edge, in the page's edge order.  The invariants that do not depend on the
-    twists are computed when the view is built, except the encoding layout,
-    a cached property that holds the encoding edge order and the edges of
-    the gauge graph H, which :func:`twist_class` reads too.  A
-    page reads the view through ``LabeledReebGraph._view`` and a descriptor
-    through ``RoundFoldDescriptor._view``; the census builds none, since its
-    walk derives the same invariants, and neither does ``render_reeb``.
-    Nothing changes a view once it is built.
+    """A valid page without its twists: what the page and its twisted copies
+    share, computed from the page in one sort of its edges and one pass over
+    them.  A page reads the view through ``LabeledReebGraph._view`` and a
+    descriptor through ``RoundFoldDescriptor._view``; the census builds
+    none, since its walk derives the same invariants, and neither does
+    ``render_reeb``.  Nothing changes a view once it is built.
 
-    ``b`` is the number of boundary circles, ``chi`` the Euler characteristic
-    by fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex
+    ``kinds`` holds the kind of the critical vertex of each rank 1..s, ``b``
+    the number of boundary circles, ``chi`` the Euler characteristic by
+    fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex
     exists, and ``fiber_counts`` the circle counts c_0..c_s of the regular
     fiber (see :func:`regular_fiber_counts`): c_r counts the edges with
     low rank <= r < high rank.  ``inward`` tells, for each rank 1..s, whether
     the regular fiber has more circles just below it than just above:
     c_(r-1) - c_r is the number of edges arriving from below less those
     leaving upward, so a saddle_p there is a merge, and the critical sphere
-    of rank r is inward-directed."""
+    of rank r is inward-directed.
 
-    def __init__(
-        self, kinds: dict[int, VertexKind], rank_of: dict[str, int], edges: tuple[tuple[str, str, str], ...]
-    ):
-        self.kinds, self.rank_of, self.edges = kinds, rank_of, edges
+    The canonical encoding orders the edges by (low rank, high rank, low
+    id); ``order`` holds their ids in that order, ``prefix`` the
+    ``P1;s=;K=;B=;E=`` text, ``pairs`` the parallel-pair vectors 1_e + 1_f
+    and ``h_edges`` the (low rank, high rank, bit) of the edges of H (see
+    :func:`_reduce`), in that order.  Only the ``T`` block depends on the
+    twists, which :meth:`twist_bits` reads as bits of ``order``: ``bits``
+    holds the bit of each edge, in the page's edge order."""
+
+    def __init__(self, graph: LabeledReebGraph):
+        boundary = VertexKind.BOUNDARY  # an Enum member costs a class lookup each time it is named
+        kinds = self.kinds = {v.rank: v.kind for v in graph.vertices if v.kind is not boundary}
+        rank_of = {v.id: v.rank for v in graph.vertices}
         s = self.s = len(kinds)
         self.b = len(rank_of) - s
         self.chi = _euler_by_kinds(kinds)
         self.has_saddle_b = VertexKind.SADDLE_B in kinds.values()
-        # +1 where an edge starts, -1 where it ends; the running sums are c.
-        # They go through a list: tuple() of an iterator of unknown length
+        # the edges by (low rank, high rank, low id), each with its place k
+        # in the page's edge order: the boundary edges come first, sorted by
+        # target rank; within a target group boundary vertices are
+        # interchangeable and their edge twists are individually
+        # gauge-trivial, so one fixed order suffices.  A critical vertex is
+        # fixed by its rank, so the two edges of a parallel pair have equal
+        # ranks and end up adjacent
+        edges = graph.edges
+        keyed = sorted([(rank_of[low], rank_of[high], low, k) for k, (_, low, high, _) in enumerate(edges)])
+        m = len(keyed)
+        # +1 where an edge starts, -1 where it ends; the running sums are c
+        step = [0] * (s + 1)
+        bits = [0] * m
+        targets, keys, pairs, critical = [], [], [], []
+        before = None
+        for j, (low, high, _, k) in enumerate(keyed):
+            step[low] += 1
+            step[high] -= 1
+            bit = m - 1 - j
+            bits[k] = 1 << bit
+            if low:
+                keys.append(f",{_edge_key(low, high)}")
+                if before == (low, high):
+                    pairs.append(3 << bit)  # this edge and the one before it
+                before = (low, high)
+                critical.append((low, high, bit))
+            else:
+                targets.append(high)
+        # c goes through a list: tuple() of an iterator of unknown length
         # resizes the tuple as it fills, and in a long-lived process that
         # crept the RSS up by about 2 MB over 8,000 classify requests
-        step = [0] * (s + 1)
-        for _, low, high in edges:
-            step[rank_of[low]] += 1
-            step[rank_of[high]] -= 1
         c = self.fiber_counts = tuple(list(itertools.accumulate(step)))
         self.inward = tuple([c[r - 1] > c[r] for r in range(1, s + 1)])
+        self.order = tuple([edges[k].id for *_, k in keyed])
+        self.prefix = _layout_prefix(_layout_start(kinds, targets), "".join(keys))
+        self.pairs = tuple(pairs)
+        self.h_edges = _h_edges(kinds, critical)
+        self.bits = tuple(bits)
 
-    @cached_property
-    def layout(self) -> EncodingLayout:
-        return _encoding_layout(self)
+    def twist_bits(self, graph: LabeledReebGraph) -> int:
+        """The twists of this page, or of a twisted copy of it, as bits of
+        ``order``; a copy keeps the page's edge order, sorted by id."""
+        return sum([bit for bit, edge in zip(self.bits, graph.edges) if edge.twist])
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +475,11 @@ def _check_labeling_domain(graph: LabeledReebGraph, labeling: Mapping[str, int])
             raise RoundFoldError(f"twist of edge {eid} must be 0 or 1")
 
 
-def _labeling_bits(labeling: Mapping[str, int], edge_order: Sequence[str]) -> int:
-    m = len(edge_order)
-    v = 0
-    for j, eid in enumerate(edge_order):
-        if labeling.get(eid):
-            v |= 1 << (m - 1 - j)
-    return v
-
-
 @dataclass(frozen=True)
 class TwistClass:
-    """Gauge class of a twist labeling: the page's encoding edge order (see
-    :class:`EncodingLayout`) plus the canonical coset representative, as
-    bits of that order (zero on every pivot coordinate of the gauge span).
+    """Gauge class of a twist labeling: the page's encoding edge order, by
+    (low rank, high rank, low id), plus the canonical coset representative,
+    as bits of that order (zero on every pivot coordinate of the gauge span).
     The representative is 0 iff the labeling is gauge-trivial."""
 
     edge_ids: tuple[str, ...]
@@ -463,13 +487,12 @@ class TwistClass:
 
 
 def twist_class(graph: LabeledReebGraph) -> TwistClass:
-    """The gauge class of the page's twists, read on the page's encoding
-    layout, whose edge order and edges of H the canonical encoding shares
-    (see :func:`_reduce`).  The class of another labeling t is that of
+    """The gauge class of the page's twists, read on the page's view, whose
+    edge order and edges of H the canonical encoding shares (see
+    :func:`_reduce`).  The class of another labeling t is that of
     ``graph.with_twists(t)``."""
-    layout = graph._view.layout
-    bits = _labeling_bits(graph.twist_labeling(), layout.order)
-    return TwistClass(layout.order, _reduce(layout.h_edges, (), bits))
+    view = graph._view
+    return TwistClass(view.order, _reduce(view.h_edges, (), view.twist_bits(graph)))
 
 
 def page_orientable(graph: LabeledReebGraph) -> bool:
@@ -536,26 +559,6 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     The bytes are computed once per page object and kept on it.
     """
     return graph.canonical_encoding
-
-
-@dataclass(frozen=True)
-class EncodingLayout:
-    """What the canonical encodings of a page and of all its twisted copies
-    share: the ``P1;s=;K=;B=;E=`` text, the encoding edge order, the
-    parallel-pair vectors 1_e + 1_f and the (low rank, high rank, bit) of
-    the edges of H (see :func:`_reduce`), in that order.  Only the ``T``
-    block depends on the twists."""
-
-    prefix: str
-    order: tuple[str, ...]
-    pairs: tuple[int, ...]
-    h_edges: tuple[tuple[int, int, int], ...]
-
-    def encode(self, labeling: Mapping[str, int]) -> bytes:
-        """The encoding of the copy with these twists (an edge missing from
-        ``labeling`` has twist 0)."""
-        t = _labeling_bits(labeling, self.order)
-        return _encode_bits(self.prefix, t, len(self.order), self.pairs, self.h_edges)
 
 
 def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[int], h_edges: Sequence[tuple[int, int, int]]) -> bytes:
@@ -647,36 +650,6 @@ def _layout_prefix(start: str, keys: str) -> str:
     :func:`_layout_start`, then ``keys``, the keys of the critical edges in
     encoding order, each after a comma, and ``;``."""
     return f"{start}{keys[1:] if start[-1] == '=' else keys};"
-
-
-def _encoding_layout(view: _PageView) -> EncodingLayout:
-    """The :class:`EncodingLayout` of the valid page with this view."""
-    rank_of = view.rank_of
-    # edges sorted by (low rank, high rank, low id): the boundary edges come
-    # first, sorted by target rank; within a target group boundary vertices
-    # are interchangeable and their edge twists are individually
-    # gauge-trivial, so one fixed order suffices.  A critical vertex is fixed
-    # by its rank, so the two edges of a parallel pair have equal ranks and
-    # end up adjacent
-    keyed = sorted([(rank_of[low], rank_of[high], low, eid) for eid, low, high in view.edges])
-    m = len(keyed)
-    targets, keys, pairs = [], [], []
-    before = None
-    for j, (low_r, high_r, _, _) in enumerate(keyed):
-        if low_r:
-            keys.append(f",{_edge_key(low_r, high_r)}")
-            if before == (low_r, high_r):
-                pairs.append(3 << (m - 1 - j))  # this edge and the one before it
-            before = (low_r, high_r)
-        else:
-            targets.append(high_r)
-    critical = [(low_r, high_r, m - 1 - j) for j, (low_r, high_r, _, _) in enumerate(keyed) if low_r]
-    return EncodingLayout(
-        prefix=_layout_prefix(_layout_start(view.kinds, targets), "".join(keys)),
-        order=tuple([eid for _, _, _, eid in keyed]),
-        pairs=tuple(pairs),
-        h_edges=_h_edges(view.kinds, critical),
-    )
 
 
 def page_isomorphic(g0: LabeledReebGraph, g1: LabeledReebGraph) -> bool:

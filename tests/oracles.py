@@ -555,8 +555,8 @@ def reference_validate_page_data(vertices, edges) -> ValidationReport:
     """The report of ``pages._validate_page_data`` on these (id, kind, rank)
     vertices and (id, low, high, twist) edges, one pass per invariant, with a
     graph search for connectivity.  Only ids of type str are counted for
-    repeats or named by an edge end; an id or an end that is no str is never
-    hashed."""
+    repeats or named by an edge end; an id or an end that is no str, or a
+    kind that is no VertexKind member, is never hashed."""
     bad: list[Violation] = []
 
     for code, what, items in (
@@ -570,9 +570,12 @@ def reference_validate_page_data(vertices, edges) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
-    for vid, _, rank in vertices:
+    for vid, kind, rank in vertices:
         if type(vid) is not str or len(vid) == 0:
             bad.append(Violation("bad_id", f"vertex id {vid!r} must be a non-empty string", (vid,)))
+        # a member itself, not a value equal to one: VertexKind.MAX == "max"
+        if not any(kind is member for member in VertexKind):
+            bad.append(Violation("bad_kind", f"vertex {vid} kind must be a VertexKind, got {kind!r}", (vid,)))
         if type(rank) is not int:
             bad.append(Violation("bad_rank", f"vertex {vid} rank must be an int, got {rank!r}", (vid,)))
     rank_of = {vid: rank for vid, _, rank in vertices if type(vid) is str}

@@ -3,7 +3,6 @@ change which adds or drops one fails here first."""
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import inspect
 import re
@@ -53,7 +52,7 @@ def test_package_public_names():
 
 def test_page_module_public_names():
     assert public_names(pages) == [
-        "Edge", "EncodingLayout", "InvalidPageError", "LabeledReebGraph", "RoundFoldError",
+        "Edge", "InvalidPageError", "LabeledReebGraph", "RoundFoldError",
         "SurfaceType", "TwistClass", "ValidationReport", "Vertex", "VertexKind", "Violation",
         "annulus_page", "canonical_page_encoding", "directed_page",
         "disk_page", "handle_page", "klein_page", "moebius_page",
@@ -109,9 +108,15 @@ def test_removed_in_0_6_0():
 
 def test_changed_in_0_7_0():
     # README's "Changed in 0.7.0": the gauge step needs no GF(2) module, and
-    # the encoding layout holds the edges of the gauge graph H
+    # the page view holds the edges of the gauge graph H
     with pytest.raises(ImportError):
         importlib.import_module("roundfold.gf2")
-    fields = [field.name for field in dataclasses.fields(pages.EncodingLayout)]
-    assert fields == ["prefix", "order", "pairs", "h_edges"]
-    assert pages.klein_page()._view.layout.h_edges == ((1, 2, 3), (2, 3, 2), (2, 3, 1), (3, 4, 0))
+    assert pages.klein_page()._view.h_edges == ((1, 2, 3), (2, 3, 2), (2, 3, 1), (3, 4, 0))
+
+
+def test_removed_in_0_8_0():
+    # README's "Removed in 0.8.0": the page view holds what the encoding
+    # layout held, and reads a page's twists as bits itself
+    for name in ("EncodingLayout", "_encoding_layout", "_labeling_bits"):
+        assert not hasattr(pages, name)
+    assert not hasattr(pages._PageView, "layout")

@@ -232,8 +232,9 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         assert rf.validate_page(skeleton).ok
         own = skeleton._view
         assert own.kinds == kinds
-        rank_pairs = {eid: (own.rank_of[low], own.rank_of[high]) for eid, low, high in own.edges}
-        m = len(own.edges)
+        rank_of = {v.id: v.rank for v in skeleton.vertices}
+        rank_pairs = {e.id: (rank_of[e.low], rank_of[e.high]) for e in skeleton.edges}
+        m = len(skeleton.edges)
         ids = [f"e{j}" for j in range(m)]
         assert [rank_pairs[eid] for eid in ids] == [(low, high) for low, high, _ in edges] + [(0, h) for h in ends]
         assert fibers == ",".join(map(str, own.fiber_counts))
@@ -244,7 +245,7 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         chi = sum(1 if kind in (rf.VertexKind.MIN, rf.VertexKind.MAX) else -1 for kind in kinds.values())
         assert (chi, rf.VertexKind.SADDLE_B in kinds.values()) == (own.chi, own.has_saddle_b)
         # an edge's bit is that of its place in the page's encoding order
-        order = own.layout.order
+        order = own.order
         assert [rank_pairs[order[m - 1 - bit]] for _, _, bit in edges] == [(low, high) for low, high, _ in edges]
         # the candidates are the labelings of the free coordinates of the
         # oracle's gauge generators over e0..e{m-1}, in order, with their

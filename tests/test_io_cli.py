@@ -26,6 +26,8 @@ from roundfold.cli import main
 from roundfold.pages import _PageView
 from roundfold.render import render_critical_values, render_reeb
 
+MIN, MAX = rf.VertexKind.MIN, rf.VertexKind.MAX
+
 DISK_JSON = """{
   "vertices": [
     {
@@ -153,32 +155,46 @@ def test_a_library_page_with_a_non_int_twist_is_invalid(twist):
     "vertices, edges, violations",
     [
         # a bool rank would encode as "True"; a float rank made the page view raise TypeError
-        ([("v1", "min", True), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
-        ([("v1", "min", 1), ("v2", "max", 2.0)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v2",))]),
+        ([("v1", MIN, True), ("v2", MAX, 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
+        ([("v1", MIN, 1), ("v2", MAX, 2.0)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v2",))]),
         # render_reeb raised TypeError on int ids; serialize_page would write "" that parse_page rejects
         (
-            [(1, "min", 1), (2, "max", 2)],
+            [(1, MIN, 1), (2, MAX, 2)],
             [(0, 1, 2, 0)],
             [("bad_id", (1,)), ("bad_id", (2,)), ("bad_id", (0,))]
             + [("unknown_endpoint", (0, 1)), ("unknown_endpoint", (0, 2))],
         ),
-        ([("", "min", 1), ("v2", "max", 2)], [("e0", "", "v2", 0)], [("bad_id", ("",))]),
+        ([("", MIN, 1), ("v2", MAX, 2)], [("e0", "", "v2", 0)], [("bad_id", ("",))]),
         # each raised TypeError: sorting the vertices by (rank, id), sorting the
         # repeated ids, or hashing an id or an end
-        ([("v1", "min", "1"), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
-        ([("v1", "min", None), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
-        ([(0, "min", 1), ("a", "max", 1)], [], [("bad_id", (0,))]),
-        ([(0, "min", 1), (0, "max", 2), ("", "min", 3), ("", "max", 4)], [], [("duplicate_vertex_id", ("",))]),
-        ([(["a"], "max", 1)], [], [("bad_id", (["a"],))]),
-        ([("v1", "min", 1), ("v2", "max", 2)], [("e0", ["v1"], "v1", 0)], [("unknown_endpoint", ("e0", ["v1"]))]),
+        ([("v1", MIN, "1"), ("v2", MAX, 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
+        ([("v1", MIN, None), ("v2", MAX, 2)], [("e0", "v1", "v2", 0)], [("bad_rank", ("v1",))]),
+        ([(0, MIN, 1), ("a", MAX, 1)], [], [("bad_id", (0,))]),
+        ([(0, MIN, 1), (0, MAX, 2), ("", MIN, 3), ("", MAX, 4)], [], [("duplicate_vertex_id", ("",))]),
+        ([(["a"], MAX, 1)], [], [("bad_id", (["a"],))]),
+        ([("v1", MIN, 1), ("v2", MAX, 2)], [("e0", ["v1"], "v1", 0)], [("unknown_endpoint", ("e0", ["v1"]))]),
+        # a kind the constructor does not convert: "min" and "boundary" were
+        # read as their members or passed the degree rule, top_not_max or
+        # rank_bijection were reported, and a kind that is no member's value
+        # raised KeyError or TypeError
+        ([("v1", "min", 1), ("v2", "max", 2)], [("e0", "v1", "v2", 0)], [("bad_kind", ("v1",)), ("bad_kind", ("v2",))]),
+        ([("v1", MIN, 1), ("v2", MAX, 2), ("v3", "boundary", 0)], [("e0", "v1", "v2", 0)], [("bad_kind", ("v3",))]),
+        ([("v1", "bogus", 1), ("v2", MAX, 2)], [("e0", "v1", "v2", 0)], [("bad_kind", ("v1",))]),
+        ([("v1", None, 1), ("v2", MAX, 2)], [("e0", "v1", "v2", 0)], [("bad_kind", ("v1",))]),
+        (
+            [("", ["x"], 1.5), ("v2", MAX, 2)],
+            [("e0", "", "v2", 0)],
+            [("bad_id", ("",)), ("bad_kind", ("",)), ("bad_rank", ("",))],
+        ),
     ],
     ids=[
         "bool rank", "float rank", "int ids", "empty id", "str rank", "None rank", "int and str ids at one rank",
-        "repeated int and empty ids", "list id", "list end",
+        "repeated int and empty ids", "list id", "list end", "str kinds", "str boundary kind", "unknown kind",
+        "None kind", "list kind after its id and before its rank",
     ],
 )
 def test_a_library_page_with_a_non_int_rank_or_a_non_str_id_is_invalid(vertices, edges, violations):
-    g = rf.LabeledReebGraph.of(vertices, edges)
+    g = rf.LabeledReebGraph([rf.Vertex(*v) for v in vertices], [rf.Edge(*e) for e in edges])
     assert [(v.code, v.ids) for v in g.report.violations] == violations
     assert g.report == reference_validate_page_data(g.vertices, g.edges)
     for call in (rf.canonical_page_encoding, rf.surface_type, render_reeb):

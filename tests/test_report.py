@@ -1,10 +1,10 @@
-"""What each page caches: its validation report, its validated view (with
-its encoding layout, which lists the edges of the page's gauge graph once),
-its canonical encoding and its surface type are computed once per page object;
-the census lays out each skeleton once, unvalidated, in its walk, with no
-view and no page; a descriptor computes its report once per object; and
-every public function gives the same errors on an invalid page or
-descriptor."""
+"""What each page caches: its validation report, its validated view (which
+holds its encoding layout and lists the edges of the page's gauge graph
+once), its canonical encoding and its surface type are computed once per
+page object, and its twisted copies share its view; the census lays out
+each skeleton once, unvalidated, in its walk, with no view and no page; a
+descriptor computes its report once per object; and every public function
+gives the same errors on an invalid page or descriptor."""
 
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ def test_valid_pages_share_one_report():
 
 def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatch):
     validations = count_calls(monkeypatch, "_validate_page_data", pages)
-    page_layouts = count_calls(monkeypatch, "_encoding_layout", pages)
     layouts = count_calls(monkeypatch, "_layout_prefix", pages)
     blocks = []
     encode_bits = pages._encode_bits
@@ -72,16 +71,15 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
 
     monkeypatch.setattr(census, "_candidates", counting_candidates)
     views = count_calls(monkeypatch, "__init__", pages._PageView)
-    page_encodings = count_calls(monkeypatch, "encode", pages.EncodingLayout)
     built_pages = count_calls(monkeypatch, "__post_init__", pages.LabeledReebGraph)
     assert len(rf.census_table(5, 6).rows) == 2823
     connected_skeletons = 1 + 3 + 8 + 37 + 233 + 1920
     # the generator's skeletons are valid (tests/test_census.py checks them),
     # so none is validated, and each is laid out once, by the walk, with no
-    # view or page layout
+    # page view
     assert validations == []
     assert len(layouts) == connected_skeletons
-    assert views == page_layouts == []
+    assert views == []
     # the walk finds which twists are free.  A skeleton with none has one
     # candidate, untwisted, whose twist block is all zeros with no
     # encoding; each candidate of the 544 skeletons with a free twist costs
@@ -89,7 +87,6 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
     # pair vectors and edges of the gauge graph), and no page is built at all
     assert len(candidates) == 2834
     assert len(blocks) == 2834 - (connected_skeletons - 544)
-    assert page_encodings == []
     assert built_pages == []
 
 
@@ -107,14 +104,14 @@ def test_census_row_classifies_its_surface_once(monkeypatch):
 def test_one_encoding_layout_per_page(monkeypatch):
     g = rf.orientable_closed_page(3)
     m = len(g.edges)
-    calls = count_calls(monkeypatch, "_encoding_layout", pages)
+    calls = count_calls(monkeypatch, "__init__", pages._PageView)
     assert rf.surface_type(g) == rf.orientable_surface(3)
     assert rf.page_orientable(g)
     assert rf.twist_class(g).representative == 0
     assert rf.twist_class(g.with_twists({e.id: 1 for e in g.edges})).representative == 0
     assert rf.canonical_page_encoding(g).endswith(b";T=" + b"0" * m)
-    # the twist class and the encoding read the one encoding layout of the
-    # page's view, which its twisted copies share
+    # the twist class and the encoding read the one view of the page, which
+    # holds its encoding layout and which its twisted copies share
     assert calls == [g._view]
     # so with no unequally twisted parallel pair to swap, the T block is
     # the twist class's representative, in the same (encoding) edge order
@@ -140,11 +137,11 @@ def test_surface_type_computed_once_per_page(monkeypatch):
 
 def test_encoding_kept_on_the_page(monkeypatch):
     g = rf.orientable_closed_page(3)
-    calls = count_calls(monkeypatch, "encode", pages.EncodingLayout)
+    calls = count_calls(monkeypatch, "_encode_bits", pages)
     d = rf.RoundFoldDescriptor(5, g)
     assert rf.canonical_form(d).endswith(rf.canonical_page_encoding(g))
     assert rf.page_isomorphic(g, g)
-    assert calls == [g._view.layout]
+    assert calls == [g._view.prefix]
 
 
 SKELETON_PAGES = [
@@ -159,6 +156,21 @@ def test_twisted_copy_report_matches_validation(data):
     twists = data.draw(st.lists(st.integers(0, 1), min_size=len(page.edges), max_size=len(page.edges)))
     copy = page.with_twists({e.id: t for e, t in zip(page.edges, twists)})
     assert copy.report == rf.validate_page(copy)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_twisted_copies_share_a_view_that_holds_no_twist(data):
+    page = data.draw(st.sampled_from(SKELETON_PAGES))
+    for _ in range(2):
+        twists = data.draw(st.lists(st.integers(0, 1), min_size=len(page.edges), max_size=len(page.edges)))
+        copy = page.with_twists({e.id: t for e, t in zip(page.edges, twists)})
+        assert copy._view is page._view
+        # a page with the copy's items builds a view of its own
+        fresh = rf.LabeledReebGraph(copy.vertices, copy.edges)
+        assert fresh._view is not page._view
+        assert rf.canonical_page_encoding(copy) == rf.canonical_page_encoding(fresh)
+        assert rf.twist_class(copy) == rf.twist_class(fresh)
 
 
 def test_twisted_copy_of_invalid_page_is_revalidated():
@@ -181,8 +193,8 @@ INVALID = rf.LabeledReebGraph.of(
 VALID = rf.annulus_page()
 LABELING = {e.id: 0 for e in INVALID.edges}
 
-# each call by a name of its own, so that no id changes with the position
-# of another entry
+# in both lists, each call by a name of its own, so that no id changes with
+# the position of another entry
 PAGE_CALLS = [
     rf.page_orientable,
     rf.surface_type,
@@ -205,8 +217,8 @@ DESCRIPTOR_CALLS = [
     rf.open_book,
     rf.canonical_form,
     render_critical_values,
-    lambda d: rf.a_equivalent(d, rf.RoundFoldDescriptor(4, VALID)),
-    lambda d: rf.a_equivalent(rf.RoundFoldDescriptor(4, VALID), d),
+    pytest.param(lambda d: rf.a_equivalent(d, rf.RoundFoldDescriptor(4, VALID)), id="a_equivalent_to_valid"),
+    pytest.param(lambda d: rf.a_equivalent(rf.RoundFoldDescriptor(4, VALID), d), id="valid_a_equivalent_to"),
 ]
 
 
@@ -276,6 +288,7 @@ def test_descriptor_functions_check_a_descriptor_once(monkeypatch, code):
     rule = rf.RoundFoldDescriptor.report.func
     monkeypatch.setattr(rf.RoundFoldDescriptor.report, "func", lambda d: checks.append(d) or rule(d))
     for call in DESCRIPTOR_CALLS:
+        call = getattr(call, "values", (call,))[0]  # a pytest.param holds its call first in values
         if code == "valid":
             call(descriptor)
         else:

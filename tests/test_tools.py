@@ -1,4 +1,5 @@
-"""Smoke test of the repeated-run census bench, ``tools/bench_census.py``."""
+"""Smoke tests of the repeated-run census bench, ``tools/bench_census.py``,
+and of the code-line count, ``tools/code_lines.py``."""
 
 from __future__ import annotations
 
@@ -9,6 +10,25 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_census.py"
+CODE_LINES = TOOL.with_name("code_lines.py")
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment line
+class Thing:
+    """A class docstring."""
+
+    def method(self):
+        """A method
+        docstring."""
+        text = """a string,
+        not a docstring"""
+        return os.sep + text
+'''
 
 
 def test_bench_census_writes_its_summary(tmp_path):
@@ -42,3 +62,14 @@ def test_bench_census_writes_the_bytecode_cache_its_runs_read(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert [path.name for path in cache.rglob("census.*.pyc")] == [f"census.{sys.implementation.cache_tag}.pyc"]
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank_line(tmp_path):
+    package = tmp_path / "package"
+    (package / "sub").mkdir(parents=True)
+    (package / "one.py").write_text(SOURCE, encoding="utf-8")
+    (package / "sub" / "two.py").write_text("x = 1\n\n# done\n", encoding="utf-8")
+    run = subprocess.run([sys.executable, str(CODE_LINES), str(package)], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    # import, class, def, the two lines of the string and return
+    assert run.stdout == "one 6\nsub.two 1\ntotal 7\n"

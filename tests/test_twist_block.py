@@ -1,6 +1,6 @@
 """The closed-form twist block of the canonical encoding against the search
 over parallel-edge orderings, plus the size gate it makes reachable, the
-gauge graph H of every page's encoding layout against the pivots of the
+gauge graph H of every page's view against the pivots of the
 per-vertex rule of the oracles, the oracles' coset minimum against the
 exhaustive span, and the union-find reduction against that coset minimum
 in any edge order."""
@@ -196,15 +196,14 @@ def test_view_and_layout_gauge_spans_follow_the_per_vertex_rule():
     # spanning forest of H in encoding order
     assert len(GAUGE_PAGES) == 9 + 1 + 3 + 8 + 37 + 233
     for g in GAUGE_PAGES:
-        layout = g._view.layout
-        m = len(layout.order)
+        order, h = g._view.order, g._view.h_edges
+        m = len(order)
         ranks = {v.id: v.rank for v in g.vertices}
         ends = {e.id: (ranks[e.low], ranks[e.high]) for e in g.edges}
-        h = layout.h_edges
         assert [bit for *_, bit in h] == sorted([bit for *_, bit in h], reverse=True), g
-        assert all(ends[layout.order[m - 1 - bit]] == (low, high) for low, high, bit in h), g
+        assert all(ends[order[m - 1 - bit]] == (low, high) for low, high, bit in h), g
         outside = set(range(m)) - {bit for *_, bit in h}
-        assert outside | forest_bits(h) == oracle_pivots(g, layout.order), g
+        assert outside | forest_bits(h) == oracle_pivots(g, order), g
 
 
 def h_edges_and_pairs(graph: rf.LabeledReebGraph, order) -> tuple[list, list]:

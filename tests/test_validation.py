@@ -21,6 +21,7 @@ CODES = {
     "duplicate_vertex_id",
     "duplicate_edge_id",
     "bad_id",
+    "bad_kind",
     "bad_rank",
     "unknown_endpoint",
     "bad_twist",
@@ -73,7 +74,8 @@ BASES = BUILDER_PAGES + [page for s in range(1, 5) for page in skeleton_data(s)]
 
 def single_edits(vertices: list, edges: list) -> list[tuple[list, list]]:
     """Every page one edit away from this one: an edge's ends swapped, a
-    vertex's kind or rank changed (a rank possibly to True or 2.0), an edge
+    vertex's kind or rank changed (a kind possibly to "max", None or an
+    unhashable list, a rank possibly to True or 2.0), an edge
     or a vertex dropped, an edge or a vertex added (under a new id or a
     taken one, an edge possibly to an unknown vertex), an edge's twist set
     to 2, an edge's low end set to an unhashable list, or an edge's or a
@@ -90,6 +92,7 @@ def single_edits(vertices: list, edges: list) -> list[tuple[list, list]]:
     for k, (vid, kind, rank) in enumerate(vertices):
         others = vertices[:k] + vertices[k + 1 :]
         found += [([*others[:k], (vid, new, rank), *others[k:]], edges) for new in VertexKind if new is not kind]
+        found += [([*others[:k], (vid, new, rank), *others[k:]], edges) for new in ("max", None, ["x"])]
         found += [([*others[:k], (vid, kind, new), *others[k:]], edges) for new in ranks if new != rank]
         found += [([*others[:k], (vid, kind, new), *others[k:]], edges) for new in (True, 2.0)]
         found += [([*others[:k], (new, kind, rank), *others[k:]], edges) for new in ("", 0, ["x"])]
