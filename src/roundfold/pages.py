@@ -373,11 +373,12 @@ def require_valid(graph: LabeledReebGraph) -> None:
 
 class _PageView:
     """A valid page without its twists: what the page and its twisted copies
-    share, computed from the page in one sort of its edges and one pass over
-    them.  A page reads the view through ``LabeledReebGraph._view`` and a
-    descriptor through ``RoundFoldDescriptor._view``; the census builds
-    none, since its walk derives the same invariants, and neither does
-    ``render_reeb``.  Nothing changes a view once it is built.
+    share, computed from the page in one sort of its edges and a few linear
+    passes over them.  A page reads the view through
+    ``LabeledReebGraph._view`` and a descriptor through
+    ``RoundFoldDescriptor._view``; the census builds none, since its walk
+    derives the same invariants, and neither does ``render_reeb``.  Nothing
+    changes a view once it is built.
 
     ``kinds`` holds the kind of the critical vertex of each rank 1..s, ``b``
     the number of boundary circles, ``chi`` the Euler characteristic by
@@ -395,15 +396,16 @@ class _PageView:
     ``P1;s=;K=;B=;E=`` text, ``pairs`` the parallel-pair vectors 1_e + 1_f
     and ``h_edges`` the (low rank, high rank, bit) of the edges of H (see
     :func:`_reduce`), in that order.  Only the ``T`` block depends on the
-    twists, which :meth:`twist_bits` reads as bits of ``order``: ``bits``
-    holds the bit of each edge, in the page's edge order."""
+    twists, which :meth:`twist_bits` reads as bits of ``order``: ``places``
+    holds the place of each edge of ``order`` in the page's edge order."""
 
     def __init__(self, graph: LabeledReebGraph):
-        boundary = VertexKind.BOUNDARY  # an Enum member costs a class lookup each time it is named
-        kinds = self.kinds = {v.rank: v.kind for v in graph.vertices if v.kind is not boundary}
-        rank_of = {v.id: v.rank for v in graph.vertices}
+        # the vertices are sorted by rank, so the b boundary vertices, of
+        # rank 0, come first and then the critical vertices of ranks 1..s
+        vids, vkinds, ranks = zip(*graph.vertices)
+        b = self.b = ranks.count(0)
+        kinds = self.kinds = dict(zip(ranks[b:], vkinds[b:]))
         s = self.s = len(kinds)
-        self.b = len(rank_of) - s
         self.chi = _euler_by_kinds(kinds)
         self.has_saddle_b = VertexKind.SADDLE_B in kinds.values()
         # the edges by (low rank, high rank, low id), each with its place k
@@ -412,43 +414,39 @@ class _PageView:
         # interchangeable and their edge twists are individually
         # gauge-trivial, so one fixed order suffices.  A critical vertex is
         # fixed by its rank, so the two edges of a parallel pair have equal
-        # ranks and end up adjacent
-        edges = graph.edges
-        keyed = sorted([(rank_of[low], rank_of[high], low, k) for k, (_, low, high, _) in enumerate(edges)])
-        m = len(keyed)
-        # +1 where an edge starts, -1 where it ends; the running sums are c
-        step = [0] * (s + 1)
-        bits = [0] * m
-        targets, keys, pairs, critical = [], [], [], []
-        before = None
-        for j, (low, high, _, k) in enumerate(keyed):
-            step[low] += 1
-            step[high] -= 1
-            bit = m - 1 - j
-            bits[k] = 1 << bit
-            if low:
-                keys.append(f",{_edge_key(low, high)}")
-                if before == (low, high):
-                    pairs.append(3 << bit)  # this edge and the one before it
-                before = (low, high)
-                critical.append((low, high, bit))
-            else:
-                targets.append(high)
+        # ranks and end up adjacent.  A boundary vertex has one edge, so the
+        # first b edges are the boundary edges; a valid page has at least
+        # one edge, the one below its max
+        ids, low_ids, high_ids, _ = zip(*graph.edges)
+        m = len(ids)
+        rank = dict(zip(vids, ranks)).__getitem__
+        keyed = sorted(zip(map(rank, low_ids), map(rank, high_ids), low_ids, range(m), ids))
+        lows, highs, _, self.places, self.order = zip(*keyed)
+        # +1 where an edge starts, -1 where it ends; the running sums are c.
         # c goes through a list: tuple() of an iterator of unknown length
         # resizes the tuple as it fills, and in a long-lived process that
         # crept the RSS up by about 2 MB over 8,000 classify requests
+        step = [0] * (s + 1)
+        for r in lows:
+            step[r] += 1
+        for r in highs:
+            step[r] -= 1
         c = self.fiber_counts = tuple(list(itertools.accumulate(step)))
         self.inward = tuple([c[r - 1] > c[r] for r in range(1, s + 1)])
-        self.order = tuple([edges[k].id for *_, k in keyed])
-        self.prefix = _layout_prefix(_layout_start(kinds, targets), "".join(keys))
+        keys = "".join([f",{key}" for key in map(_edge_key, lows[b:], highs[b:])])
+        self.prefix = _layout_prefix(_layout_start(kinds, highs[:b]), keys)
+        # the vector of a parallel pair: this edge and the one before it
+        pairs = [3 << (m - 1 - j) for j in range(b + 1, m) if lows[j] == lows[j - 1] and highs[j] == highs[j - 1]]
         self.pairs = tuple(pairs)
-        self.h_edges = _h_edges(kinds, critical)
-        self.bits = tuple(bits)
+        self.h_edges = _h_edges(kinds, zip(lows[b:], highs[b:], range(m - 1 - b, -1, -1)))
 
     def twist_bits(self, graph: LabeledReebGraph) -> int:
         """The twists of this page, or of a twisted copy of it, as bits of
-        ``order``; a copy keeps the page's edge order, sorted by id."""
-        return sum([bit for bit, edge in zip(self.bits, graph.edges) if edge.twist])
+        ``order``, read off one string of m binary digits in linear time."""
+        # a page sorts its edges by id and a twisted copy has the same ids,
+        # so place k holds the same edge in the page and in every copy
+        edges = graph.edges
+        return int("".join(["01"[edges[k].twist] for k in self.places]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,8 @@ def _h_edges(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, in
     """The edges of H among these (low rank, high rank, bit) edges between
     critical vertices with these kinds by rank, in their order: those with
     no saddle_b end."""
-    return tuple([edge for edge in edges if VertexKind.SADDLE_B not in (kinds[edge[0]], kinds[edge[1]])])
+    units = {r for r, kind in kinds.items() if kind is VertexKind.SADDLE_B}
+    return tuple([edge for edge in edges if edge[0] not in units and edge[1] not in units])
 
 
 def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[int], t: int) -> int:
@@ -628,20 +627,20 @@ def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[int], t: in
     return least
 
 
-def _edge_key(low: int, high: int, j: int = 0) -> str:
-    """The ``E`` key of an edge from a vertex of rank ``low`` up to one of
-    rank ``high``; a boundary edge (low rank 0) is named by its position j
-    in the encoding order."""
-    return f"{low}>{high}" if low else f"b{j}>{high}"
+def _edge_key(low: int, high: int) -> str:
+    """The ``E`` key of an edge from a critical vertex of rank ``low`` up to
+    one of rank ``high``."""
+    return f"{low}>{high}"
 
 
 def _layout_start(kinds: Mapping[int, VertexKind], targets: Sequence[int]) -> str:
     """The encoding text, up to the keys of its critical edges, of a page
     with these kinds by rank whose boundary edges end at these ranks, sorted:
-    the ``P1;s=;K=;B=`` blocks and ``E=`` with the boundary edges' keys."""
+    the ``P1;s=;K=;B=`` blocks and ``E=`` with the boundary edges' keys,
+    each naming its edge by its position j in the encoding order."""
     s = len(kinds)
     tags = ",".join([_KIND_TAG[kinds[r]] for r in range(1, s + 1)])
-    keys = ",".join([_edge_key(0, high, j) for j, high in enumerate(targets)])
+    keys = ",".join([f"b{j}>{high}" for j, high in enumerate(targets)])
     return f"P1;s={s};K={tags};B={','.join(map(str, targets))};E={keys}"
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -176,3 +177,19 @@ def test_validation_and_encoding_take_linear_time(name):
     # of its size, to several seconds
     assert validated - start < 2.0
     assert encoded - validated < 2.0
+
+
+def test_a_page_view_keeps_memory_linear_in_the_page():
+    # on the 40,000-edge merge chain a view keeps a few small objects per
+    # edge, about 6 MB; an int of up to m bits for each of its m edges
+    # would keep about m * m / 16 bytes, over 100 MB
+    page = chain_page("merge chain, chain first")
+    assert page.report.ok
+    tracemalloc.start()
+    try:
+        page._view
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 20_000_000
+    assert peak < 40_000_000
