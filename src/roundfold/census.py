@@ -14,13 +14,14 @@ trusts it and validates no skeleton (``tests/test_census.py`` checks
 that each one it walks is a valid page).  The generator tracks vertices by
 rank and builds, as it descends, what a skeleton's encoding layout shares
 with its siblings: each edge's bit in the encoding order, the ``E`` keys of
-the ranks above, the parallel pairs and the fiber counts, and which twists
-the gauge span leaves free, by union-find over the edges it places (see
-``_skeletons``).  At rank 0 it sorts only the boundary targets, lists the
-edges of the gauge graph H once in the encoding order if some twist is
-free, and encodes the twist candidates, one per coset of the gauge span, at
-one ``T`` block each, read off one pass of a parity union-find
-(``pages._reduce``); it builds no page and no page view.  The classes of a
+the ranks above and the fiber counts, and which twists the gauge span
+leaves free, by union-find over the edges it places (see ``_skeletons``).
+At rank 0 it sorts only the boundary targets and, if some twist is free,
+lists the edges of the gauge graph H and its parallel pairs once in the
+encoding order, by the same ``pages._h_edges`` that a page view calls, and
+encodes the twist candidates, one per coset of the gauge span, at one ``T``
+block each, read off one pass of a parity union-find (``pages._reduce``);
+it builds no page and no page view.  The classes of a
 sequence are their distinct encodings, sorted (``_classes``), and
 ``enumerate_pages`` builds a page of each class.  A class's row depends only
 on its encoding, its clutching, its skeleton's fiber counts c_0..c_s (which
@@ -191,9 +192,10 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
     reversed.  So an edge's bit in it (m - 1 - j at position j) is fixed when
     it is placed: the number of edges placed before its rank's, plus its
     offset from the end of its rank's.  The walk carries the ``E`` keys of
-    the ranks above, each after a comma, and the parallel-pair vectors; at
-    rank 0 it sorts only the boundary targets, and keeps the text they start
-    per tuple of targets.
+    the ranks above, each after a comma; at rank 0 it sorts only the
+    boundary targets, and keeps the text they start per tuple of targets.
+    It carries no parallel pairs: :func:`_candidates` reads them off the
+    edges of H, as a page view does.
 
     The walk also finds which twists the gauge span S leaves free.  Call an
     edge from a boundary vertex or at a saddle_b vertex a unit edge: S holds
@@ -226,14 +228,14 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
             if (c_after <= 1 if rank == 1 else ahead(rank - 1, d_after, c_after))
         }
 
-    def rec(rank, dangling, c, comp, trees, edges, free, keys, pairs, fibers):
+    def rec(rank, dangling, c, comp, trees, edges, free, keys, fibers):
         if rank == 0:
             targets = tuple(sorted(dangling))
             start = starts.get(targets)
             if start is None:
                 start = starts[targets] = pages._layout_start(kinds, targets)
             prefix = pages._layout_prefix(start, keys)
-            yield edges, dangling, fibers, _candidates(kinds, prefix, edges, targets, pairs, free)
+            yield edges, dangling, fibers, _candidates(kinds, prefix, edges, targets, free)
             return
         placed = len(edges)
         live = ahead(rank, len(dangling), c)
@@ -248,7 +250,7 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                 if (d, c + 1) in live:
                     comp[rank] = trees[rank] = rank
                     ends = dangling + (rank,) * open_
-                    yield from rec(rank - 1, ends, c + 1, comp, trees, edges, free, keys, pairs, below)
+                    yield from rec(rank - 1, ends, c + 1, comp, trees, edges, free, keys, below)
             elif consume == 1:
                 for high in sorted(set(dangling)):
                     rest = list(dangling)
@@ -265,7 +267,7 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                     edges.append((rank, high, placed))
                     above = f",{pages._edge_key(rank, high)}{keys}"
                     ends = (*rest, *(rank,) * open_)
-                    yield from rec(rank - 1, ends, c - closes, comp, trees, edges, free, above, pairs, below)
+                    yield from rec(rank - 1, ends, c - closes, comp, trees, edges, free, above, below)
                     edges.pop()
             else:  # split consumes an unordered pair of ends
                 uniq = sorted(set(dangling))
@@ -288,31 +290,31 @@ def _skeletons(s: int, kinds: dict[int, VertexKind]):
                     # order, and takes the higher bit
                     edges += [(rank, h1, placed + 1), (rank, h2, placed)]
                     above = f",{pages._edge_key(rank, h1)},{pages._edge_key(rank, h2)}{keys}"
-                    parallel = (*pairs, 3 << placed) if h1 == h2 else pairs
                     cycle = (*free, 1 << placed) if tree == other else free
                     ends = (*rest, *(rank,) * open_)
-                    yield from rec(rank - 1, ends, c - joins, labels, forest, edges, cycle, above, parallel, below)
+                    yield from rec(rank - 1, ends, c - joins, labels, forest, edges, cycle, above, below)
                     del edges[-2:]
 
-    yield from rec(s - 1, (s,), 1, [0] * s + [s], [0] * s + [s], [], (), "", (), "1,0")
+    yield from rec(s - 1, (s,), 1, [0] * s + [s], [0] * s + [s], [], (), "", "1,0")
 
 
-def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, pairs: tuple, free: tuple) -> list:
+def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, free: tuple) -> list:
     """(t, encoding) of one twist labeling per gauge coset of the skeleton
     of :func:`_skeletons` with these ``edges`` and sorted boundary
-    ``targets``, whose encodings start with ``prefix`` and have these
-    parallel-pair vectors: ``t`` holds the twists as bits of the encoding
-    order.  The labelings are those of the ``free`` edges that the walk
-    found (see :func:`_skeletons`), in lexicographic order of their picks,
-    and every other twist is 0, so the first candidate is untwisted.  If no
-    edge is free, the gauge span is everything and the one candidate's ``T``
-    block is all zeros; otherwise the skeleton's edges of H, those between
-    critical vertices other than saddle_b, are listed once in encoding
-    order (descending bit), for the coset minima of :func:`pages._reduce`."""
+    ``targets``, whose encodings start with ``prefix``: ``t`` holds the
+    twists as bits of the encoding order.  The labelings are those of the
+    ``free`` edges that the walk found (see :func:`_skeletons`), in
+    lexicographic order of their picks, and every other twist is 0, so the
+    first candidate is untwisted.  If no edge is free, the gauge span is
+    everything and the one candidate's ``T`` block is all zeros; otherwise
+    :func:`pages._h_edges` lists the skeleton's edges of H, those between
+    critical vertices other than saddle_b, and its parallel pairs once,
+    from the edges in encoding order (descending bit), for the coset minima
+    of :func:`pages._reduce`."""
     m = len(edges) + len(targets)
     if not free:
         return [(0, f"{prefix}T={'0' * m}".encode("ascii"))]
-    h_edges = pages._h_edges(kinds, sorted(edges, key=operator.itemgetter(2), reverse=True))
+    h_edges, pairs = pages._h_edges(kinds, sorted(edges, key=operator.itemgetter(2), reverse=True))
     found = []
     for picks in itertools.product((0, 1), repeat=len(free)):
         t = sum([x for x, pick in zip(free, picks) if pick])

@@ -380,10 +380,10 @@ class _PageView:
     derives the same invariants, and neither does ``render_reeb``.  Nothing
     changes a view once it is built.
 
-    ``kinds`` holds the kind of the critical vertex of each rank 1..s, ``b``
-    the number of boundary circles, ``chi`` the Euler characteristic by
-    fiberwise Morse counting, ``has_saddle_b`` whether a saddle_b vertex
-    exists, and ``fiber_counts`` the circle counts c_0..c_s of the regular
+    ``s`` holds the number of critical vertices, ``b`` the number of
+    boundary circles, ``chi`` the Euler characteristic by fiberwise Morse
+    counting, ``has_saddle_b`` whether a saddle_b vertex exists, and
+    ``fiber_counts`` the circle counts c_0..c_s of the regular
     fiber (see :func:`regular_fiber_counts`): c_r counts the edges with
     low rank <= r < high rank.  ``inward`` tells, for each rank 1..s, whether
     the regular fiber has more circles just below it than just above:
@@ -393,9 +393,9 @@ class _PageView:
 
     The canonical encoding orders the edges by (low rank, high rank, low
     id); ``order`` holds their ids in that order, ``prefix`` the
-    ``P1;s=;K=;B=;E=`` text, ``pairs`` the parallel-pair vectors 1_e + 1_f
-    and ``h_edges`` the (low rank, high rank, bit) of the edges of H (see
-    :func:`_reduce`), in that order.  Only the ``T`` block depends on the
+    ``P1;s=;K=;B=;E=`` text, and ``h_edges`` and ``pairs`` the edges of H
+    and its parallel pairs as :func:`_h_edges` lists them, in that order
+    (see :func:`_reduce`).  Only the ``T`` block depends on the
     twists, which :meth:`twist_bits` reads as bits of ``order``: ``places``
     holds the place of each edge of ``order`` in the page's edge order."""
 
@@ -404,7 +404,7 @@ class _PageView:
         # rank 0, come first and then the critical vertices of ranks 1..s
         vids, vkinds, ranks = zip(*graph.vertices)
         b = self.b = ranks.count(0)
-        kinds = self.kinds = dict(zip(ranks[b:], vkinds[b:]))
+        kinds = dict(zip(ranks[b:], vkinds[b:]))
         s = self.s = len(kinds)
         self.chi = _euler_by_kinds(kinds)
         self.has_saddle_b = VertexKind.SADDLE_B in kinds.values()
@@ -435,10 +435,7 @@ class _PageView:
         self.inward = tuple([c[r - 1] > c[r] for r in range(1, s + 1)])
         keys = "".join([f",{key}" for key in map(_edge_key, lows[b:], highs[b:])])
         self.prefix = _layout_prefix(_layout_start(kinds, highs[:b]), keys)
-        # the vector of a parallel pair: this edge and the one before it
-        pairs = [3 << (m - 1 - j) for j in range(b + 1, m) if lows[j] == lows[j - 1] and highs[j] == highs[j - 1]]
-        self.pairs = tuple(pairs)
-        self.h_edges = _h_edges(kinds, zip(lows[b:], highs[b:], range(m - 1 - b, -1, -1)))
+        self.h_edges, self.pairs = _h_edges(kinds, zip(lows[b:], highs[b:], range(m - 1 - b, -1, -1)))
 
     def twist_bits(self, graph: LabeledReebGraph) -> int:
         """The twists of this page, or of a twisted copy of it, as bits of
@@ -548,9 +545,10 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     keeps the gauge span S and maps the labeling t to
     t + (t_e + t_f)(1_e + 1_f).  These swaps commute, so the union of the
     cosets over all orderings is t + S + span{1_e + 1_f : t_e != t_f}, whose
-    least point one pass over the edges reads off (see :func:`_reduce`).  A
-    pair with a saddle_b endpoint would add nothing, since 1_e and 1_f
-    already lie in S.
+    least point one pass over the edges reads off (see :func:`_reduce`).
+    No pair has a saddle_b end, since a saddle_b has one edge below and one
+    above: by the degree rules every pair runs from a saddle_p split up to
+    a saddle_p merge.
 
     Two valid pages are isomorphic (kind-, rank- and incidence-preserving
     bijection with gauge-equivalent twists) iff their encodings are equal.
@@ -559,29 +557,37 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     return graph.canonical_encoding
 
 
-def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[int], h_edges: Sequence[tuple[int, int, int]]) -> bytes:
+def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[tuple], h_edges: Sequence[tuple]) -> bytes:
     """The encoding with this prefix of the twists ``t``, as bits of the
-    encoding edge order of width m with these parallel-pair vectors and
-    these edges of H: the prefix, then the ``T`` block, the least point of
-    t + S + span{1_e + 1_f : t_e != t_f} (see :func:`_reduce`)."""
+    encoding edge order of width m with these parallel pairs and these
+    edges of H, as :func:`_h_edges` lists them: the prefix, then the ``T``
+    block, the least point of t + S + span{1_e + 1_f : t_e != t_f} (see
+    :func:`_reduce`)."""
     return f"{prefix}T={_reduce(h_edges, pairs, t):0{m}b}".encode("ascii")
 
 
-def _h_edges(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> tuple:
-    """The edges of H among these (low rank, high rank, bit) edges between
-    critical vertices with these kinds by rank, in their order: those with
-    no saddle_b end."""
+def _h_edges(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> tuple[tuple, tuple]:
+    """The edges of H and its parallel pairs, among these (low rank, high
+    rank, bit) edges between critical vertices with these kinds by rank,
+    given in encoding order.  H holds, in that order, the edges with no
+    saddle_b end; a pair is the (bit of the first edge, bit of the second
+    edge) of two adjacent edges of H with equal ranks.  These are all the
+    parallel pairs: by the degree table only a saddle_p split has two edges
+    up and only a saddle_p merge two edges down, so both edges of a pair
+    lie in H, and the encoding order, which sorts edges by their ranks,
+    puts them next to each other."""
     units = {r for r, kind in kinds.items() if kind is VertexKind.SADDLE_B}
-    return tuple([edge for edge in edges if edge[0] not in units and edge[1] not in units])
+    h_edges = tuple([edge for edge in edges if edge[0] not in units and edge[1] not in units])
+    return h_edges, tuple([(e[2], f[2]) for e, f in itertools.pairwise(h_edges) if e[0] == f[0] and e[1] == f[1]])
 
 
-def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[int], t: int) -> int:
+def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[tuple[int, int]], t: int) -> int:
     """The least point of t + S + span{1_e + 1_f : t_e != t_f}, over the
-    parallel pairs (e, f) whose vectors 1_e + 1_f are ``pairs``, for the
-    twists ``t`` as bits of the encoding order (the first edge at the
-    highest bit).  ``h_edges`` holds the (low rank, high rank, bit) of the
-    edges of H, the graph of the edges between critical vertices other
-    than saddle_b, in encoding order.
+    parallel pairs (e, f) whose bits are ``pairs``, for the twists ``t`` as
+    bits of the encoding order (the first edge at the highest bit).
+    ``h_edges`` holds the (low rank, high rank, bit) of the edges of H, the
+    graph of the edges between critical vertices other than saddle_b, in
+    encoding order; ``pairs`` comes with it from :func:`_h_edges`.
 
     An edge from a boundary vertex or at a saddle_b vertex, a unit edge,
     is not in H: S holds its unit vector, so its bit is 0.  S is those
@@ -599,10 +605,10 @@ def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[int], t: in
     the larger (union by size) at the parity that makes its own sum 0.  So
     no path is longer than log2 of the ranks, and the time is O(|H| log s)."""
     least = skip = 0
-    for pair in pairs:
-        if t & pair not in (0, pair):
-            skip |= pair
-            least |= pair & -pair  # the second edge, at the lower bit
+    for e, f in pairs:
+        if (t >> e ^ t >> f) & 1:
+            skip |= 1 << e | 1 << f
+            least |= 1 << f
     n = 1 + max([high for _, high, _ in h_edges], default=0)
     parent, parity, size = list(range(n)), [0] * n, [1] * n
     for i, j, bit in h_edges:

@@ -227,11 +227,10 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         edges, ends, fibers, candidates = record
         skeleton = graph_from_skeleton(kinds, named_edges(edges, ends), {})
         # the census validates no skeleton, so check the page of each of its
-        # records here, and that the page's own view has the kinds, ranks
-        # and invariants the census took from the walk
+        # records here, and that the page's own view has the ranks and
+        # invariants the census took from the walk
         assert rf.validate_page(skeleton).ok
         own = skeleton._view
-        assert own.kinds == kinds
         rank_of = {v.id: v.rank for v in skeleton.vertices}
         rank_pairs = {e.id: (rank_of[e.low], rank_of[e.high]) for e in skeleton.edges}
         m = len(skeleton.edges)
@@ -247,6 +246,9 @@ def test_skeleton_step_encodes_every_candidate_like_the_public_encoder(s):
         # an edge's bit is that of its place in the page's encoding order
         order = own.order
         assert [rank_pairs[order[m - 1 - bit]] for _, _, bit in edges] == [(low, high) for low, high, _ in edges]
+        # the census and the view find H and its parallel pairs by one rule
+        in_order = sorted(edges, key=lambda edge: edge[2], reverse=True)
+        assert pages._h_edges(kinds, in_order) == (own.h_edges, own.pairs)
         # the candidates are the labelings of the free coordinates of the
         # oracle's gauge generators over e0..e{m-1}, in order, with their
         # twists as bits of the edges from critical vertices

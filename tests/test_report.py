@@ -84,7 +84,7 @@ def test_census_validates_no_skeleton_and_encodes_each_candidate_once(monkeypatc
     # candidate, untwisted, whose twist block is all zeros with no
     # encoding; each candidate of the 544 skeletons with a free twist costs
     # one encoding of its twist block on its skeleton's layout (its prefix,
-    # pair vectors and edges of the gauge graph), and no page is built at all
+    # parallel pairs and edges of the gauge graph), and no page is built at all
     assert len(candidates) == 2834
     assert len(blocks) == 2834 - (connected_skeletons - 544)
     assert built_pages == []

@@ -1,9 +1,9 @@
 """The closed-form twist block of the canonical encoding against the search
 over parallel-edge orderings, plus the size gate it makes reachable, the
-gauge graph H of every page's view against the pivots of the
-per-vertex rule of the oracles, the oracles' coset minimum against the
-exhaustive span, and the union-find reduction against that coset minimum
-in any edge order."""
+gauge graph H of every page's view against the pivots of the per-vertex
+rule of the oracles and its parallel pairs against the pages' edges, the
+oracles' coset minimum against the exhaustive span, and the union-find
+reduction against that coset minimum in any edge order."""
 
 from __future__ import annotations
 
@@ -204,14 +204,23 @@ def test_view_and_layout_gauge_spans_follow_the_per_vertex_rule():
         assert all(ends[order[m - 1 - bit]] == (low, high) for low, high, bit in h), g
         outside = set(range(m)) - {bit for *_, bit in h}
         assert outside | forest_bits(h) == oracle_pivots(g, order), g
+        # the view's pairs are every pair of edges that share both ends, and
+        # each runs from a saddle_p up to a saddle_p
+        assert list(g._view.pairs) == h_edges_and_pairs(g, order)[1], g
+        kind = {v.id: v.kind for v in g.vertices}
+        edge = {e.id: e for e in g.edges}
+        for pair in g._view.pairs:
+            for bit in pair:
+                e = edge[order[m - 1 - bit]]
+                assert kind[e.low] is kind[e.high] is rf.VertexKind.SADDLE_P, g
 
 
 def h_edges_and_pairs(graph: rf.LabeledReebGraph, order) -> tuple[list, list]:
     """The (low rank, high rank, bit) of the edges of H, between critical
     vertices other than saddle_b, with bits of ``order`` (coordinate j at
-    bit m - 1 - j), sorted by bit from the highest, and the vectors
-    1_e + 1_f of the pairs of parallel edges, from the vertices and edges
-    alone."""
+    bit m - 1 - j), sorted by bit from the highest, and the (bit of the
+    first edge, bit of the second edge) of the pairs of parallel edges, in
+    the order of their first edges, from the vertices and edges alone."""
     m = len(order)
     vertex = {v.id: v for v in graph.vertices}
     edge = {e.id: e for e in graph.edges}
@@ -221,8 +230,8 @@ def h_edges_and_pairs(graph: rf.LabeledReebGraph, order) -> tuple[list, list]:
         low, high = vertex[edge[eid].low], vertex[edge[eid].high]
         if low.kind not in outside and high.kind not in outside:
             h_edges.append((low.rank, high.rank, m - 1 - j))
-        parallel.setdefault((low.id, high.id), []).append(1 << (m - 1 - j))
-    return h_edges, [sum(bits) for bits in parallel.values() if len(bits) == 2]
+        parallel.setdefault((low.id, high.id), []).append(m - 1 - j)
+    return h_edges, [tuple(bits) for bits in parallel.values() if len(bits) == 2]
 
 
 def assert_reduction_is_the_coset_minimum(graph: rf.LabeledReebGraph, rnd: random.Random, labelings: int) -> None:
@@ -233,7 +242,7 @@ def assert_reduction_is_the_coset_minimum(graph: rf.LabeledReebGraph, rnd: rando
     basis = xor_basis(gauge)
     for _ in range(labelings):
         t = rnd.getrandbits(len(order))
-        swaps = [pair for pair in pairs if t & pair not in (0, pair)]
+        swaps = [1 << e | 1 << f for e, f in pairs if t >> e & 1 != t >> f & 1]
         assert pages._reduce(h_edges, (), t) == coset_minimum(t, basis), (graph, order, t)
         assert pages._reduce(h_edges, pairs, t) == coset_minimum(t, xor_basis(gauge + swaps)), (graph, order, t)
 
