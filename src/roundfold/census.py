@@ -309,8 +309,9 @@ def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, free: tup
     everything and the one candidate's ``T`` block is all zeros; otherwise
     :func:`pages._h_edges` lists the skeleton's edges of H, those between
     critical vertices other than saddle_b, and its parallel pairs once,
-    from the edges in encoding order (descending bit), for the coset minima
-    of :func:`pages._reduce`."""
+    from the edges in encoding order (descending bit), and each candidate
+    goes to :func:`pages._encode_bits` as its m binary digits, for the
+    coset minimum of :func:`pages._reduce`."""
     m = len(edges) + len(targets)
     if not free:
         return [(0, f"{prefix}T={'0' * m}".encode("ascii"))]
@@ -318,7 +319,7 @@ def _candidates(kinds: dict, prefix: str, edges: list, targets: tuple, free: tup
     found = []
     for picks in itertools.product((0, 1), repeat=len(free)):
         t = sum([x for x, pick in zip(free, picks) if pick])
-        found.append((t, pages._encode_bits(prefix, t, m, pairs, h_edges)))
+        found.append((t, pages._encode_bits(prefix, f"{t:0{m}b}", pairs, h_edges)))
     return found
 
 

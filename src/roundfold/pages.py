@@ -210,7 +210,7 @@ class LabeledReebGraph:
         """The :func:`canonical_page_encoding` bytes of this page, computed
         once per object."""
         view = self._view
-        return _encode_bits(view.prefix, view.twist_bits(self), len(view.order), view.pairs, view.h_edges)
+        return _encode_bits(view.prefix, view.twist_bits(self), view.pairs, view.h_edges)
 
     @cached_property
     def _surface(self) -> SurfaceType:
@@ -396,8 +396,9 @@ class _PageView:
     ``P1;s=;K=;B=;E=`` text, and ``h_edges`` and ``pairs`` the edges of H
     and its parallel pairs as :func:`_h_edges` lists them, in that order
     (see :func:`_reduce`).  Only the ``T`` block depends on the
-    twists, which :meth:`twist_bits` reads as bits of ``order``: ``places``
-    holds the place of each edge of ``order`` in the page's edge order."""
+    twists, which :meth:`twist_bits` reads as one digit per edge of
+    ``order``: ``places`` holds the place of each edge of ``order`` in the
+    page's edge order."""
 
     def __init__(self, graph: LabeledReebGraph):
         # the vertices are sorted by rank, so the b boundary vertices, of
@@ -437,13 +438,14 @@ class _PageView:
         self.prefix = _layout_prefix(_layout_start(kinds, highs[:b]), keys)
         self.h_edges, self.pairs = _h_edges(kinds, zip(lows[b:], highs[b:], range(m - 1 - b, -1, -1)))
 
-    def twist_bits(self, graph: LabeledReebGraph) -> int:
-        """The twists of this page, or of a twisted copy of it, as bits of
-        ``order``, read off one string of m binary digits in linear time."""
+    def twist_bits(self, graph: LabeledReebGraph) -> str:
+        """The twists of this page, or of a twisted copy of it, as one string
+        of m binary digits, the twist of each edge of ``order`` in turn, in
+        linear time."""
         # a page sorts its edges by id and a twisted copy has the same ids,
         # so place k holds the same edge in the page and in every copy
         edges = graph.edges
-        return int("".join(["01"[edges[k].twist] for k in self.places]), 2)
+        return "".join(["01"[edges[k].twist] for k in self.places])
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +476,10 @@ def _check_labeling_domain(graph: LabeledReebGraph, labeling: Mapping[str, int])
 class TwistClass:
     """Gauge class of a twist labeling: the page's encoding edge order, by
     (low rank, high rank, low id), plus the canonical coset representative,
-    as bits of that order (zero on every pivot coordinate of the gauge span).
-    The representative is 0 iff the labeling is gauge-trivial."""
+    as bits of that order, the first edge at the highest bit.  The
+    representative is zero on every unit edge and on the greedy spanning
+    forest of H (see :func:`_reduce`), and 0 iff the labeling is
+    gauge-trivial."""
 
     edge_ids: tuple[str, ...]
     representative: int
@@ -487,7 +491,7 @@ def twist_class(graph: LabeledReebGraph) -> TwistClass:
     :func:`_reduce`).  The class of another labeling t is that of
     ``graph.with_twists(t)``."""
     view = graph._view
-    return TwistClass(view.order, _reduce(view.h_edges, (), view.twist_bits(graph)))
+    return TwistClass(view.order, int(_reduce(view.h_edges, (), view.twist_bits(graph)), 2))
 
 
 def page_orientable(graph: LabeledReebGraph) -> bool:
@@ -557,13 +561,13 @@ def canonical_page_encoding(graph: LabeledReebGraph) -> bytes:
     return graph.canonical_encoding
 
 
-def _encode_bits(prefix: str, t: int, m: int, pairs: Sequence[tuple], h_edges: Sequence[tuple]) -> bytes:
-    """The encoding with this prefix of the twists ``t``, as bits of the
-    encoding edge order of width m with these parallel pairs and these
+def _encode_bits(prefix: str, t: str, pairs: Sequence[tuple], h_edges: Sequence[tuple]) -> bytes:
+    """The encoding with this prefix of the twists ``t``, one binary digit
+    per edge of the encoding order, with these parallel pairs and these
     edges of H, as :func:`_h_edges` lists them: the prefix, then the ``T``
     block, the least point of t + S + span{1_e + 1_f : t_e != t_f} (see
     :func:`_reduce`)."""
-    return f"{prefix}T={_reduce(h_edges, pairs, t):0{m}b}".encode("ascii")
+    return f"{prefix}T={_reduce(h_edges, pairs, t)}".encode("ascii")
 
 
 def _h_edges(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, int]]) -> tuple[tuple, tuple]:
@@ -581,10 +585,12 @@ def _h_edges(kinds: Mapping[int, VertexKind], edges: Iterable[tuple[int, int, in
     return h_edges, tuple([(e[2], f[2]) for e, f in itertools.pairwise(h_edges) if e[0] == f[0] and e[1] == f[1]])
 
 
-def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[tuple[int, int]], t: int) -> int:
+def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[tuple[int, int]], t: str) -> str:
     """The least point of t + S + span{1_e + 1_f : t_e != t_f}, over the
-    parallel pairs (e, f) whose bits are ``pairs``, for the twists ``t`` as
-    bits of the encoding order (the first edge at the highest bit).
+    parallel pairs (e, f) whose bits are ``pairs``, for the twists ``t``,
+    one binary digit per edge of the encoding order, as m digits in that
+    order.  An edge's bit counts from the last edge, so edge ``bit`` reads
+    its twist as ``t[~bit]``.
     ``h_edges`` holds the (low rank, high rank, bit) of the edges of H, the
     graph of the edges between critical vertices other than saddle_b, in
     encoding order; ``pairs`` comes with it from :func:`_h_edges`.
@@ -603,20 +609,21 @@ def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[tuple[int, 
     the twist sum along the forest path to its parent, a find sums them up
     to the root, and a forest edge hangs the smaller tree under the root of
     the larger (union by size) at the parity that makes its own sum 0.  So
-    no path is longer than log2 of the ranks, and the time is O(|H| log s)."""
-    least = skip = 0
+    no path is longer than log2 of the ranks, and the time is
+    O(m + |H| log s)."""
+    least, skip = ["0"] * len(t), set()
     for e, f in pairs:
-        if (t >> e ^ t >> f) & 1:
-            skip |= 1 << e | 1 << f
-            least |= 1 << f
+        if t[~e] != t[~f]:
+            skip |= {e, f}
+            least[~f] = "1"
     n = 1 + max([high for _, high, _ in h_edges], default=0)
     parent, parity, size = list(range(n)), [0] * n, [1] * n
     for i, j, bit in h_edges:
-        if skip >> bit & 1:
+        if bit in skip:
             continue
         # x becomes the twist sum from the root of i through the edge to
         # the root of j
-        x = t >> bit & 1
+        x = t[~bit] == "1"
         while parent[i] != i:
             x ^= parity[i]
             i = parent[i]
@@ -624,13 +631,13 @@ def _reduce(h_edges: Sequence[tuple[int, int, int]], pairs: Iterable[tuple[int, 
             x ^= parity[j]
             j = parent[j]
         if i == j:
-            least |= x << bit
+            least[~bit] = "01"[x]
         else:
             if size[i] < size[j]:
                 i, j = j, i
             parent[j], parity[j] = i, x
             size[i] += size[j]
-    return least
+    return "".join(least)
 
 
 def _edge_key(low: int, high: int) -> str:

@@ -1,5 +1,6 @@
 """The public names of the package and of its page module, pinned so that a
-change which adds or drops one fails here first."""
+change which adds or drops one fails here first, and the error each public
+function raises on input that is not of its kind."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 import roundfold
 from roundfold import classify, foldmaps, pages
+from roundfold.cli import main
 
 
 def public_names(module) -> list[str]:
@@ -120,3 +122,102 @@ def test_removed_in_0_8_0():
     for name in ("EncodingLayout", "_encoding_layout", "_labeling_bits"):
         assert not hasattr(pages, name)
     assert not hasattr(pages._PageView, "layout")
+
+
+NOT_A_DESCRIPTOR = 3
+
+# (id, call, error type, message): each call raises its error with its
+# message and no other
+ERRORS = [
+    ("parse-list", lambda: roundfold.parse_page("[]"), roundfold.PageFormatError, "$: document must be a JSON object"),
+    ("parse-null", lambda: roundfold.parse_page("null"), roundfold.PageFormatError, "$: document must be a JSON object"),
+    ("parse-str", lambda: roundfold.parse_page('"x"'), roundfold.PageFormatError, "$: document must be a JSON object"),
+    (
+        "parse-vertices-object",
+        lambda: roundfold.parse_page('{"vertices": {}, "edges": []}'),
+        roundfold.PageFormatError,
+        "$.vertices: must be an array",
+    ),
+    (
+        "parse-edges-number",
+        lambda: roundfold.parse_page('{"vertices": [], "edges": 3}'),
+        roundfold.PageFormatError,
+        "$.edges: must be an array",
+    ),
+    (
+        "surface-negative-boundary",
+        lambda: roundfold.SurfaceType(True, -1, genus=0),
+        roundfold.RoundFoldError,
+        "boundary_circles must be >= 0",
+    ),
+    (
+        "surface-orientable-crosscaps",
+        lambda: roundfold.SurfaceType(True, 0, genus=1, crosscaps=1),
+        roundfold.RoundFoldError,
+        "orientable surface needs genus >= 0 and no crosscaps",
+    ),
+    (
+        "surface-nonorientable-genus",
+        lambda: roundfold.SurfaceType(False, 0, genus=1, crosscaps=1),
+        roundfold.RoundFoldError,
+        "non-orientable surface needs crosscaps >= 1 and no genus",
+    ),
+    (
+        "twist-2",
+        lambda: roundfold.sphere_page().with_twists({"e0": 2}),
+        roundfold.RoundFoldError,
+        "twist of edge e0 must be 0 or 1",
+    ),
+    (
+        "handle-negative",
+        lambda: roundfold.handle_page(-1, 2),
+        roundfold.RoundFoldError,
+        "handle page needs a, b >= 0, got a=-1 b=2",
+    ),
+    (
+        "render-png",
+        lambda: roundfold.render_reeb(roundfold.disk_page(), format="png"),
+        roundfold.RoundFoldError,
+        "unsupported reeb format 'png'",
+    ),
+    ("describe", lambda: roundfold.describe(NOT_A_DESCRIPTOR), roundfold.RoundFoldError, "unknown descriptor 3"),
+    (
+        "euler",
+        lambda: roundfold.euler_characteristic(NOT_A_DESCRIPTOR),
+        roundfold.RoundFoldError,
+        "unknown descriptor 3",
+    ),
+    (
+        "fundamental-group",
+        lambda: roundfold.fundamental_group(NOT_A_DESCRIPTOR),
+        roundfold.RoundFoldError,
+        "unknown descriptor 3",
+    ),
+    (
+        "admits",
+        lambda: roundfold.admits_round_fold(NOT_A_DESCRIPTOR),
+        roundfold.RoundFoldError,
+        "unknown descriptor 3",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in ERRORS], ids=[row[0] for row in ERRORS])
+def test_error_messages(call, error, message):
+    with pytest.raises(roundfold.RoundFoldError) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_a_report_is_true_iff_the_page_is_valid():
+    assert bool(roundfold.validate_page(roundfold.disk_page())) is True
+    loop = roundfold.LabeledReebGraph.of([("v1", "max", 1)], [("e0", "v1", "v1", 0)])
+    assert bool(roundfold.validate_page(loop)) is False
+
+
+def test_cli_validate_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
+    page = tmp_path / "page.json"
+    page.write_text("[]", encoding="utf-8")
+    assert main(["validate", str(page)]) == 2
+    assert "$: document must be a JSON object" in capsys.readouterr().err
